@@ -28,12 +28,11 @@ The harness module adds convergence/efficiency drivers behind the
 from .quadrature import NodalBasis, build_basis, gauss_legendre, interpolate
 from .mesh import Mesh1D, Mesh2D, build_mesh
 from .problems import ProblemSpec, builtin_problem, residual_check
-from .operators import (BoundaryData, build_diffusion, compute_aux,
-                        explicit_rhs, lax_friedrichs, llf_alpha, norms)
+from .operators import (BoundaryData, build_diffusion, explicit_rhs,
+                        lax_friedrichs, llf_alpha, norms)
 from .imex import (ImexIntegrator, ImexTableau, NaiveBoundary,
-                   builtin_tableau, integrate, validate_tableau)
-from .treatment import (recover_derivatives_1d, recover_mixed_derivatives_2d,
-                        treated_boundary)
+                   builtin_tableau, validate_tableau)
+from .treatment import treated_boundary
 from .harness import (ConvergenceReport, NumericFailure, RunConfig,
                       error_localization, run_convergence, run_efficiency,
                       run_single)
@@ -44,10 +43,9 @@ __all__ = [
     'BoundaryData', 'ConvergenceReport', 'ImexIntegrator', 'ImexTableau',
     'Mesh1D', 'Mesh2D', 'NaiveBoundary', 'NodalBasis', 'NumericFailure',
     'ProblemSpec', 'RunConfig', 'build_basis', 'build_diffusion',
-    'build_mesh', 'builtin_problem', 'builtin_tableau', 'compute_aux',
-    'error_localization', 'explicit_rhs', 'gauss_legendre', 'integrate',
-    'interpolate', 'lax_friedrichs', 'llf_alpha', 'norms',
-    'recover_derivatives_1d', 'recover_mixed_derivatives_2d',
-    'residual_check', 'run_convergence', 'run_efficiency', 'run_single',
+    'build_mesh', 'builtin_problem', 'builtin_tableau', 'error_localization',
+    'explicit_rhs', 'gauss_legendre', 'interpolate', 'lax_friedrichs',
+    'llf_alpha', 'norms', 'residual_check', 'run_convergence',
+    'run_efficiency', 'run_single',
     'treated_boundary', 'validate_tableau',
 ]

@@ -10,6 +10,7 @@ import sys
 
 from .harness import (NumericFailure, RunConfig, efficiency_csv,
                       run_convergence, run_efficiency, run_single)
+from .treatment import ALGORITHMS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,7 +31,7 @@ def _add_common(sub):
                      help='time scheme (default: the problem\'s own)')
     sub.add_argument('--bc', choices=['naive', 'treated'],
                      help='boundary handling (default treated)')
-    sub.add_argument('--alg', choices=['alg1', 'alg2', 'alg3'],
+    sub.add_argument('--alg', choices=sorted(ALGORITHMS),
                      help='treatment variant: alg1 anchors corrections at '
                           'the step start, alg2/alg3 per stage (default)')
     sub.add_argument('--cfl', type=float,

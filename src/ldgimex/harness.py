@@ -15,14 +15,14 @@ from .mesh import build_mesh
 from .operators import norms
 from .problems import builtin_problem
 from .quadrature import build_basis, interpolate
-from .treatment import treated_boundary
+from .treatment import ALGORITHMS, VARIANTS, treated_boundary
 
 CONVERGENCE_HEADER = ("N,l1_error,l1_order,l2_error,l2_order,"
                       "linf_error,linf_order,seconds,steps")
 EFFICIENCY_HEADER = "N,mode,seconds,l2_error,linf_error,overhead"
 
 _BC_MODES = ('naive', 'treated')
-_ALGORITHMS = ('alg1', 'alg2', 'alg3', 'anchored', 'stagewise')
+_ALGORITHMS = tuple(ALGORITHMS) + VARIANTS
 
 
 class NumericFailure(RuntimeError):

@@ -134,72 +134,97 @@ def validate_tableau(tab, tol=1e-10):
     return True
 
 
+class BoundarySampler:
+    """Boundary traces at every side of a mesh, over the stage times.
+
+    names picks problem functions of (coordinates..., t): omega, omega_t,
+    p, p_x, p_y are sampled at the stage times t + c_i*tau, omega_tt at
+    the step start only.  step(t, tau) returns one dict per side mapping
+    each name to its samples indexed by stage (omega_tt: index 0): lists
+    of Python floats at 1D endpoints, arrays shaped like the face's points
+    in 2D.  sides and points list the side names and their coordinates
+    (see boundary_points on the meshes).
+    """
+
+    def __init__(self, problem, mesh, basis, c, names):
+        points = mesh.boundary_points(basis)
+        self.sides = tuple(points)
+        self.points = tuple(points.values())
+        self._floats = mesh.dim == 1
+        self._shapes = [np.shape(pt[0]) for pt in self.points]
+        self._ends = np.cumsum([int(np.prod(s)) for s in self._shapes])
+        self._coords = [np.concatenate([np.ravel(pt[k]) for pt in self.points])
+                        for k in range(mesh.dim)]
+        self._c = np.asarray(c, dtype=float)
+        self._fns = [(name, getattr(problem, name)) for name in names]
+        self._pre = None
+
+    def _sample(self, tm, tau):
+        """Samples for step starts tm, per name: a (steps, stages, points)
+        array, or in 1D nested float lists (steps, points, stages)."""
+        stage_t = tm[:, None] + tau * self._c[None, :]
+        coords = [x[None, None, :] for x in self._coords]
+        out = {}
+        for name, fn in self._fns:
+            times = tm[:, None] if name == 'omega_tt' else stage_t
+            v = np.asarray(fn(*coords, times[:, :, None]), dtype=float)
+            v = np.broadcast_to(v, times.shape + self._coords[0].shape)
+            out[name] = v.transpose(0, 2, 1).tolist() if self._floats else v
+        return out
+
+    def _split(self, samples, m):
+        """One {name: per-stage samples} dict per side for step m."""
+        if self._floats:
+            return [{name: v[m][k] for name, v in samples.items()}
+                    for k in range(len(self.sides))]
+        out = [{} for _ in self.sides]
+        for name, v in samples.items():
+            lo = 0
+            for side, hi, shape in zip(out, self._ends, self._shapes):
+                side[name] = v[m, :, lo:hi].reshape((-1,) + shape)
+                lo = hi
+        return out
+
+    def prepare(self, t0, tau, nsteps):
+        """Sample every trace for a fixed-step schedule in one pass.
+
+        Steps whose start time falls off this grid (the shortened final
+        step, or integrations restarted elsewhere) fall back to per-step
+        sampling in step().  The grid arithmetic t0 + m*tau matches
+        integrate() exactly, so cached and direct values agree bitwise.
+        """
+        if nsteps < 1:
+            return
+        samples = self._sample(t0 + tau * np.arange(nsteps), tau)
+        self._pre = (t0, tau, nsteps,
+                     [self._split(samples, m) for m in range(nsteps)])
+
+    def step(self, t, tau):
+        """Per-side samples for the step of size tau starting at t."""
+        pre = self._pre
+        if pre is not None and tau == pre[1]:
+            m = int(round((t - pre[0]) / tau))
+            if 0 <= m < pre[2] and pre[0] + m * tau == t:
+                return pre[3][m]
+        return self._split(self._sample(np.array([t]), tau), 0)
+
+
 class NaiveBoundary:
     """Boundary controller sampling omega pointwise at the stage times."""
 
     def __init__(self, problem, mesh, basis, tableau):
-        self.problem = problem
-        self.mesh = mesh
-        self.c = tableau.c
-        if mesh.dim == 1:
-            self._xpair = np.array([[mesh.a], [mesh.b]])
-            self._carr = np.asarray(tableau.c, dtype=float)
-            self._vals = None
-            self._pre = None
-        else:
-            yc = mesh.y.node_coords(basis)
-            xc = mesh.x.node_coords(basis)
-            self._xw = np.full_like(yc, mesh.x.a)
-            self._xe = np.full_like(yc, mesh.x.b)
-            self._yc = yc
-            self._xc = xc
-            self._ys = np.full_like(xc, mesh.y.a)
-            self._yn = np.full_like(xc, mesh.y.b)
-        self.t = 0.0
-        self.tau = 0.0
+        self.sampler = BoundarySampler(problem, mesh, basis, tableau.c,
+                                       ('omega',))
+        self._omega = None
 
     def prepare(self, t0, tau, nsteps):
-        """Sample the boundary trace for a whole fixed-step schedule at once.
-
-        Steps whose start time falls off this grid (the shortened final
-        step, or integrations restarted elsewhere) fall back to per-step
-        sampling in begin_step.  The grid arithmetic t0 + m*tau matches
-        integrate() exactly, so cached and direct values agree bitwise.
-        """
-        if self.mesh.dim != 1 or nsteps < 1:
-            return
-        tgrid = ((t0 + tau * np.arange(nsteps))[:, None]
-                 + tau * self._carr[None, :])
-        v = np.asarray(self.problem.omega(self._xpair[:, :, None], tgrid),
-                       dtype=float)
-        v = np.broadcast_to(v, (2,) + tgrid.shape)
-        self._pre = (t0, tau, v.transpose(1, 0, 2).tolist())
+        self.sampler.prepare(t0, tau, nsteps)
 
     def begin_step(self, u, t, tau):
-        self.t = t
-        self.tau = tau
-        if self.mesh.dim == 1:
-            pre = self._pre
-            if pre is not None and tau == pre[1]:
-                m = int(round((t - pre[0]) / tau))
-                if 0 <= m < len(pre[2]) and pre[0] + m * tau == t:
-                    self._vals = pre[2][m]
-                    return
-            tarr = t + tau * self._carr
-            v = np.asarray(self.problem.omega(self._xpair, tarr), dtype=float)
-            if v.shape != (2, tarr.shape[0]):
-                v = np.broadcast_to(v, (2, tarr.shape[0]))
-            self._vals = v.tolist()
+        self._omega = [side['omega'] for side in self.sampler.step(t, tau)]
 
     def stage_data(self, i):
-        if self.mesh.dim == 1:
-            return BoundaryData(west=self._vals[0][i], east=self._vals[1][i])
-        ts = self.t + self.c[i] * self.tau
-        omega = self.problem.omega
-        return BoundaryData(west=omega(self._xw, self._yc, ts),
-                            east=omega(self._xe, self._yc, ts),
-                            south=omega(self._xc, self._ys, ts),
-                            north=omega(self._xc, self._yn, ts))
+        return BoundaryData(*[om[i] for om in self._omega])
 
     def observe_stage(self, i, u_stage):
         pass
@@ -334,6 +359,8 @@ class ImexIntegrator:
 
         Returns (u, info) where info reports the step count and the largest
         relative implicit residual seen (if residual checking is on).
+        Raises FloatingPointError, naming the step and time, as soon as a
+        step leaves a non-finite value.
         """
         u = np.array(u0, dtype=float)
         t = t0
@@ -349,20 +376,17 @@ class ImexIntegrator:
             u = self.step(u, t, tau)
             steps += 1
             t = t0 + steps * tau
+            _check_finite(u, steps, t)
         if t_end - t > 1e-12 * max(1.0, abs(t_end)):
             u = self.step(u, t, t_end - t)
             steps += 1
             t = t_end
-        if not np.all(np.isfinite(u)):
-            raise FloatingPointError("non-finite solution at t=%.6g" % t)
+            _check_finite(u, steps, t)
         return u, {'steps': steps, 'max_residual': self.max_residual,
                    't': t}
 
 
-def integrate(problem, mesh, basis, u0, t0, t_end, tau, tableau=None,
-              controller=None, check_residual=False):
-    """One-call convenience wrapper around ImexIntegrator.integrate."""
-    integ = ImexIntegrator(problem, mesh, basis, tableau=tableau,
-                           controller=controller,
-                           check_residual=check_residual)
-    return integ.integrate(u0, t0, t_end, tau)
+def _check_finite(u, steps, t):
+    if not np.all(np.isfinite(u)):
+        raise FloatingPointError("non-finite solution after step %d at t=%.6g"
+                                 % (steps, t))

@@ -1,25 +1,6 @@
-"""Uniform Cartesian meshes in 1D and 2D with reference maps and boundary faces."""
+"""Uniform Cartesian meshes in 1D and 2D with node and boundary coordinates."""
 
 import numpy as np
-
-
-class BoundaryFace:
-    """One face of the domain boundary.
-
-    Attributes:
-        side: 'west' or 'east' in 1D; also 'south'/'north' in 2D.
-        cell: owning cell index (int in 1D, (i, j) pair in 2D).
-        points: physical quadrature points on the face; shape (1,) in 1D
-            (the endpoint), (p, 2) in 2D (the p Gauss nodes along the face).
-    """
-
-    def __init__(self, side, cell, points):
-        self.side = side
-        self.cell = cell
-        self.points = np.asarray(points, dtype=float)
-
-    def __repr__(self):
-        return "BoundaryFace(%r, %r)" % (self.side, self.cell)
 
 
 class Mesh1D:
@@ -44,21 +25,13 @@ class Mesh1D:
     def centers(self):
         return self.a + self.dx * (np.arange(self.n) + 0.5)
 
-    def reference_map(self, i):
-        """Affine map of cell i: T(xi) on [-1,1] and its inverse."""
-        if not 0 <= i < self.n:
-            raise ValueError("reference_map: cell %r out of range" % (i,))
-        c = self.a + self.dx * (i + 0.5)
-        h = 0.5 * self.dx
-        return (lambda xi: c + h * xi), (lambda x: (x - c) / h)
-
     def node_coords(self, basis):
         """Physical quadrature-node coordinates, shape (n, p)."""
         return self.centers()[:, None] + 0.5 * self.dx * basis.nodes[None, :]
 
-    def boundary_faces(self, basis=None):
-        return [BoundaryFace('west', 0, [self.a]),
-                BoundaryFace('east', self.n - 1, [self.b])]
+    def boundary_points(self, basis=None):
+        """Boundary point coordinates per side: the endpoints, as (x,)."""
+        return {'west': (self.a,), 'east': (self.b,)}
 
 
 class Mesh2D:
@@ -79,13 +52,6 @@ class Mesh2D:
         self.dy = self.y.dx
         self.min_width = min(self.dx, self.dy)
 
-    def reference_map(self, cell):
-        """Per-direction affine maps of cell (i, j)."""
-        i, j = cell
-        tx, txinv = self.x.reference_map(i)
-        ty, tyinv = self.y.reference_map(j)
-        return (lambda xi, eta: (tx(xi), ty(eta))), (lambda x, y: (txinv(x), tyinv(y)))
-
     def node_coords(self, basis):
         """Physical node coordinates (X, Y), each of shape (n, m, p, p)."""
         xn = self.x.node_coords(basis)  # (n, p)
@@ -95,24 +61,18 @@ class Mesh2D:
         y = np.broadcast_to(yn[None, :, None, :], shape).copy()
         return x, y
 
-    def boundary_faces(self, basis):
-        """2(N + M) boundary faces, each carrying its p face nodes."""
-        xn = self.x.node_coords(basis)
-        yn = self.y.node_coords(basis)
-        faces = []
-        for j in range(self.m):
-            pts = np.column_stack([np.full(basis.p, self.x.a), yn[j]])
-            faces.append(BoundaryFace('west', (0, j), pts))
-        for j in range(self.m):
-            pts = np.column_stack([np.full(basis.p, self.x.b), yn[j]])
-            faces.append(BoundaryFace('east', (self.n - 1, j), pts))
-        for i in range(self.n):
-            pts = np.column_stack([xn[i], np.full(basis.p, self.y.a)])
-            faces.append(BoundaryFace('south', (i, 0), pts))
-        for i in range(self.n):
-            pts = np.column_stack([xn[i], np.full(basis.p, self.y.b)])
-            faces.append(BoundaryFace('north', (i, self.m - 1), pts))
-        return faces
+    def boundary_points(self, basis):
+        """Boundary node coordinates per side as (x, y) array pairs.
+
+        West/east faces hold the (m, p) nodes along y, south/north the
+        (n, p) nodes along x, matching the BoundaryData layout.
+        """
+        xc = self.x.node_coords(basis)
+        yc = self.y.node_coords(basis)
+        return {'west': (np.full_like(yc, self.x.a), yc),
+                'east': (np.full_like(yc, self.x.b), yc),
+                'south': (xc, np.full_like(xc, self.y.a)),
+                'north': (xc, np.full_like(xc, self.y.b))}
 
 
 def build_mesh(bounds, counts):
@@ -130,13 +90,3 @@ def build_mesh(bounds, counts):
     (a1, b1), (a2, b2) = bounds
     n, m = counts
     return Mesh2D(a1, b1, a2, b2, n, m)
-
-
-def reference_map(mesh, cell):
-    """Affine map T (reference -> physical) of a cell and its inverse."""
-    return mesh.reference_map(cell)
-
-
-def boundary_faces(mesh, basis=None):
-    """All boundary faces of the mesh with their quadrature points."""
-    return mesh.boundary_faces(basis)

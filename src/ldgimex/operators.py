@@ -1,5 +1,5 @@
 """LDG spatial discretization: gradient reconstruction, convective fluxes,
-diffusion with alternating fluxes and boundary penalty, norms, CSV dumps.
+diffusion with alternating fluxes and boundary penalty, norms.
 
 Interior faces use the alternating choice: the primal trace u~ is taken from
 the left/lower cell, the gradient trace q~ from the right/upper cell.  At
@@ -214,11 +214,6 @@ def build_diffusion(mesh, basis, problem):
     return Diffusion2D(mesh, basis, problem.d_coef)
 
 
-def compute_aux(u, bdata, diffusion):
-    """Auxiliary gradient field(s) q for a given solution field."""
-    return diffusion.gradient(u, bdata)
-
-
 def _convection_lines(u, flux, alpha, bw, be, S, winv, r, l):
     """Convective weak-form RHS of -d/dx F(u) on a batch of 1D cell lines.
 
@@ -316,24 +311,3 @@ def norms(u, exact, mesh, basis, t):
     l1 = jac * float(np.einsum('q,r,ijqr->', w, w, np.abs(e)))
     l2 = float(np.sqrt(jac * np.einsum('q,r,ijqr->', w, w, e * e)))
     return l1, l2, float(np.max(np.abs(e)))
-
-
-def dump_field(u, mesh, basis, path):
-    """Write a nodal field to CSV for debugging/plotting."""
-    with open(path, 'w', newline='') as fh:
-        if mesh.dim == 1:
-            fh.write("cell_i,node_k1,x,value\n")
-            xs = mesh.node_coords(basis)
-            for i in range(mesh.n):
-                for q in range(basis.p):
-                    fh.write("%d,%d,%.10e,%.10e\n" % (i, q, xs[i, q], u[i, q]))
-        else:
-            fh.write("cell_i,cell_j,node_k1,node_k2,x,y,value\n")
-            x, y = mesh.node_coords(basis)
-            for i in range(mesh.n):
-                for j in range(mesh.m):
-                    for q1 in range(basis.p):
-                        for q2 in range(basis.p):
-                            fh.write("%d,%d,%d,%d,%.10e,%.10e,%.10e\n"
-                                     % (i, j, q1, q2, x[i, j, q1, q2],
-                                        y[i, j, q1, q2], u[i, j, q1, q2]))

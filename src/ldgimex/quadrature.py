@@ -114,16 +114,6 @@ class NodalBasis:
         return np.polynomial.polynomial.polyval(xi, c)
 
 
-def evaluate(basis, nodal_values, xi):
-    """Value of the degree-k interpolant with the given nodal values at xi."""
-    return basis.values(nodal_values, xi)
-
-
-def evaluate_derivative(basis, nodal_values, xi, order=1):
-    """order-th derivative of the interpolant at xi (order <= k)."""
-    return basis.derivative_values(nodal_values, xi, order)
-
-
 def build_basis(k):
     """Nodal basis of degree k on the (k + 1)-point Gauss-Legendre nodes."""
     return NodalBasis(k)

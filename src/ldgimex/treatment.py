@@ -4,7 +4,7 @@ Evaluating a time-dependent boundary trace omega(t) directly at the
 Runge-Kutta stage abscissae t^{n,i} = t^n + c_i*tau caps the observed
 convergence near second order: the internal stages of the scheme only
 approximate u(t^{n,i}) to O(tau^2), so handing them the exact trace puts a
-boundary layer into the error.  The controllers here instead rebuild, at
+boundary layer into the error.  The treated controller instead rebuilds, at
 each boundary point, the value the scheme itself would produce there.
 Splitting the semidiscrete right-hand side into xi (convection plus
 source) and psi (diffusion), the stage combination
@@ -12,32 +12,55 @@ source) and psi (diffusion), the stage combination
     u^{n,i} = u^n + tau*sum_j at[i,j]*xi^{n,j} + tau*sum_j a[i,j]*psi^{n,j}
 
 is evaluated with psi^{n,j} = omega_t(t^{n,j}) - xi^{n,j} -- the PDE solved
-for its diffusive part -- while xi = -f'(u)*u_x + p*u is built from
-endpoint derivatives recovered one-sidedly from the discrete field, and
-u_x itself is advanced by a boundary version of the same Runge-Kutta
-recursion (whose diffusive closure psi_x = d*u_xxx comes from recovered
-third derivatives).
+for its diffusive part -- while xi = -sum_a f_a'(u)*u_a + p*u is built from
+boundary derivatives recovered one-sidedly from the discrete field, and
+the gradient (u_a) itself is advanced by the same Runge-Kutta recursion,
+whose diffusive closure psi_a = d*sum_b u_bba comes from recovered third
+derivatives.
 
-Two variants are provided.  The default, 'stagewise', re-recovers u_xx and
-psi_x from every freshly solved stage field so Taylor shifts only span
-single stage gaps; 'anchored' expands everything from the step-start
-field.  Third-order runs (k = 2) keep a single Taylor term; fourth-order
-runs (k = 3) add one time derivative of psi_x, obtained by exchanging time
-for space derivatives, which closes only for linear convection and
-constant source factor p.
+One recursion serves every boundary: StageCorrector runs it on one point
+set, a 1D endpoint (gradient components ('x',), Python floats) or a 2D face
+(components ('x', 'y'), numpy arrays over the face's quadrature points).
+Its arithmetic is plain + and *, so the same code handles both; a 1D
+endpoint is a face without tangential terms.  The traces it consumes come
+from the BoundarySampler that the naive controller uses as well.
+
+Two variants are provided.  The default, 'stagewise', re-recovers the
+second derivatives and psi from every freshly solved stage field so Taylor
+shifts only span single stage gaps; 'anchored' expands everything from the
+step-start field.  Third-order runs (k = 2) keep a single Taylor term;
+fourth-order runs (k = 3, 1D only) add one time derivative of psi_x,
+obtained by exchanging time for space derivatives, which closes only for
+linear convection and constant source factor p.
 """
+
+from operator import attrgetter, itemgetter, methodcaller, mul
 
 import numpy as np
 
+from .imex import BoundarySampler
 from .operators import BoundaryData
 
 __all__ = [
-    'BoundaryDerivatives', 'StageBoundaryArchive',
-    'EdgeDerivatives1D', 'EdgeDerivatives2D',
-    'recover_derivatives_1d', 'recover_mixed_derivatives_2d',
-    'EndpointCorrector1D', 'FaceCorrector2D',
-    'TreatedBoundary1D', 'TreatedBoundary2D', 'treated_boundary',
+    'ALGORITHMS', 'VARIANTS', 'BoundaryDerivatives', 'EdgeDerivatives1D',
+    'EdgeDerivatives2D', 'StageCorrector', 'TreatedBoundary',
+    'resolve_variant', 'treated_boundary',
 ]
+
+# Algorithm names of the paper and the recursion variant each runs.  alg3
+# runs the stagewise recursion of alg2 until the two are told apart.
+ALGORITHMS = {'alg1': 'anchored', 'alg2': 'stagewise', 'alg3': 'stagewise'}
+VARIANTS = ('anchored', 'stagewise')
+
+
+def resolve_variant(name):
+    """The recursion variant for an algorithm or variant name."""
+    variant = ALGORITHMS.get(name, name)
+    if variant not in VARIANTS:
+        names = sorted(ALGORITHMS) + list(VARIANTS)
+        raise ValueError("unknown treatment variant %r (choose from %s)"
+                         % (name, ', '.join(names)))
+    return variant
 
 
 def _basis_row(basis, xi, order):
@@ -51,7 +74,7 @@ def _basis_row(basis, xi, order):
 
 
 class BoundaryDerivatives:
-    """Spatial derivatives of the discrete field at a boundary point.
+    """Spatial derivatives of the discrete field at a boundary point set.
 
     Scalar-valued at a 1D endpoint, array-valued (one entry per boundary
     quadrature point) along a 2D face.  Only the attributes the requesting
@@ -64,54 +87,11 @@ class BoundaryDerivatives:
     __slots__ = ('u_x', 'u_y', 'u_xx', 'u_yy', 'u_xy', 'u_xxx', 'u_xxx_fd',
                  'u_yyy', 'u_xxy', 'u_yyx', 'u_xxxx', 'u_xxxxx')
 
-    def __init__(self, u_x=None, u_y=None, u_xx=None, u_yy=None, u_xy=None,
-                 u_xxx=None, u_xxx_fd=None, u_yyy=None, u_xxy=None,
-                 u_yyx=None, u_xxxx=None, u_xxxxx=None):
-        self.u_x = u_x
-        self.u_y = u_y
-        self.u_xx = u_xx
-        self.u_yy = u_yy
-        self.u_xy = u_xy
-        self.u_xxx = u_xxx
-        self.u_xxx_fd = u_xxx_fd
-        self.u_yyy = u_yyy
-        self.u_xxy = u_xxy
-        self.u_yyx = u_yyx
-        self.u_xxxx = u_xxxx
-        self.u_xxxxx = u_xxxxx
-
-
-class StageBoundaryArchive:
-    """Per-step record of stage quantities at one endpoint or face.
-
-    Lists are indexed by stage (contiguous from 0); entries are floats at
-    a 1D endpoint and per-point arrays along a 2D face.  psi_x/psi_y hold
-    the values recovered from each completed stage field, not the
-    Taylor-shifted predictions.
-    """
-
-    def __init__(self):
-        self.treated = []
-        self.u_x = []
-        self.u_y = []
-        self.xi = []
-        self.xi_x = []
-        self.xi_y = []
-        self.psi_x = []
-        self.psi_y = []
-        self.omega_t = []
-
-    def reset(self):
-        """Empty all stage lists so the archive can serve the next step."""
-        self.treated.clear()
-        self.u_x.clear()
-        self.u_y.clear()
-        self.xi.clear()
-        self.xi_x.clear()
-        self.xi_y.clear()
-        self.psi_x.clear()
-        self.psi_y.clear()
-        self.omega_t = []
+    def __init__(self, **values):
+        for name in self.__slots__:
+            setattr(self, name, values.pop(name, None))
+        if values:
+            raise TypeError("unknown derivatives %r" % sorted(values))
 
 
 class EdgeDerivatives1D:
@@ -153,12 +133,10 @@ class EdgeDerivatives1D:
         if scheme_order == 4:
             self._r3 = tuple((_basis_row(basis, xi, 3) * jac ** 3).tolist())
         if side == 'west':
-            self.cells = (0, 1, 2)
             self.inward = 1.0
             self._rows = slice(0, 3)
             self._rev = False
         else:
-            self.cells = (mesh.n - 1, mesh.n - 2, mesh.n - 3)
             self.inward = -1.0
             self._rows = slice(mesh.n - 3, mesh.n)
             self._rev = True
@@ -277,7 +255,8 @@ class EdgeDerivatives2D:
             f = f[::-1, :, ::-1, :]
         return f
 
-    def recover(self, field):
+    def recover(self, field, out=None):
+        """Face derivatives of field; out, if given, is refilled."""
         f = self._oriented(field)
         e0, e1, e2 = self.e0, self.e1, self.e2
         dn, dt = self.dn, self.dt
@@ -297,39 +276,19 @@ class EdgeDerivatives2D:
         u_ttn = (cn[0] * _tang_first(y[0], dt) + cn[1] * _tang_first(y[1], dt)
                  + cn[2] * _tang_first(y[2], dt))
         sg = -1.0 if self.flip else 1.0
+        rec = BoundaryDerivatives() if out is None else out
+        rec.u_xy = sg * u_nt
         if self.normal_axis == 'x':
-            return BoundaryDerivatives(
-                u_x=sg * u_n, u_y=u_t, u_xx=u_nn, u_yy=u_tt, u_xy=sg * u_nt,
-                u_xxx=sg * u_nnn, u_yyy=u_ttt, u_xxy=u_nnt, u_yyx=sg * u_ttn)
-        return BoundaryDerivatives(
-            u_x=u_t, u_y=sg * u_n, u_xx=u_tt, u_yy=u_nn, u_xy=sg * u_nt,
-            u_xxx=u_ttt, u_yyy=sg * u_nnn, u_xxy=sg * u_ttn, u_yyx=u_nnt)
-
-
-def recover_derivatives_1d(field, mesh, basis, side, scheme_order=3):
-    """Recover endpoint derivatives of a 1D nodal field (see EdgeDerivatives1D)."""
-    return EdgeDerivatives1D(mesh, basis, side, scheme_order).recover(field)
-
-
-def recover_mixed_derivatives_2d(field, mesh, basis, face):
-    """Recover per-point face derivatives of a 2D nodal field."""
-    return EdgeDerivatives2D(mesh, basis, face).recover(field)
-
-
-def _stage_samples(fn, args, times, like):
-    """Evaluate fn(*args, t) at each stage time as arrays shaped like `like`."""
-    out = []
-    for t in times:
-        v = fn(*(args + (t,)))
-        out.append(np.broadcast_to(np.asarray(v, dtype=float),
-                                   like.shape).copy())
-    return out
-
-
-def _sample_trace(fn, args, tarr):
-    """fn(*args, t) over all stage times in one vectorized call -> floats."""
-    v = np.asarray(fn(*(args + (tarr,))), dtype=float)
-    return np.broadcast_to(v, tarr.shape).tolist()
+            rec.u_x, rec.u_y = sg * u_n, u_t
+            rec.u_xx, rec.u_yy = u_nn, u_tt
+            rec.u_xxx, rec.u_yyy = sg * u_nnn, u_ttt
+            rec.u_xxy, rec.u_yyx = u_nnt, sg * u_ttn
+        else:
+            rec.u_x, rec.u_y = u_t, sg * u_n
+            rec.u_xx, rec.u_yy = u_tt, u_nn
+            rec.u_xxx, rec.u_yyy = u_ttt, sg * u_nnn
+            rec.u_xxy, rec.u_yyx = sg * u_ttn, u_nnt
+        return rec
 
 
 def _check_problem_fields(problem, scheme_order):
@@ -363,797 +322,330 @@ def _check_problem_fields(problem, scheme_order):
                              "source factor p (p_const)")
 
 
-class EndpointCorrector1D:
-    """Runs the stage recursion at one endpoint of a 1D mesh.
+def _as_float(fn):
+    return None if fn is None else (lambda u: float(fn(u)))
 
-    Drive it either through begin/observe (which recover derivatives from
-    fields) or through begin_values/observe_values with externally supplied
-    BoundaryDerivatives; stage_value(i) then yields the treated Dirichlet
-    value for stage i, updating the archive.
+
+_first = itemgetter(0)
+
+
+def _dot2(a, b):
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _matvec2(h, v):
+    return h[:, 0] * v[0] + h[:, 1] * v[1]
+
+
+class StageCorrector:
+    """Runs the stage recursion at one boundary point set.
+
+    axes names the gradient components: ('x',) at a 1D endpoint, where
+    every value is a Python float, and ('x', 'y') along a 2D face, where
+    values are arrays over the face's points and vectors over the axes
+    (gradient, psi) are stacked on a leading axis.  Only reading those
+    vectors from BoundaryDerivatives and contracting them over the axes
+    differ between the two; the recursion itself is plain + and *, with
+    no tangential terms left at a 1D endpoint.  Drive it with
+    begin(rec, tau, traces), then
+    stage_value(i) for i = 0, 1, ... in order, and observe(i, rec) with
+    the derivatives recovered from each solved interior stage field
+    (stagewise variant).  traces maps sampler names to this point set's
+    per-stage samples (see BoundarySampler).
     """
 
-    def __init__(self, problem, tableau, x, scheme_order,
-                 variant='stagewise', recovery=None):
-        if variant not in ('stagewise', 'anchored'):
+    def __init__(self, problem, tableau, scheme_order, variant, axes):
+        if variant not in VARIANTS:
             raise ValueError("variant must be 'stagewise' or 'anchored'")
         _check_problem_fields(problem, scheme_order)
-        self.problem = problem
-        self.x = float(x)
-        self.order = scheme_order
-        self.variant = variant
-        self.recovery = recovery
+        self.order4 = scheme_order == 4
+        if self.order4 and len(axes) != 1:
+            raise ValueError("fourth-order treatment is one-dimensional")
+        self.anchored = variant == 'anchored'
         self.d = problem.d_coef
-        self.stages = tableau.stages
+        s = tableau.stages
         self._c = [float(v) for v in tableau.c]
-        self._aex = [[float(v) for v in row] for row in tableau.a_ex]
-        self._aim = [[float(v) for v in row] for row in tableau.a_im]
-        s = self.stages
-        self._exnz = [[(j, self._aex[i][j]) for j in range(i)
-                       if self._aex[i][j] != 0.0] for i in range(s)]
-        self._imnz = [[(j, self._aim[i][j]) for j in range(i)
-                       if self._aim[i][j] != 0.0] for i in range(s)]
-        self._aii = [self._aim[i][i] for i in range(s)]
-        self._anchored = variant == 'anchored'
-        self._order4 = scheme_order == 4
-        self._fp_const = problem.fprime_const
-        if self._fp_const is not None:
-            self._fp_const = float(self._fp_const)
-        self._has_p = problem.p is not None
-        self._p_const = problem.p_const
-        # constant f' and constant (or absent) p make xi and xi_x plain
-        # linear maps; the stage loop then skips the generic call chain
-        self._fast = (self._fp_const is not None
-                      and (not self._has_p or self._p_const is not None))
-        self._fpn = -self._fp_const if self._fp_const is not None else 0.0
-        self._pcf = (float(self._p_const)
-                     if self._has_p and self._p_const is not None else 0.0)
-        self._zeros = [0.0] * self.stages
+        aex = tableau.a_ex.tolist()
+        aim = tableau.a_im.tolist()
+        self._exnz = [[(j, aex[i][j]) for j in range(i) if aex[i][j] != 0.0]
+                      for i in range(s)]
+        self._imnz = [[(j, aim[i][j]) for j in range(i) if aim[i][j] != 0.0]
+                      for i in range(s)]
+        self._aii = [aim[i][i] for i in range(s)]
+        # the point set's layout: how vectors over the axes are read from
+        # BoundaryDerivatives, stacked and contracted
+        if len(axes) == 1:
+            self._vec, self._dot, self._matvec = _first, mul, mul
+            self._grad_of = attrgetter('u_x')
+            self._hess_of = attrgetter('u_xx')
+            self._third_of = attrgetter('u_xxx_fd' if self.order4
+                                        else 'u_xxx')
+        else:
+            self._vec, self._dot, self._matvec = np.array, _dot2, _matvec2
+            self._grad_of = lambda r: np.array([r.u_x, r.u_y])
+            self._hess_of = lambda r: np.array([[r.u_xx, r.u_xy],
+                                                [r.u_xy, r.u_yy]])
+            self._third_of = lambda r: np.array([r.u_xxx + r.u_yyx,
+                                                 r.u_xxy + r.u_yyy])
+        self._fpc = self._fp = self._fpp = None
+        if problem.fprime_const is not None:
+            self._fpc = float(problem.fprime_const)
+            if len(axes) == 2:
+                self._fpc = (self._fpc, self._fpc)
+        elif len(axes) == 1:
+            self._fp = [_as_float(problem.fprime)]
+            self._fpp = [_as_float(problem.fsecond)]
+        else:
+            self._fp = [problem.f1prime, problem.f2prime]
+            self._fpp = [problem.f1second, problem.f2second]
+        # the source factor p is absent, constant, or sampled per stage
+        self._p_const = None
+        self._p_names = None
+        if problem.p is not None:
+            if problem.p_const is not None:
+                self._p_const = float(problem.p_const)
+            else:
+                self._p_names = ['p_' + a for a in axes]
+        self._p4 = self._p_const or 0.0     # p in the order-4 closure
+        self._ps = None
+        self._treated = None
+        self._tau = None
+
+    def _scale(self, tau):
+        """Tableau rows and abscissae times the step size tau."""
+        self._tau = tau
+        c = self._c
+        self._ex = [[(j, tau * cf) for j, cf in row] for row in self._exnz]
+        self._im = [[(j, tau * cf) for j, cf in row] for row in self._imnz]
+        self._taii = [tau * a for a in self._aii]
+        self._ct = [ci * tau for ci in c]
+        self._dct = [0.0] + [(c[i] - c[i - 1]) * tau
+                             for i in range(1, len(c))]
+
+    def _xi(self, grad, u, i):
+        fp = self._fpc
+        if fp is None:
+            fp = self._vec([f(u) for f in self._fp])
+        val = -self._dot(fp, grad)
         if self._p_const is not None:
-            self._p_list = [float(self._p_const)] * self.stages
-        self.archive = None
-        self._uxx = []
-        self._dtpsi = []
-        self._tau = 0.0
-        self._t = 0.0
+            val = val + self._p_const * u
+        elif self._ps is not None:
+            val = val + self._ps[i] * u
+        return val
 
-    # -- per-step state ----------------------------------------------------
+    def _psi_rate(self, rec):
+        """d/dt psi_x, time exchanged for space derivatives (order 4)."""
+        d = self.d
+        return d * (-self._fpc * rec.u_xxxx + d * rec.u_xxxxx
+                    + self._p4 * rec.u_xxx)
 
-    def begin(self, field, t, tau):
-        self.begin_values(self.recovery.recover(field), t, tau)
+    def begin(self, rec, tau, traces):
+        """Open a step from the step-start derivatives and trace samples.
 
-    def begin_values(self, rec, t, tau, samples=None):
-        """Open a step; samples may carry pre-evaluated boundary traces.
-
-        samples, when given, is a dict with stage lists 'om' and 'omt'
-        (plus 'omtt0', 'p', 'px' when the scheme needs them); the
-        controller wrapping both endpoints fills it from shared vectorized
-        evaluations.
+        The variants differ only in the per-stage Hessians and psi values
+        they feed the recursion: stagewise observes them stage by stage,
+        anchored expands them all from the step start here.
         """
-        self._t = float(t)
-        self._tau = float(tau)
-        prob = self.problem
-        x = self.x
-        if samples is None:
-            tarr = t + tau * np.asarray(self._c)
-            samples = {'om': _sample_trace(prob.omega, (x,), tarr),
-                       'omt': _sample_trace(prob.omega_t, (x,), tarr)}
-            if self.order == 4:
-                samples['omtt0'] = float(prob.omega_tt(x, t))
-            if self._has_p and self._p_const is None:
-                samples['p'] = _sample_trace(prob.p, (x,), tarr)
-                samples['px'] = _sample_trace(prob.p_x, (x,), tarr)
-        om0 = samples['om'][0]
-        self._om = samples['om']
-        self._omtt0 = samples.get('omtt0', 0.0)
-        if not self._has_p:
-            self._p = self._zeros
-            self._px = self._zeros
-        elif self._p_const is not None:
-            self._p = self._p_list
-            self._px = self._zeros
+        if tau != self._tau:
+            self._scale(float(tau))
+        om0 = traces['omega'][0]
+        self._omt = traces['omega_t']
+        if self.order4:
+            self._omtt0 = traces['omega_tt'][0]
+        if self._p_names is not None:
+            self._ps = traces['p']
+            self._pgs = [traces[n] for n in self._p_names]
+        grad = self._grad_of(rec)
+        self._treated = [om0]
+        self._grads = [grad]
+        self._xis = [self._xi(grad, om0, 0)]
+        self._xigs = []
+        if not self.anchored:
+            self._hesss = []
+            self._psis = []
+            self._preds = [] if self.order4 else self._psis
+            self.observe(0, rec)
+            return
+        hess = self._hess_of(rec)
+        psi = self.d * self._third_of(rec)
+        ct = self._ct
+        if self.order4:
+            dhess = (-self._fpc * rec.u_xxx + self.d * rec.u_xxxx
+                     + self._p4 * rec.u_xx)
+            dpsi = self._psi_rate(rec)
+            self._hesss = [hess + cti * dhess for cti in ct]
+            self._psis = [psi + cti * dpsi for cti in ct]
         else:
-            self._p = samples['p']
-            self._px = samples['px']
-        arch = self.archive
-        if arch is None:
-            arch = StageBoundaryArchive()
-            self.archive = arch
-        else:
-            arch.reset()
-        arch.omega_t = samples['omt']
-        arch.treated.append(om0)
-        arch.u_x.append(rec.u_x)
-        if self._fast:
-            arch.xi.append(self._fpn * rec.u_x + self._pcf * om0)
-        else:
-            arch.xi.append(self._xi(rec.u_x, om0, 0))
-        arch.psi_x.append(self.d * (rec.u_xxx_fd if self._order4
-                                    else rec.u_xxx))
-        uxx = self._uxx
-        uxx.clear()
-        uxx.append(rec.u_xx)
-        dtpsi = self._dtpsi
-        dtpsi.clear()
-        dtpsi.append(self._dt_psi_x(rec) if self.order == 4 else 0.0)
-        self._dtuxx0 = 0.0
-        if self.order == 4 and self.variant == 'anchored':
-            self._dtuxx0 = (-self._fp_const * rec.u_xxx
-                            + self.d * rec.u_xxxx
-                            + self._p_value() * rec.u_xx)
-
-    def _p_value(self):
-        if not self._has_p:
-            return 0.0
-        return float(self._p_const)
-
-    def _dt_psi_x(self, rec):
-        """d/dt of psi_x = d*u_xxx, time exchanged for space derivatives."""
-        return self.d * (-self._fp_const * rec.u_xxxx
-                         + self.d * rec.u_xxxxx
-                         + self._p_value() * rec.u_xxx)
-
-    def _fp(self, u):
-        if self._fp_const is not None:
-            return self._fp_const
-        return float(self.problem.fprime(u))
-
-    def _fpp(self, u):
-        if self._fp_const is not None:
-            return 0.0
-        if self.problem.fsecond is None:
-            return 0.0
-        return float(self.problem.fsecond(u))
-
-    def _xi(self, ux, u, j):
-        val = -self._fp(u) * ux
-        if self._has_p:
-            val += self._p[j] * u
-        return val
-
-    def _xi_x(self, uxx, ux, u, j):
-        val = -self._fpp(u) * ux * ux - self._fp(u) * uxx
-        if self._has_p:
-            val += self._px[j] * u + self._p[j] * ux
-        return val
-
-    # -- stage interface ---------------------------------------------------
+            self._hesss = [hess] * len(ct)
+            self._psis = [psi] * len(ct)
+        self._preds = self._psis[1:]
 
     def stage_value(self, i):
-        arch = self.archive
-        if arch is None:
+        """Treated Dirichlet value(s) of stage i."""
+        treated = self._treated
+        if treated is None:
             raise RuntimeError("begin a step before requesting stage values")
-        treated = arch.treated
         if i == 0:
             return treated[0]
         if len(treated) != i:
             raise RuntimeError("stage values must be requested in order "
                                "(archive has %d, asked for stage %d)"
                                % (len(treated), i))
-        tau = self._tau
-        c = self._c
-        anchored = self._anchored
-        order4 = self._order4
-        u_x = arch.u_x
-        xi = arch.xi
-        xi_x = arch.xi_x
-        psi_x = arch.psi_x
-        omt = arch.omega_t
-        om0 = self._om[0]
-        # convective derivative at the previous stage
-        if anchored:
-            uxx = self._uxx[0]
-            if order4:
-                uxx += c[i - 1] * tau * self._dtuxx0
+        psis = self._psis
+        xigs = self._xigs
+        omt = self._omt
+        taii = self._taii[i]
+        # gradient of xi at the previous stage, from its Hessian, gradient
+        # and value
+        prev = i - 1
+        u = treated[prev]
+        g = self._grads[prev]
+        hess = self._hesss[prev]
+        fp = self._fpc
+        if fp is None:
+            fp = self._vec([f(u) for f in self._fp])
+            fpp = self._vec([0.0 * u if f is None else f(u)
+                             for f in self._fpp])
+            xig = -(self._dot(fpp, g) * g) - self._matvec(hess, fp)
         else:
-            uxx = self._uxx[i - 1]
-        if self._fast:
-            xi_x.append(self._fpn * uxx + self._pcf * u_x[i - 1])
-        else:
-            xi_x.append(self._xi_x(uxx, u_x[i - 1], treated[i - 1], i - 1))
-        # diffusive derivative prediction for this stage
-        if anchored:
-            psi_i = psi_x[0]
-            if order4:
-                psi_i += c[i] * tau * self._dtpsi[0]
-        else:
-            psi_i = psi_x[i - 1]
-            if order4:
-                psi_i += (c[i] - c[i - 1]) * tau * self._dtpsi[i - 1]
-        # boundary u_x advanced by the stage recursion
-        ux = u_x[0]
-        for j, cf in self._exnz[i]:
-            ux += tau * cf * xi_x[j]
-        if anchored:
-            p0 = psi_x[0]
-            for j, cf in self._imnz[i]:
-                pj = p0
-                if order4:
-                    pj += c[j] * tau * self._dtpsi[0]
-                ux += tau * cf * pj
-        else:
-            for j, cf in self._imnz[i]:
-                ux += tau * cf * psi_x[j]
-        ux += tau * self._aii[i] * psi_i
-        u_x.append(ux)
-        # boundary state and convective value at this stage
-        uh = om0 + c[i] * tau * omt[0]
-        if order4:
-            uh += 0.5 * (c[i] * tau) ** 2 * self._omtt0
-        if self._fast:
-            xi_i = self._fpn * ux + self._pcf * uh
-        else:
-            xi_i = self._xi(ux, uh, i)
-        xi.append(xi_i)
-        # treated Dirichlet value
-        val = om0 + tau * self._aii[i] * (omt[i] - xi_i)
-        for j, cf in self._exnz[i]:
-            val += tau * cf * xi[j]
-        for j, cf in self._imnz[i]:
-            val += tau * cf * (omt[j] - xi[j])
+            xig = -self._matvec(hess, fp)
+        if self._p_const is not None:
+            xig = xig + self._p_const * g
+        elif self._ps is not None:
+            pg = self._vec([v[prev] for v in self._pgs])
+            xig = xig + (pg * u + self._ps[prev] * g)
+        xigs.append(xig)
+        # the boundary gradient advances by the same stage combination as
+        # the treated value; psi at the boundary is omega_t - xi
+        grad = self._grads[0]
+        val = treated[0]
+        for j, w in self._ex[i]:
+            grad = grad + w * xigs[j]
+            val = val + w * self._xis[j]
+        for j, w in self._im[i]:
+            grad = grad + w * psis[j]
+            val = val + w * (omt[j] - self._xis[j])
+        grad = grad + taii * self._preds[i - 1]
+        self._grads.append(grad)
+        # boundary state at this stage, Taylor-expanded from the step start
+        uh = treated[0] + self._ct[i] * omt[0]
+        if self.order4:
+            uh = uh + 0.5 * self._ct[i] ** 2 * self._omtt0
+        xi_i = self._xi(grad, uh, i)
+        self._xis.append(xi_i)
+        val = val + taii * (omt[i] - xi_i)
         treated.append(val)
         return val
 
-    def observe(self, i, field):
-        # stage 0 is the step-start field, already recovered at begin; the
-        # last stage feeds no further stage, so neither needs recovery here
-        if self._anchored or i < 1 or i >= self.stages - 1:
-            return
-        self.observe_values(i, self.recovery.recover(field))
+    def observe(self, i, rec):
+        """Derivatives recovered from solved stage i (stagewise only).
 
-    def observe_values(self, i, rec):
-        if self._anchored:
+        Stores the Hessian and psi of rec, and psi predicted one stage on;
+        third order predicts psi unchanged, so there the predictions are
+        the psi list itself.
+        """
+        if self.anchored:
             return
-        arch = self.archive
-        if len(arch.psi_x) != i:
+        psis = self._psis
+        if len(psis) != i:
             raise RuntimeError("stage fields must be observed in order "
                                "(archive has %d, got stage %d)"
-                               % (len(arch.psi_x), i))
-        self._uxx.append(rec.u_xx)
-        arch.psi_x.append(self.d * (rec.u_xxx_fd if self._order4
-                                    else rec.u_xxx))
-        if self._order4:
-            self._dtpsi.append(self._dt_psi_x(rec))
+                               % (len(psis), i))
+        psi = self.d * self._third_of(rec)
+        self._hesss.append(self._hess_of(rec))
+        psis.append(psi)
+        if self.order4:
+            self._preds.append(psi + self._dct[i + 1] * self._psi_rate(rec))
 
 
-# recovered-derivative fields consumed by the stage recursion, per order
-_BEGIN_FIELDS = {3: ('u_x', 'u_xx', 'u_xxx'),
-                 4: ('u_x', 'u_xx', 'u_xxx', 'u_xxx_fd',
-                     'u_xxxx', 'u_xxxxx')}
-_OBSERVE_FIELDS = {3: ('u_xx', 'u_xxx'),
-                   4: ('u_xx', 'u_xxx', 'u_xxx_fd', 'u_xxxx', 'u_xxxxx')}
+class TreatedBoundary:
+    """Boundary controller serving corrected stage values on every side.
 
-
-class _LinearStageMap:
-    """Treated stage values as one dot product per stage, for linear flux.
-
-    With constant f' and constant (or absent) p the stage recursion in
-    EndpointCorrector1D is linear in the step's inputs: the trace samples
-    (omega at the step start, omega_t per stage, omega_tt for fourth
-    order), the derivatives recovered at the step start, and those
-    observed after interior implicit stages.  The coefficient of every
-    input is extracted once per step size by probing the generic
-    recursion with unit vectors, so production steps replace the
-    recursion with a short accumulation over nonzero coefficients.
-    Position enters only through the input values, so one table serves
-    both endpoints.
-    """
-
-    def __init__(self, problem, tableau, scheme_order, variant, tau):
-        corr = EndpointCorrector1D(problem, tableau, 0.0, scheme_order,
-                                   variant)
-        if not corr._fast:
-            raise ValueError("stage map needs constant f' and constant "
-                             "or absent p")
-        s = tableau.stages
-        self.stages = s
-        self._order4 = scheme_order == 4
-        self._begin_fields = _BEGIN_FIELDS[scheme_order]
-        if variant == 'stagewise':
-            self._obs_fields = _OBSERVE_FIELDS[scheme_order]
-        else:
-            self._obs_fields = ()
-        self._rec_at = 1 + s + (1 if self._order4 else 0)
-        size = self._rec_at + len(self._begin_fields)
-        self._obs_at = {}
-        if self._obs_fields:
-            for i in range(1, s - 1):
-                self._obs_at[i] = size
-                size += len(self._obs_fields)
-        self.size = size
-        # the recursion is homogeneous, so the zero-input response is zero
-        # and column j of the map is simply the response to e_j; probing
-        # the base anyway keeps the extraction honest about that
-        base = self._probe(corr, [0.0] * size, tau)
-        terms = [()] + [[] for _ in range(s - 1)]
-        for j in range(size):
-            vec = [0.0] * size
-            vec[j] = 1.0
-            out = self._probe(corr, vec, tau)
-            for i in range(1, s):
-                cf = out[i - 1] - base[i - 1]
-                if cf != 0.0:
-                    terms[i].append((j, cf))
-        self._terms = terms
-
-    def _probe(self, corr, vec, tau):
-        """Stage values 1..s-1 of the generic recursion fed with vec."""
-        s = self.stages
-        idx = 1 + s
-        samples = {'om': [vec[0]] * s, 'omt': vec[1:1 + s]}
-        if self._order4:
-            samples['omtt0'] = vec[idx]
-            idx += 1
-        rec = BoundaryDerivatives()
-        for f in self._begin_fields:
-            setattr(rec, f, vec[idx])
-            idx += 1
-        corr.begin_values(rec, 0.0, tau, samples)
-        out = []
-        for i in range(1, s):
-            out.append(corr.stage_value(i))
-            at = self._obs_at.get(i)
-            if at is not None:
-                orec = BoundaryDerivatives()
-                for f in self._obs_fields:
-                    setattr(orec, f, vec[at])
-                    at += 1
-                corr.observe_values(i, orec)
-        return out
-
-    # -- per-step evaluation ------------------------------------------
-
-    def new_vec(self):
-        return [0.0] * self.size
-
-    def load_step(self, vec, om0, omt, omtt0, rec):
-        """Fill the step-start slots of an input vector in place."""
-        vec[0] = om0
-        s = self.stages
-        vec[1:1 + s] = omt
-        idx = 1 + s
-        if self._order4:
-            vec[idx] = omtt0
-            idx += 1
-        for f in self._begin_fields:
-            vec[idx] = getattr(rec, f)
-            idx += 1
-
-    def load_stage(self, vec, i, rec):
-        """Fill the slots for derivatives observed after stage i."""
-        at = self._obs_at.get(i)
-        if at is None:
-            return
-        for f in self._obs_fields:
-            vec[at] = getattr(rec, f)
-            at += 1
-
-    def value(self, vec, i):
-        if i == 0:
-            return vec[0]
-        acc = 0.0
-        for j, cf in self._terms[i]:
-            acc += cf * vec[j]
-        return acc
-
-
-class FaceCorrector2D:
-    """Runs the stage recursion at every quadrature point of one 2D face.
-
-    Same recursion as EndpointCorrector1D with an extra tangential line:
-    u_x and u_y both advance through stage recursions fed by recovered
-    second/mixed/third derivatives, and all quantities are arrays over the
-    face's boundary points.  Stagewise third-order only.
-    """
-
-    def __init__(self, problem, tableau, xs, ys, recovery):
-        _check_problem_fields(problem, 3)
-        self.problem = problem
-        self.xs = xs
-        self.ys = ys
-        self.recovery = recovery
-        self.d = problem.d_coef
-        self.stages = tableau.stages
-        self._c = [float(v) for v in tableau.c]
-        self._aex = tableau.a_ex
-        self._aim = tableau.a_im
-        self._fp_const = problem.fprime_const
-        self._has_p = problem.p is not None
-        self._p_const = problem.p_const
-        self.archive = None
-
-    def _f1p(self, u):
-        if self._fp_const is not None:
-            return self._fp_const
-        return self.problem.f1prime(u)
-
-    def _f2p(self, u):
-        if self._fp_const is not None:
-            return self._fp_const
-        return self.problem.f2prime(u)
-
-    def _f1pp(self, u):
-        if self._fp_const is not None or self.problem.f1second is None:
-            return 0.0
-        return self.problem.f1second(u)
-
-    def _f2pp(self, u):
-        if self._fp_const is not None or self.problem.f2second is None:
-            return 0.0
-        return self.problem.f2second(u)
-
-    def begin(self, field, t, tau):
-        self.begin_values(self.recovery.recover(field), t, tau)
-
-    def begin_values(self, rec, t, tau):
-        self._tau = float(tau)
-        c = self._c
-        times = [t + ci * tau for ci in c]
-        prob = self.problem
-        args = (self.xs, self.ys)
-        like = np.asarray(self.xs) + np.asarray(self.ys)
-        self._om = _stage_samples(prob.omega, args, times, like=like)
-        omt = _stage_samples(prob.omega_t, args, times, like=like)
-        zero = np.zeros_like(like)
-        if not self._has_p:
-            self._p = [zero] * self.stages
-            self._px = [zero] * self.stages
-            self._py = [zero] * self.stages
-        elif self._p_const is not None:
-            self._p = [np.full_like(like, float(self._p_const))] * self.stages
-            self._px = [zero] * self.stages
-            self._py = [zero] * self.stages
-        else:
-            self._p = _stage_samples(prob.p, args, times, like=like)
-            self._px = _stage_samples(prob.p_x, args, times, like=like)
-            self._py = _stage_samples(prob.p_y, args, times, like=like)
-        arch = StageBoundaryArchive()
-        arch.omega_t = omt
-        arch.treated = [self._om[0]]
-        arch.u_x = [rec.u_x]
-        arch.u_y = [rec.u_y]
-        arch.xi = [self._xi(rec.u_x, rec.u_y, self._om[0], 0)]
-        arch.psi_x = [self.d * (rec.u_xxx + rec.u_yyx)]
-        arch.psi_y = [self.d * (rec.u_xxy + rec.u_yyy)]
-        self.archive = arch
-        self._rec_prev = rec
-
-    def _xi(self, ux, uy, u, j):
-        val = -self._f1p(u) * ux - self._f2p(u) * uy
-        if self._has_p:
-            val = val + self._p[j] * u
-        return val
-
-    def _xi_x(self, rec, ux, uy, u, j):
-        val = (-self._f1pp(u) * ux * ux - self._f1p(u) * rec.u_xx
-               - self._f2pp(u) * ux * uy - self._f2p(u) * rec.u_xy)
-        if self._has_p:
-            val = val + self._px[j] * u + self._p[j] * ux
-        return val
-
-    def _xi_y(self, rec, ux, uy, u, j):
-        val = (-self._f1pp(u) * ux * uy - self._f1p(u) * rec.u_xy
-               - self._f2pp(u) * uy * uy - self._f2p(u) * rec.u_yy)
-        if self._has_p:
-            val = val + self._py[j] * u + self._p[j] * uy
-        return val
-
-    def stage_value(self, i):
-        arch = self.archive
-        if arch is None:
-            raise RuntimeError("begin a step before requesting stage values")
-        if i == 0:
-            return arch.treated[0]
-        if len(arch.treated) != i:
-            raise RuntimeError("stage values must be requested in order "
-                               "(archive has %d, asked for stage %d)"
-                               % (len(arch.treated), i))
-        tau = self._tau
-        aex = self._aex[i]
-        aim = self._aim[i]
-        rec = self._rec_prev
-        u_prev = arch.treated[i - 1]
-        arch.xi_x.append(self._xi_x(rec, arch.u_x[i - 1], arch.u_y[i - 1],
-                                    u_prev, i - 1))
-        arch.xi_y.append(self._xi_y(rec, arch.u_x[i - 1], arch.u_y[i - 1],
-                                    u_prev, i - 1))
-        ux = arch.u_x[0].copy()
-        uy = arch.u_y[0].copy()
-        for j in range(i):
-            cf = aex[j]
-            if cf != 0.0:
-                ux += tau * cf * arch.xi_x[j]
-                uy += tau * cf * arch.xi_y[j]
-        for j in range(i):
-            cf = aim[j]
-            if cf != 0.0:
-                ux += tau * cf * arch.psi_x[j]
-                uy += tau * cf * arch.psi_y[j]
-        ux += tau * aim[i] * arch.psi_x[i - 1]
-        uy += tau * aim[i] * arch.psi_y[i - 1]
-        arch.u_x.append(ux)
-        arch.u_y.append(uy)
-        uh = self._om[0] + self._c[i] * tau * arch.omega_t[0]
-        xi_i = self._xi(ux, uy, uh, i)
-        arch.xi.append(xi_i)
-        val = self._om[0].copy()
-        for j in range(i):
-            cf = aex[j]
-            if cf != 0.0:
-                val += tau * cf * arch.xi[j]
-        for j in range(i + 1):
-            cf = aim[j]
-            if cf != 0.0:
-                val += tau * cf * (arch.omega_t[j] - arch.xi[j])
-        arch.treated.append(val)
-        return val
-
-    def observe(self, i, field):
-        if i < 1 or i >= self.stages - 1:
-            return
-        self.observe_values(i, self.recovery.recover(field))
-
-    def observe_values(self, i, rec):
-        arch = self.archive
-        if len(arch.psi_x) != i:
-            raise RuntimeError("stage fields must be observed in order "
-                               "(archive has %d, got stage %d)"
-                               % (len(arch.psi_x), i))
-        arch.psi_x.append(self.d * (rec.u_xxx + rec.u_yyx))
-        arch.psi_y.append(self.d * (rec.u_xxy + rec.u_yyy))
-        self._rec_prev = rec
-
-
-class TreatedBoundary1D:
-    """Boundary controller serving corrected stage values at both endpoints.
-
+    One StageCorrector per side -- the two endpoints in 1D, the four faces
+    in 2D -- fed by one BoundarySampler and the side's recovery stencil.
     Plugs into the integrator in place of the naive omega sampler.  Set
-    .trace to a list to collect (stage, side, x, naive, treated) rows.
+    .trace to a list to collect (stage, side, point, naive, treated) rows;
+    point is x in 1D and (x, y) in 2D.
     """
 
     def __init__(self, problem, mesh, basis, tableau, variant='stagewise'):
-        if problem.dim != 1 or mesh.dim != 1:
-            raise ValueError("TreatedBoundary1D is for 1D problems")
-        if basis.k not in (2, 3):
-            raise ValueError("boundary treatment supports k = 2 or 3, "
-                             "got k = %d" % basis.k)
-        order = basis.k + 1
-        self.problem = problem
-        self.mesh = mesh
-        self._c = tableau.c
-        self._carr = np.asarray(tableau.c, dtype=float)
-        self._xpair = np.array([[mesh.a], [mesh.b]])
-        self._order = order
-        self._need_p = problem.p is not None and problem.p_const is None
-        self.west = EndpointCorrector1D(
-            problem, tableau, mesh.a, order, variant,
-            EdgeDerivatives1D(mesh, basis, 'west', order))
-        self.east = EndpointCorrector1D(
-            problem, tableau, mesh.b, order, variant,
-            EdgeDerivatives1D(mesh, basis, 'east', order))
+        if problem.dim != mesh.dim:
+            raise ValueError("problem is %dD but the mesh is %dD"
+                             % (problem.dim, mesh.dim))
+        if mesh.dim == 1:
+            if basis.k not in (2, 3):
+                raise ValueError("boundary treatment supports k = 2 or 3, "
+                                 "got k = %d" % basis.k)
+            order = basis.k + 1
+            axes = ('x',)
+            recovery = lambda side: EdgeDerivatives1D(mesh, basis, side,
+                                                      order)
+        else:
+            if variant != 'stagewise':
+                raise ValueError("2D treatment supports the stagewise "
+                                 "variant only")
+            if basis.k != 2:
+                raise ValueError("2D treatment supports k = 2, got k = %d"
+                                 % basis.k)
+            order = 3
+            axes = ('x', 'y')
+            recovery = lambda side: EdgeDerivatives2D(mesh, basis, side)
+        names = ['omega', 'omega_t']
+        if order == 4:
+            names.append('omega_tt')
+        if problem.p is not None and problem.p_const is None:
+            names += ['p'] + ['p_' + a for a in axes]
+        self.stages = tableau.stages
+        self.anchored = variant == 'anchored'
+        self.sampler = BoundarySampler(problem, mesh, basis, tableau.c, names)
+        self.correctors = [StageCorrector(problem, tableau, order, variant,
+                                          axes)
+                           for _ in self.sampler.sides]
+        self.recovery = [recovery(side) for side in self.sampler.sides]
+        # refilled by every recovery: correctors read them at once
+        self._records = [BoundaryDerivatives() for _ in self.recovery]
         self.trace = None
-        self._t = 0.0
-        self._tau = 0.0
-        self._pre = None
-        self._wsamp = {}
-        self._esamp = {}
-        self._wrec = BoundaryDerivatives()
-        self._erec = BoundaryDerivatives()
-        # linear problems run through a probed stage map (one table per
-        # step size); set _fast to False to force the generic recursion
-        self._tableau = tableau
-        self._variant = variant
-        self._fast = self.west._fast
-        self._maps = {}
-        self._stepmap = None
-        self._wvec = None
-        self._evec = None
-
-    def _trace_pair(self, fn, tarr):
-        """fn at both endpoints and all stage times in one call."""
-        v = np.asarray(fn(self._xpair, tarr), dtype=float)
-        if v.shape != (2, tarr.shape[0]):
-            v = np.broadcast_to(v, (2, tarr.shape[0]))
-        return v.tolist()
+        self._traces = None
 
     def prepare(self, t0, tau, nsteps):
-        """Sample every boundary trace for a fixed-step schedule in one pass.
-
-        Steps starting off this grid (the shortened final step) fall back
-        to per-step sampling.  The grid arithmetic t0 + m*tau matches
-        integrate() exactly, so cached and direct values agree bitwise.
-        """
-        if nsteps < 1:
-            return
-        tm = t0 + tau * np.arange(nsteps)
-        tgrid = tm[:, None] + tau * self._carr[None, :]
-        xg = self._xpair[:, :, None]
-
-        def grid(fn):
-            v = np.asarray(fn(xg, tgrid), dtype=float)
-            if v.shape != (2,) + tgrid.shape:
-                v = np.broadcast_to(v, (2,) + tgrid.shape)
-            return v.transpose(1, 0, 2).tolist()
-
-        pre = {'om': grid(self.problem.omega),
-               'omt': grid(self.problem.omega_t)}
-        if self._order == 4:
-            o = np.asarray(self.problem.omega_tt(self._xpair, tm),
-                           dtype=float)
-            if o.shape != (2, nsteps):
-                o = np.broadcast_to(o, (2, nsteps))
-            pre['omtt0'] = o.T.tolist()
-        if self._need_p:
-            pre['p'] = grid(self.problem.p)
-            pre['px'] = grid(self.problem.p_x)
-        self._pre = (t0, tau, nsteps, pre)
-
-    def _step_traces(self, t, tau):
-        """(omega, omega_t, omega_tt0, p, p_x) stage rows for one step."""
-        pre = self._pre
-        if pre is not None and tau == pre[1]:
-            m = int(round((t - pre[0]) / tau))
-            if 0 <= m < pre[2] and pre[0] + m * tau == t:
-                d = pre[3]
-                return (d['om'][m], d['omt'][m],
-                        d['omtt0'][m] if self._order == 4 else None,
-                        d['p'][m] if self._need_p else None,
-                        d['px'][m] if self._need_p else None)
-        tarr = t + tau * self._carr
-        om = self._trace_pair(self.problem.omega, tarr)
-        omt = self._trace_pair(self.problem.omega_t, tarr)
-        ott = pv = pxv = None
-        if self._order == 4:
-            o = np.asarray(self.problem.omega_tt(self._xpair, t), dtype=float)
-            o = np.broadcast_to(o, (2, 1))
-            ott = [float(o[0, 0]), float(o[1, 0])]
-        if self._need_p:
-            pv = self._trace_pair(self.problem.p, tarr)
-            pxv = self._trace_pair(self.problem.p_x, tarr)
-        return om, omt, ott, pv, pxv
+        self.sampler.prepare(t0, tau, nsteps)
 
     def begin_step(self, u, t, tau):
-        self._t = t
-        self._tau = tau
-        om, omt, ott, pv, pxv = self._step_traces(t, tau)
-        west = self.west
-        east = self.east
-        if self._fast:
-            m = self._maps.get(tau)
-            if m is None:
-                m = _LinearStageMap(self.problem, self._tableau,
-                                    self._order, self._variant, tau)
-                self._maps[tau] = m
-                if self._wvec is None:
-                    self._wvec = m.new_vec()
-                    self._evec = m.new_vec()
-            self._stepmap = m
-            wrec = west.recovery.recover(u, self._wrec)
-            erec = east.recovery.recover(u, self._erec)
-            m.load_step(self._wvec, om[0][0], omt[0],
-                        ott[0] if ott is not None else 0.0, wrec)
-            m.load_step(self._evec, om[1][0], omt[1],
-                        ott[1] if ott is not None else 0.0, erec)
-            return
-        self._stepmap = None
-        wsamp = self._wsamp
-        esamp = self._esamp
-        wsamp['om'], wsamp['omt'] = om[0], omt[0]
-        esamp['om'], esamp['omt'] = om[1], omt[1]
-        if ott is not None:
-            wsamp['omtt0'], esamp['omtt0'] = ott
-        if pv is not None:
-            wsamp['p'], wsamp['px'] = pv[0], pxv[0]
-            esamp['p'], esamp['px'] = pv[1], pxv[1]
-        west.begin_values(west.recovery.recover(u, self._wrec), t, tau, wsamp)
-        east.begin_values(east.recovery.recover(u, self._erec), t, tau, esamp)
+        self._traces = self.sampler.step(t, tau)
+        for rec, out, corr, traces in zip(self.recovery, self._records,
+                                          self.correctors, self._traces):
+            corr.begin(rec.recover(u, out), tau, traces)
 
     def stage_data(self, i):
-        m = self._stepmap
-        if m is not None:
-            w = m.value(self._wvec, i)
-            e = m.value(self._evec, i)
-        else:
-            w = self.west.stage_value(i)
-            e = self.east.stage_value(i)
+        vals = list(map(methodcaller('stage_value', i), self.correctors))
         if self.trace is not None:
-            ts = self._t + self._c[i] * self._tau
-            om = self.problem.omega
-            self.trace.append((i, 'west', self.mesh.a,
-                               float(om(self.mesh.a, ts)), w))
-            self.trace.append((i, 'east', self.mesh.b,
-                               float(om(self.mesh.b, ts)), e))
-        return BoundaryData(west=w, east=e)
+            self._record(i, vals)
+        return BoundaryData(*vals)
+
+    def _record(self, i, vals):
+        for side, pts, traces, val in zip(self.sampler.sides,
+                                          self.sampler.points, self._traces,
+                                          vals):
+            om = traces['omega']
+            if len(pts) == 1:
+                self.trace.append((i, side, pts[0], om[i], val))
+                continue
+            for xv, yv, nv, tv in zip(np.ravel(pts[0]), np.ravel(pts[1]),
+                                      np.ravel(om[i]), np.ravel(val)):
+                self.trace.append((i, side, (float(xv), float(yv)),
+                                   float(nv), float(tv)))
 
     def observe_stage(self, i, u_stage):
-        west = self.west
-        if west._anchored or i < 1 or i >= west.stages - 1:
+        # stage 0 is the step-start field, already recovered at begin; the
+        # last stage feeds no further stage, so neither needs recovery here
+        if self.anchored or i < 1 or i >= self.stages - 1:
             return
-        wrec = west.recovery.recover(u_stage, self._wrec)
-        erec = self.east.recovery.recover(u_stage, self._erec)
-        m = self._stepmap
-        if m is not None:
-            m.load_stage(self._wvec, i, wrec)
-            m.load_stage(self._evec, i, erec)
-        else:
-            west.observe_values(i, wrec)
-            self.east.observe_values(i, erec)
-
-
-class TreatedBoundary2D:
-    """Boundary controller serving corrected stage values on all four faces."""
-
-    def __init__(self, problem, mesh, basis, tableau, variant='stagewise'):
-        if problem.dim != 2 or mesh.dim != 2:
-            raise ValueError("TreatedBoundary2D is for 2D problems")
-        if variant != 'stagewise':
-            raise ValueError("2D treatment supports the stagewise variant only")
-        if basis.k != 2:
-            raise ValueError("2D treatment supports k = 2, got k = %d"
-                             % basis.k)
-        self.problem = problem
-        self.mesh = mesh
-        self._c = tableau.c
-        yc = mesh.y.node_coords(basis)
-        xc = mesh.x.node_coords(basis)
-        coords = {
-            'west': (np.full_like(yc, mesh.x.a), yc),
-            'east': (np.full_like(yc, mesh.x.b), yc),
-            'south': (xc, np.full_like(xc, mesh.y.a)),
-            'north': (xc, np.full_like(xc, mesh.y.b)),
-        }
-        self.faces = {}
-        for face, (xs, ys) in coords.items():
-            self.faces[face] = FaceCorrector2D(
-                problem, tableau, xs, ys,
-                EdgeDerivatives2D(mesh, basis, face))
-        self.trace = None
-        self._t = 0.0
-        self._tau = 0.0
-
-    def begin_step(self, u, t, tau):
-        self._t = t
-        self._tau = tau
-        for corr in self.faces.values():
-            corr.begin(u, t, tau)
-
-    def stage_data(self, i):
-        vals = {face: corr.stage_value(i)
-                for face, corr in self.faces.items()}
-        if self.trace is not None:
-            ts = self._t + self._c[i] * self._tau
-            for face, corr in self.faces.items():
-                naive = self.problem.omega(corr.xs, corr.ys, ts)
-                flat = zip(np.asarray(corr.xs).ravel(),
-                           np.asarray(corr.ys).ravel(),
-                           np.broadcast_to(naive, vals[face].shape).ravel(),
-                           vals[face].ravel())
-                for xv, yv, nv, tv in flat:
-                    self.trace.append((i, face, (float(xv), float(yv)),
-                                       float(nv), float(tv)))
-        return BoundaryData(**vals)
-
-    def observe_stage(self, i, u_stage):
-        for corr in self.faces.values():
-            corr.observe(i, u_stage)
-
-
-_VARIANT_ALIASES = {
-    'stagewise': 'stagewise',
-    'anchored': 'anchored',
-    'alg1': 'anchored',
-    'alg2': 'stagewise',
-    'alg3': 'stagewise',
-}
+        for rec, out, corr in zip(self.recovery, self._records,
+                                  self.correctors):
+            corr.observe(i, rec.recover(u_stage, out))
 
 
 def treated_boundary(problem, mesh, basis, tableau, variant='stagewise'):
-    """Build the treated-boundary controller matching the problem dimension."""
-    try:
-        resolved = _VARIANT_ALIASES[variant]
-    except KeyError:
-        raise ValueError("unknown treatment variant %r (choose from %s)"
-                         % (variant, ', '.join(sorted(_VARIANT_ALIASES))))
-    if problem.dim == 1:
-        return TreatedBoundary1D(problem, mesh, basis, tableau,
-                                 variant=resolved)
-    return TreatedBoundary2D(problem, mesh, basis, tableau, variant=resolved)
+    """Build the treated-boundary controller for an algorithm or variant."""
+    return TreatedBoundary(problem, mesh, basis, tableau,
+                           variant=resolve_variant(variant))

@@ -148,11 +148,14 @@ def test_numeric_failure_exits_2(monkeypatch, capsys):
 
 
 def test_console_entry_point_runs():
+    import os
     import subprocess
     import sys
+    # the child imports ldgimex from wherever this process found it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, '-m', 'ldgimex', 'convergence', '--problem',
          'heat1d', '--levels', '5', '--cfl', '0.5', '--T', '0.2'],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == CONVERGENCE_HEADER

@@ -139,6 +139,29 @@ def test_convergence_runs_and_orders_improve():
         assert errs[0] > errs[1] > errs[2]
 
 
+# The paper's claim at each problem's own T and CFL: treated runs converge
+# at order k+1, naive ones stall near 2.  Orders are taken at the finest
+# pair; the bounds come from the measured 3.01 (heat1d), 2.97 (burgers1d),
+# 4.01 (heat1d_o4), 3.01 (heat2d) and naive heat1d Linf 1.97.  heat2d at
+# N = 5/10 is still pre-asymptotic, hence 6/12.
+@pytest.mark.parametrize("name,levels", [
+    ("heat1d", [20, 40, 80]),
+    ("burgers1d", [20, 40, 80]),
+    ("heat1d_o4", [20, 40, 80]),
+    ("heat2d", [6, 12]),
+])
+def test_treated_runs_reach_order_k_plus_one(name, levels):
+    report = run_convergence(RunConfig(name, levels))
+    k = report.config.problem.degree
+    assert report.orders('l2')[-1] >= k + 1 - 0.15, report.orders('l2')
+
+
+def test_naive_runs_stall_near_second_order():
+    report = run_convergence(RunConfig('heat1d', [20, 40, 80],
+                                       bc_mode='naive'))
+    assert report.orders('linf')[-1] <= 2.2, report.orders('linf')
+
+
 def test_convergence_csv_written_and_deterministic(tmp_path):
     def strip_timing(text):
         rows = [r.split(',') for r in text.splitlines()]

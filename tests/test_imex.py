@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from ldgimex.imex import (ImexIntegrator, ImexTableau, NaiveBoundary,
-                          builtin_tableau, integrate, validate_tableau)
+                          builtin_tableau, validate_tableau)
 from ldgimex.mesh import build_mesh
 from ldgimex.operators import explicit_rhs
 from ldgimex.problems import ProblemSpec, builtin_problem
 from ldgimex.quadrature import build_basis, interpolate
+from ldgimex.treatment import treated_boundary
 
 TOL = 1e-12
 
@@ -199,19 +200,24 @@ def test_no_spurious_partial_step_from_roundoff():
 
 
 def test_prepared_boundary_schedule_matches_per_step_sampling():
-    prob = builtin_problem('heat1d')
-    basis = build_basis(prob.degree)
-    mesh = build_mesh(prob.bounds, 6)
-    u0 = interpolate(lambda x: prob.exact(x, 0.0), mesh, basis)
-
-    class NoPrepare(NaiveBoundary):
-        prepare = None
-
-    fast, _ = integrate(prob, mesh, basis, u0, 0.0, 0.5, 0.05)
-    slow, _ = integrate(prob, mesh, basis, u0, 0.0, 0.5, 0.05,
-                        controller=NoPrepare(prob, mesh, basis,
-                                             builtin_tableau('ark3')))
-    assert np.array_equal(fast, slow)
+    # t_end is off the step grid, so the shortened last step samples
+    # per step in both runs
+    for name, cells in (('heat1d', 6), ('heat2d', (4, 3))):
+        prob = builtin_problem(name)
+        basis = build_basis(prob.degree)
+        mesh = build_mesh(prob.bounds, cells)
+        tab = builtin_tableau(prob.tableau)
+        u0 = interpolate(prob.u0, mesh, basis)
+        for build in (NaiveBoundary, treated_boundary):
+            out = []
+            for prepared in (True, False):
+                ctrl = build(prob, mesh, basis, tab)
+                if not prepared:
+                    ctrl.prepare = None     # integrate() skips a None prepare
+                integ = ImexIntegrator(prob, mesh, basis, tableau=tab,
+                                       controller=ctrl)
+                out.append(integ.integrate(u0, 0.0, 0.53, 0.05)[0])
+            assert np.array_equal(out[0], out[1]), (name, build)
 
 
 def test_rejects_nonpositive_step():
@@ -224,6 +230,30 @@ def test_nonfinite_solution_raises():
     prob, mesh, basis, integ, u0 = _heat_setup(4)
     with pytest.raises(FloatingPointError, match="non-finite"):
         integ.integrate(np.full_like(u0, np.inf), 0.0, 0.1, 0.1)
+
+
+def test_divergence_stops_at_the_failing_step():
+    # boundary data turns NaN from t = 0.22 on: the step starting at 0.2
+    # is the first to see it, and the run must stop right there
+    prob = builtin_problem('heat1d')
+    exact = prob.omega
+    prob.omega = lambda x, t: np.where(t > 0.22, np.nan, exact(x, t))
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, 6)
+    begun = []
+
+    class Counting(NaiveBoundary):
+        def begin_step(self, u, t, tau):
+            begun.append(t)
+            super().begin_step(u, t, tau)
+
+    integ = ImexIntegrator(prob, mesh, basis, controller=Counting(
+        prob, mesh, basis, builtin_tableau(prob.tableau)))
+    u0 = interpolate(prob.u0, mesh, basis)
+    with pytest.raises(FloatingPointError,
+                       match=r"non-finite solution after step 5 at t=0\.25"):
+        integ.integrate(u0, 0.0, 1.0, 0.05)
+    assert len(begun) == 5
 
 
 def test_zero_diffusion_reduces_to_explicit_tableau():

@@ -1,10 +1,9 @@
-"""Uniform mesh geometry: widths, maps, node coordinates, boundary faces."""
+"""Uniform mesh geometry: widths, node coordinates, boundary points."""
 
 import numpy as np
 import pytest
 
-from ldgimex.mesh import (Mesh1D, Mesh2D, boundary_faces, build_mesh,
-                          reference_map)
+from ldgimex.mesh import Mesh1D, Mesh2D, build_mesh
 from ldgimex.quadrature import build_basis
 
 
@@ -14,15 +13,6 @@ def test_mesh1d_geometry():
     assert mesh.min_width == 0.5
     np.testing.assert_allclose(mesh.breaks(), -1.0 + 0.5 * np.arange(9))
     np.testing.assert_allclose(mesh.centers(), -0.75 + 0.5 * np.arange(8))
-
-
-def test_mesh1d_reference_map_roundtrip():
-    mesh = Mesh1D(0.0, 2.0, 4)
-    fwd, inv = reference_map(mesh, 2)
-    assert abs(fwd(-1.0) - 1.0) < 1e-15
-    assert abs(fwd(1.0) - 1.5) < 1e-15
-    xi = np.linspace(-1, 1, 7)
-    np.testing.assert_allclose(inv(fwd(xi)), xi, atol=1e-14)
 
 
 def test_mesh1d_node_coords_cover_cells():
@@ -40,8 +30,6 @@ def test_mesh1d_validation():
         Mesh1D(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         Mesh1D(1.0, 0.0, 4)
-    with pytest.raises(ValueError):
-        Mesh1D(0.0, 1.0, 4).reference_map(4)
 
 
 def test_mesh2d_geometry():
@@ -50,10 +38,6 @@ def test_mesh2d_geometry():
     assert mesh.dy == 0.5
     assert mesh.min_width == 0.25
     assert (mesh.n, mesh.m) == (4, 8)
-    fwd, inv = mesh.reference_map((1, 3))
-    x, y = fwd(0.0, 0.0)
-    np.testing.assert_allclose([x, y], [0.375, -0.25])
-    np.testing.assert_allclose(inv(x, y), (0.0, 0.0), atol=1e-15)
 
 
 def test_mesh2d_node_coords_shapes():
@@ -68,26 +52,24 @@ def test_mesh2d_node_coords_shapes():
 
 def test_boundary_faces_1d():
     mesh = Mesh1D(-1.0, 1.0, 6)
-    faces = boundary_faces(mesh)
-    sides = {f.side: f for f in faces}
-    assert set(sides) == {'west', 'east'}
-    assert sides['west'].cell == 0
-    assert sides['east'].cell == 5
-    np.testing.assert_allclose(sides['west'].points, [-1.0])
-    np.testing.assert_allclose(sides['east'].points, [1.0])
+    assert mesh.boundary_points() == {'west': (-1.0,), 'east': (1.0,)}
 
 
 def test_boundary_faces_2d_counts_and_coords():
     mesh = Mesh2D(-1.0, 1.0, -1.0, 1.0, 3, 4)
     basis = build_basis(2)
-    faces = boundary_faces(mesh, basis)
-    assert len(faces) == 2 * (3 + 4)
-    for f in faces:
-        assert f.points.shape == (basis.p, 2)
-        if f.side == 'west':
-            assert np.all(f.points[:, 0] == -1.0)
-        elif f.side == 'north':
-            assert np.all(f.points[:, 1] == 1.0)
+    points = mesh.boundary_points(basis)
+    assert list(points) == ['west', 'east', 'south', 'north']
+    for side, (x, y) in points.items():
+        cells = 4 if side in ('west', 'east') else 3
+        assert x.shape == y.shape == (cells, basis.p)
+    assert np.all(points['west'][0] == -1.0)
+    assert np.all(points['east'][0] == 1.0)
+    assert np.all(points['south'][1] == -1.0)
+    assert np.all(points['north'][1] == 1.0)
+    np.testing.assert_array_equal(points['west'][1], mesh.y.node_coords(basis))
+    np.testing.assert_array_equal(points['north'][0],
+                                  mesh.x.node_coords(basis))
 
 
 def test_build_mesh_dispatch():

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from ldgimex.mesh import build_mesh
 from ldgimex.operators import (BoundaryData, Diffusion1D, Diffusion2D,
-                               build_diffusion, compute_aux, explicit_rhs,
-                               lax_friedrichs, llf_alpha, norms)
+                               build_diffusion, explicit_rhs, lax_friedrichs,
+                               llf_alpha, norms)
 from ldgimex.problems import builtin_problem
 from ldgimex.quadrature import build_basis, interpolate
 
@@ -261,16 +261,6 @@ def test_diffusion_2d_dissipative():
         rate = float(np.einsum('qr,ijqr,ijqr->', mass, u,
                                diff.apply(u, zero)))
         assert rate <= 1e-10
-
-
-def test_compute_aux_delegates():
-    basis = build_basis(2)
-    mesh = build_mesh((-1.0, 1.0), 4)
-    diff = Diffusion1D(mesh, basis, 1.0)
-    u = interpolate(lambda x: x, mesh, basis)
-    bdata = BoundaryData(west=-1.0, east=1.0)
-    np.testing.assert_allclose(compute_aux(u, bdata, diff),
-                               np.ones((4, basis.p)), atol=1e-12, rtol=0)
 
 
 def test_build_diffusion_dispatch():

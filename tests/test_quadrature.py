@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldgimex.quadrature import (NodalBasis, build_basis, evaluate,
-                                evaluate_derivative, gauss_legendre,
+from ldgimex.quadrature import (NodalBasis, build_basis, gauss_legendre,
                                 interpolate)
 from ldgimex.mesh import build_mesh
 
@@ -102,11 +101,11 @@ def test_collocation_mass_matrix_is_diagonal_rule():
                                atol=1e-15, rtol=0)
 
 
-def test_evaluate_helpers_delegate():
+def test_basis_values_off_the_nodes():
     basis = build_basis(2)
     vals = basis.nodes ** 2
-    assert abs(evaluate(basis, vals, 0.3) - 0.09) < 1e-13
-    assert abs(evaluate_derivative(basis, vals, 0.3, 1) - 0.6) < 1e-13
+    assert abs(basis.values(vals, 0.3) - 0.09) < 1e-13
+    assert abs(basis.derivative_values(vals, 0.3, 1) - 0.6) < 1e-13
 
 
 def test_basis_rejects_degree_zero():

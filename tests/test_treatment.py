@@ -1,4 +1,4 @@
-"""Boundary treatment: recovery stencils, stage recursion, compiled maps."""
+"""Boundary treatment: recovery stencils, stage recursion, controllers."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,8 @@ from ldgimex.mesh import build_mesh
 from ldgimex.problems import ProblemSpec, builtin_problem
 from ldgimex.quadrature import build_basis, interpolate
 from ldgimex.treatment import (BoundaryDerivatives, EdgeDerivatives1D,
-                               EndpointCorrector1D, FaceCorrector2D,
-                               _LinearStageMap, recover_derivatives_1d,
-                               recover_mixed_derivatives_2d, treated_boundary)
+                               EdgeDerivatives2D, StageCorrector,
+                               treated_boundary)
 
 ARK3 = builtin_tableau('ark3')
 
@@ -23,7 +22,7 @@ def test_recovery_exact_on_quadratic(side, xb):
     mesh = build_mesh((-1.0, 1.0), 10)
     basis = build_basis(2)
     u = interpolate(lambda x: x * x, mesh, basis)
-    rec = recover_derivatives_1d(u, mesh, basis, side, 3)
+    rec = EdgeDerivatives1D(mesh, basis, side, 3).recover(u)
     assert abs(rec.u_x - 2.0 * xb) < 1e-12
     assert abs(rec.u_xx - 2.0) < 1e-12
     assert abs(rec.u_xxx) < 1e-10
@@ -34,7 +33,7 @@ def test_recovery_exact_on_cubic(side, xb):
     mesh = build_mesh((-1.0, 1.0), 10)
     basis = build_basis(3)
     u = interpolate(lambda x: x ** 3, mesh, basis)
-    rec = recover_derivatives_1d(u, mesh, basis, side, 4)
+    rec = EdgeDerivatives1D(mesh, basis, side, 4).recover(u)
     assert abs(rec.u_x - 3.0 * xb * xb) < 1e-12
     assert abs(rec.u_xx - 6.0 * xb) < 1e-12
     assert abs(rec.u_xxx - 6.0) < 1e-11
@@ -50,7 +49,7 @@ def test_recovered_third_derivative_converges():
     for n in (40, 80):
         mesh = build_mesh((-1.0, 1.0), n)
         u = interpolate(np.sin, mesh, basis)
-        rec = recover_derivatives_1d(u, mesh, basis, 'west', 3)
+        rec = EdgeDerivatives1D(mesh, basis, 'west', 3).recover(u)
         errs.append(abs(rec.u_xxx - (-np.cos(-1.0))))
     assert 1.5 < errs[0] / errs[1] < 3.0
 
@@ -84,14 +83,8 @@ def test_face_recovery_exact_on_low_polynomials(face, name, f, derivs):
     basis = build_basis(2)
     mesh = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), (6, 5))
     X, Y = mesh.node_coords(basis)
-    rec = recover_mixed_derivatives_2d(f(X, Y), mesh, basis, face)
-    if face in ('west', 'east'):
-        xs = np.full_like(mesh.y.node_coords(basis),
-                          mesh.x.a if face == 'west' else mesh.x.b)
-        ys = mesh.y.node_coords(basis)
-    else:
-        xs = mesh.x.node_coords(basis)
-        ys = np.full_like(xs, mesh.y.a if face == 'south' else mesh.y.b)
+    rec = EdgeDerivatives2D(mesh, basis, face).recover(f(X, Y))
+    xs, ys = mesh.boundary_points(basis)[face]
     for key, fn in derivs.items():
         got = getattr(rec, key)
         want = np.broadcast_to(np.asarray(fn(xs, ys), float), got.shape)
@@ -116,21 +109,21 @@ def test_recovery_rejects_bad_requests():
 
 def _drive_endpoint(prob, x, variant, tau, rec, om0, omt, t=0.7):
     """Feed a corrector injected traces/derivatives; return stages 1..3."""
-    corr = EndpointCorrector1D(prob, ARK3, x, 3, variant)
-    samples = {'om': [om0] * 4, 'omt': list(omt)}
+    corr = StageCorrector(prob, ARK3, 3, variant, ('x',))
+    traces = {'omega': [om0] * 4, 'omega_t': list(omt)}
     if prob.p is not None and prob.p_const is None:
         tarr = t + tau * np.asarray(ARK3.c)
-        samples['p'] = [float(prob.p(x, tv)) for tv in tarr]
-        samples['px'] = [float(prob.p_x(x, tv)) for tv in tarr]
-    corr.begin_values(rec, t, tau, samples)
+        traces['p'] = [float(prob.p(x, tv)) for tv in tarr]
+        traces['p_x'] = [float(prob.p_x(x, tv)) for tv in tarr]
+    corr.begin(rec, tau, traces)
     out = []
     for i in range(1, 4):
         out.append(corr.stage_value(i))
         if variant == 'stagewise' and i < 3:
             # observed stage derivatives enter the recursion at O(tau); the
             # step-start values are consistent to that order
-            corr.observe_values(i, rec)
-    return out, samples
+            corr.observe(i, rec)
+    return out, traces
 
 
 def _random_states(seed, count):
@@ -167,13 +160,13 @@ def test_endpoint_stages_match_hand_expansion_quadratic_flux(variant):
             got, samples = _drive_endpoint(prob, x, variant, 2e-2, rec,
                                            om0, omt)
             want = cf.quadratic_flux_stages(2.0, 2e-2, om0, omt,
-                                            samples['p'], samples['px'][0],
+                                            samples['p'], samples['p_x'][0],
                                             ux, uxx, uxxx)
             assert abs(got[0] - want[0]) < 1e-12
             got, samples = _drive_endpoint(prob, x, variant, 2e-5, rec,
                                            om0, omt)
             want = cf.quadratic_flux_stages(2.0, 2e-5, om0, omt,
-                                            samples['p'], samples['px'][0],
+                                            samples['p'], samples['p_x'][0],
                                             ux, uxx, uxxx)
             for g, w in zip(got, want):
                 assert abs(g - w) < 1e-12
@@ -182,47 +175,33 @@ def test_endpoint_stages_match_hand_expansion_quadratic_flux(variant):
 _FACE_FIELDS = 'u_x u_y u_xx u_yy u_xy u_xxx u_yyy u_xxy u_yyx'.split()
 
 
-def _face_setup(face, mesh, basis):
-    yc = mesh.y.node_coords(basis)
-    xc = mesh.x.node_coords(basis)
-    if face == 'west':
-        return np.full_like(yc, mesh.x.a), yc
-    if face == 'east':
-        return np.full_like(yc, mesh.x.b), yc
-    if face == 'south':
-        return xc, np.full_like(xc, mesh.y.a)
-    return xc, np.full_like(xc, mesh.y.b)
-
-
 @pytest.mark.parametrize("face", ["west", "east", "south", "north"])
 def test_face_stages_match_hand_expansion(face):
-    from ldgimex.treatment import EdgeDerivatives2D
     prob = builtin_problem('heat2d')
     C, D = 0.1, 1.0
     basis = build_basis(2)
     mesh = build_mesh(prob.bounds, (8, 6))
-    xs, ys = _face_setup(face, mesh, basis)
+    xs, ys = mesh.boundary_points(basis)[face]
     rng = np.random.default_rng(9)
     t = 0.4
     for _ in range(2):   # 2 draws x >= 18 points x 3 stages
         rec = BoundaryDerivatives(**{f: rng.standard_normal(xs.shape)
                                      for f in _FACE_FIELDS})
         for tau, stages_checked in ((2e-2, (1,)), (2e-5, (1, 2, 3))):
-            corr = FaceCorrector2D(prob, ARK3, xs, ys,
-                                   EdgeDerivatives2D(mesh, basis, face))
-            corr.begin_values(rec, t, tau)
+            corr = StageCorrector(prob, ARK3, 3, 'stagewise', ('x', 'y'))
             om0 = np.broadcast_to(
                 np.asarray(prob.omega(xs, ys, t), float), xs.shape)
             omt = [np.broadcast_to(
                 np.asarray(prob.omega_t(xs, ys, t + ci * tau), float),
                 xs.shape) for ci in ARK3.c]
+            corr.begin(rec, tau, {'omega': [om0] * 4, 'omega_t': omt})
             want = cf.linear_heat_2d_stages(C, D, tau, om0, omt, rec)
             for i in range(1, 4):
                 got = corr.stage_value(i)
                 if i in stages_checked:
                     assert np.max(np.abs(got - want[i - 1])) < 1e-12
                 if i < 3:
-                    corr.observe_values(i, rec)
+                    corr.observe(i, rec)
 
 
 def test_late_stage_gap_to_hand_expansion_is_cubic():
@@ -282,7 +261,6 @@ def test_treated_values_consistent_to_second_order(variant):
         errs = []
         for tau in (0.02, 0.01, 0.005):
             ctrl = treated_boundary(prob, mesh, basis, ARK3, variant=variant)
-            ctrl._fast = False
             ctrl.begin_step(u0, t0, tau)
             worst = 0.0
             for i in range(ARK3.stages):
@@ -362,51 +340,81 @@ def test_tangential_invariance_reduces_to_endpoint_values():
         ctrl1.observe_stage(i, u1)
 
 
-# -- compiled linear stage maps ---------------------------------------------------
+# -- one recursion for floats and arrays ------------------------------------------
+
+_ORDER_FIELDS = {3: ('u_x', 'u_xx', 'u_xxx'),
+                 4: ('u_x', 'u_xx', 'u_xxx', 'u_xxx_fd', 'u_xxxx', 'u_xxxxx')}
+
+
+def _drive_inputs(prob, tab, order, variant, tau, inputs):
+    """Stage values 1..s-1 of a 1D corrector fed one input vector.
+
+    inputs holds, in order: omega at the step start, omega_t per stage,
+    omega_tt (order 4), the step-start derivatives, then the derivatives
+    observed after each interior stage.  Entries may be floats or arrays.
+    """
+    s = tab.stages
+    fields = _ORDER_FIELDS[order]
+    it = iter(inputs)
+    traces = {'omega': [next(it)] * s, 'omega_t': [next(it) for _ in range(s)]}
+    if order == 4:
+        traces['omega_tt'] = [next(it)]
+    corr = StageCorrector(prob, tab, order, variant, ('x',))
+    corr.begin(BoundaryDerivatives(**{f: next(it) for f in fields}), tau,
+               traces)
+    out = []
+    for i in range(1, s):
+        out.append(corr.stage_value(i))
+        if i < s - 1:
+            corr.observe(i, BoundaryDerivatives(**{f: next(it)
+                                                   for f in fields}))
+    return out
+
+
+def _input_size(tab, order):
+    nfields = len(_ORDER_FIELDS[order])
+    return 1 + tab.stages + (order == 4) + (tab.stages - 1) * nfields
+
 
 @pytest.mark.parametrize("name,order", [("heat1d", 3), ("heat1d_o4", 4)])
 @pytest.mark.parametrize("variant", ["stagewise", "anchored"])
-def test_compiled_stage_map_equals_generic_recursion(name, order, variant):
+def test_stage_recursion_is_linear_for_linear_problems(name, order, variant):
+    # constant f' and p make every stage value a linear form of the step's
+    # inputs: no constant term, no products of inputs
     prob = builtin_problem(name)
     tab = builtin_tableau(prob.tableau)
     rng = np.random.default_rng(order * 7 + len(variant))
+    size = _input_size(tab, order)
     for tau in (0.037, 1.3e-4):
-        m = _LinearStageMap(prob, tab, order, variant, tau)
-        corr = EndpointCorrector1D(prob, tab, 0.0, order, variant)
-        for _ in range(25):
-            vec = rng.standard_normal(m.size).tolist()
-            generic = m._probe(corr, vec, tau)
-            for i in range(1, tab.stages):
-                g = generic[i - 1]
-                c = m.value(vec, i)
-                assert abs(c - g) <= 1e-13 * max(1.0, abs(g)), (tau, i)
+        zero = _drive_inputs(prob, tab, order, variant, tau, [0.0] * size)
+        assert zero == [0.0] * (tab.stages - 1)
+        for _ in range(10):
+            v, w = rng.standard_normal((2, size))
+            a, b = rng.standard_normal(2)
+            mix = _drive_inputs(prob, tab, order, variant, tau,
+                                (a * v + b * w).tolist())
+            fv = _drive_inputs(prob, tab, order, variant, tau, v.tolist())
+            fw = _drive_inputs(prob, tab, order, variant, tau, w.tolist())
+            for m, x, y in zip(mix, fv, fw):
+                want = a * x + b * y
+                assert abs(m - want) <= 1e-12 * max(1.0, abs(x), abs(y))
 
 
 @pytest.mark.parametrize("name", ["heat1d", "heat1d_o4"])
-def test_fast_controller_path_matches_generic(name):
+def test_float_and_array_inputs_give_identical_stage_values(name):
+    # the recursion is plain + and *: an endpoint fed arrays of inputs must
+    # reproduce, bitwise, the float results for each entry
     prob = builtin_problem(name)
-    basis = build_basis(prob.degree)
     tab = builtin_tableau(prob.tableau)
-    mesh = build_mesh(prob.bounds, 10)
-    u0 = interpolate(lambda x: prob.exact(x, 0.0), mesh, basis)
-    outs = {}
-    for fast in (True, False):
-        ctrl = treated_boundary(prob, mesh, basis, tab)
-        ctrl._fast = fast
-        integ = ImexIntegrator(prob, mesh, basis, tableau=tab,
-                               controller=ctrl)
-        outs[fast], _ = integ.integrate(u0, 0.0, 1.0, 0.02)
-    assert np.max(np.abs(outs[True] - outs[False])) < 1e-13
-
-
-def test_nonlinear_problems_use_the_generic_path():
-    prob = builtin_problem('burgers1d')
-    basis = build_basis(prob.degree)
-    mesh = build_mesh(prob.bounds, 8)
-    ctrl = treated_boundary(prob, mesh, basis, ARK3)
-    assert not ctrl._fast
-    with pytest.raises(ValueError, match="constant"):
-        _LinearStageMap(prob, ARK3, 3, 'stagewise', 0.01)
+    order = prob.degree + 1
+    rng = np.random.default_rng(11)
+    batch = rng.standard_normal((_input_size(tab, order), 5))
+    for variant in ('stagewise', 'anchored'):
+        arrays = _drive_inputs(prob, tab, order, variant, 0.02, list(batch))
+        for k in range(batch.shape[1]):
+            floats = _drive_inputs(prob, tab, order, variant, 0.02,
+                                   batch[:, k].tolist())
+            assert [a[k] for a in arrays] == floats, (variant, k)
 
 
 # -- configuration errors ----------------------------------------------------------
@@ -416,11 +424,11 @@ def test_variant_aliases():
     basis = build_basis(2)
     mesh = build_mesh(prob.bounds, 8)
     assert treated_boundary(prob, mesh, basis, ARK3,
-                            variant='alg1').west._anchored
+                            variant='alg1').anchored
     assert not treated_boundary(prob, mesh, basis, ARK3,
-                                variant='alg2').west._anchored
+                                variant='alg2').anchored
     assert not treated_boundary(prob, mesh, basis, ARK3,
-                                variant='alg3').west._anchored
+                                variant='alg3').anchored
     with pytest.raises(ValueError, match="unknown treatment variant"):
         treated_boundary(prob, mesh, basis, ARK3, variant='alg9')
 
@@ -456,17 +464,16 @@ def test_unsupported_configurations_raise():
 
 def test_stage_protocol_enforced():
     prob = builtin_problem('heat1d')
-    corr = EndpointCorrector1D(prob, ARK3, -1.0, 3)
+    corr = StageCorrector(prob, ARK3, 3, 'stagewise', ('x',))
     with pytest.raises(RuntimeError, match="begin a step"):
         corr.stage_value(1)
     rec = BoundaryDerivatives(u_x=0.1, u_xx=0.2, u_xxx=0.3)
-    corr.begin_values(rec, 0.0, 0.01,
-                      {'om': [1.0] * 4, 'omt': [0.0] * 4})
+    corr.begin(rec, 0.01, {'omega': [1.0] * 4, 'omega_t': [0.0] * 4})
     with pytest.raises(RuntimeError, match="in order"):
         corr.stage_value(2)
     corr.stage_value(1)
     with pytest.raises(RuntimeError, match="observed in order"):
-        corr.observe_values(2, rec)
+        corr.observe(2, rec)
 
 
 # -- stage-value tracing -------------------------------------------------------------
