@@ -258,21 +258,12 @@ def error_localization(u, reference, mesh, config=None):
     naive mode shows a large ratio and the treated mode a small one.
     """
     err = np.abs(np.asarray(u) - np.asarray(reference))
-    if mesh.dim == 1:
-        cell_err = err.max(axis=1)
-        c = mesh.centers()
-        lo = mesh.a + 0.1 * (mesh.b - mesh.a)
-        hi = mesh.b - 0.1 * (mesh.b - mesh.a)
-        inner = cell_err[(c >= lo) & (c <= hi)]
-    else:
-        cell_err = err.max(axis=(2, 3))
-        cx = mesh.x.centers()
-        cy = mesh.y.centers()
-        mx = ((cx >= mesh.x.a + 0.1 * (mesh.x.b - mesh.x.a))
-              & (cx <= mesh.x.b - 0.1 * (mesh.x.b - mesh.x.a)))
-        my = ((cy >= mesh.y.a + 0.1 * (mesh.y.b - mesh.y.a))
-              & (cy <= mesh.y.b - 0.1 * (mesh.y.b - mesh.y.a)))
-        inner = cell_err[np.ix_(mx, my)].ravel()
+    dim = len(mesh.axes)
+    cell_err = err.max(axis=tuple(range(dim, 2 * dim)))
+    masks = [(ax.centers() >= ax.a + 0.1 * (ax.b - ax.a))
+             & (ax.centers() <= ax.b - 0.1 * (ax.b - ax.a))
+             for ax in mesh.axes]
+    inner = cell_err[np.ix_(*masks)].ravel()
     med = float(np.median(inner))
     if med == 0.0:
         return float('inf') if err.max() > 0 else 1.0

@@ -359,15 +359,21 @@ class ImexIntegrator:
 
         Returns (u, info) where info reports the step count and the largest
         relative implicit residual seen (if residual checking is on).
-        Raises FloatingPointError, naming the step and time, as soon as a
-        step leaves a non-finite value.
+        Raises ValueError for a non-finite t0, t_end or tau, a step size
+        tau <= 0 or t_end < t0, and FloatingPointError, naming the step and
+        time, as soon as a step leaves a non-finite value.
         """
+        for name, value in (('t0', t0), ('t_end', t_end), ('tau', tau)):
+            if not math.isfinite(value):
+                raise ValueError("%s must be finite, got %r" % (name, value))
+        if tau <= 0.0:
+            raise ValueError("step size must be positive")
+        if t_end < t0:
+            raise ValueError("t_end=%r lies before t0=%r" % (t_end, t0))
         u = np.array(u0, dtype=float)
         t = t0
         steps = 0
         remaining = t_end - t0
-        if tau <= 0.0:
-            raise ValueError("step size must be positive")
         nfull = int(math.floor(remaining / tau + 1e-12))
         prepare = getattr(self.controller, 'prepare', None)
         if prepare is not None and nfull > 0:

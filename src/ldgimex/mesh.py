@@ -4,7 +4,7 @@ import numpy as np
 
 
 class Mesh1D:
-    """N equal cells tiling [a, b]."""
+    """N equal cells tiling [a, b]; its only axis is itself: axes = (self,)."""
 
     dim = 1
 
@@ -18,6 +18,7 @@ class Mesh1D:
         self.n = int(n)
         self.dx = (self.b - self.a) / self.n
         self.min_width = self.dx
+        self.axes = (self,)
 
     def breaks(self):
         return self.a + self.dx * np.arange(self.n + 1)
@@ -51,6 +52,7 @@ class Mesh2D:
         self.dx = self.x.dx
         self.dy = self.y.dx
         self.min_width = min(self.dx, self.dy)
+        self.axes = (self.x, self.y)
 
     def node_coords(self, basis):
         """Physical node coordinates (X, Y), each of shape (n, m, p, p)."""

@@ -1,14 +1,19 @@
-"""LDG spatial discretization: gradient reconstruction, convective fluxes,
-diffusion with alternating fluxes and boundary penalty, norms.
+"""LDG spatial discretization on Cartesian meshes: one 1D operator per axis.
 
-Interior faces use the alternating choice: the primal trace u~ is taken from
-the left/lower cell, the gradient trace q~ from the right/upper cell.  At
-west/south exterior faces u~ is the Dirichlet datum (its natural side); at
-east/north exterior faces the choice is inverted: u~ is again the datum while
-q~ = q^- + s (u^- - omega) adds a penalty jump scaled by the transverse cell
-width.  All integrals collocate on the (k+1)-point Gauss nodes, so mass
-matrices are diagonal and face integrals decouple per transverse node.
+Each operator applies its 1D form along every grid line of every mesh axis
+(mesh.axes).  All integrals collocate on the (k+1)-point Gauss nodes, so
+mass matrices are diagonal and face integrals decouple per transverse node:
+diffusion is the Kronecker sum of the per-axis 1D operators, convection a
+sum over the axes with a flux.  Along an axis, interior faces take the
+primal trace u~ from the left/lower cell and the gradient trace q~ from the
+right/upper one.  At the low exterior face u~ is the Dirichlet datum; at
+the high one u~ is again the datum while q~ = q^- + s (u^- - omega) adds a
+penalty jump, s = 1/width of the other axis (of the axis itself in 1D).
+Fields are shaped (cells per axis..., nodes per axis...); flat vectors
+order the dofs (cell, node) per axis, x slowest.
 """
+
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,10 +33,12 @@ class BoundaryData:
         self.south = south
         self.north = north
 
-    def sides(self):
-        return {k: v for k, v in (('west', self.west), ('east', self.east),
-                                  ('south', self.south), ('north', self.north))
-                if v is not None}
+    def pairs(self):
+        """(low, high) face data per mesh axis: (west, east), then
+        (south, north) in 2D."""
+        if self.south is None:
+            return ((self.west, self.east),)
+        return ((self.west, self.east), (self.south, self.north))
 
 
 def lax_friedrichs(u_in, u_out, normal, flux, alpha):
@@ -40,7 +47,8 @@ def lax_friedrichs(u_in, u_out, normal, flux, alpha):
     F~ . n = 1/2 [ (F(u_in) + F(u_out)) . n - alpha (u_out - u_in) ]
     with alpha >= sup |F'(u) . n| over the relevant states.
     """
-    return 0.5 * ((flux(u_in) + flux(u_out)) * normal - alpha * (u_out - u_in))
+    return (0.5 * normal * (flux(u_in) + flux(u_out))
+            - 0.5 * alpha * (u_out - u_in))
 
 
 def _line_matrices(basis, dx):
@@ -103,115 +111,80 @@ def _assemble_1d(n, dx, basis, d_coef, penalty_scale):
     return {'K': K, 'Kb': Kb, 'L': L, 'Gb': Gb}
 
 
-class Diffusion1D:
-    """Diffusive operator on a 1D mesh: RHS = L u + g_b(omega)."""
-
-    def __init__(self, mesh, basis, d_coef):
-        self.mesh = mesh
-        self.basis = basis
-        self.d_coef = d_coef
-        parts = _assemble_1d(mesh.n, mesh.dx, basis, d_coef, 1.0 / mesh.dx)
-        self.L = parts['L']
-        self._K = parts['K']
-        self._Kb = parts['Kb']
-        self._Gb = parts['Gb']
-        self.shape = (mesh.n, basis.p)
-
-    def flatten(self, u):
-        return np.asarray(u, dtype=float).reshape(-1)
-
-    def unflatten(self, v):
-        return v.reshape(self.shape)
-
-    def gb(self, bdata):
-        return self._Gb @ np.array([bdata.west, bdata.east])
-
-    def apply(self, u, bdata):
-        """Full diffusive RHS L u + g_b as a (n, p) field."""
-        v = self.L @ self.flatten(u) + self.gb(bdata)
-        return self.unflatten(v)
-
-    def gradient(self, u, bdata):
-        """Auxiliary field q = weak d/dx of u with the alternating traces."""
-        v = self._K @ self.flatten(u) + self._Kb @ np.array([bdata.west,
-                                                             bdata.east])
-        return self.unflatten(v)
+def _inverse(perm):
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
-class Diffusion2D:
-    """Diffusive operator on a 2D mesh via per-direction 1D assembly.
+class Diffusion:
+    """Diffusive operator RHS = L u + g_b(omega) on a 1D or 2D mesh.
 
-    The collocated face integrals are diagonal in the transverse node index,
-    so the x-direction operator acts on each (j, m2) line exactly like its 1D
-    counterpart; the full operator is the Kronecker sum of the two
-    directions.  Penalty scales follow the transverse-width convention: east
-    faces use 1/dy, north faces 1/dx.
+    One 1D operator per mesh axis (_assemble_1d, penalty 1/width of the
+    other axis, of the axis itself in 1D); L is their Kronecker sum, in 1D
+    the axis's operator itself.  flatten/unflatten map fields to and from
+    the flat dof order that L acts on.
     """
 
     def __init__(self, mesh, basis, d_coef):
         self.mesh = mesh
         self.basis = basis
         self.d_coef = d_coef
-        px = _assemble_1d(mesh.n, mesh.dx, basis, d_coef, 1.0 / mesh.dy)
-        py = _assemble_1d(mesh.m, mesh.dy, basis, d_coef, 1.0 / mesh.dx)
-        self.Lx, self._Kx, self._Kbx, self._Gbx = (px['L'], px['K'],
-                                                   px['Kb'], px['Gb'])
-        self.Ly, self._Ky, self._Kby, self._Gby = (py['L'], py['K'],
-                                                   py['Kb'], py['Gb'])
-        self.nxdof = mesh.n * basis.p
-        self.nydof = mesh.m * basis.p
-        self.L = (sp.kron(self.Lx, sp.identity(self.nydof), format='csr')
-                  + sp.kron(sp.identity(self.nxdof), self.Ly, format='csr'))
-        self.shape = (mesh.n, mesh.m, basis.p, basis.p)
-
-    def to_matrix(self, u):
-        """(n, m, p, p) field -> (nxdof, nydof) matrix, x-dofs as rows."""
-        n, m, p, _ = self.shape
-        return np.asarray(u, dtype=float).transpose(0, 2, 1, 3).reshape(
-            self.nxdof, self.nydof)
-
-    def from_matrix(self, umat):
-        n, m, p, _ = self.shape
-        return umat.reshape(n, p, m, p).transpose(0, 2, 1, 3)
+        axes = mesh.axes
+        dim, p = len(axes), basis.p
+        widths = [ax.dx for ax in axes][::-1]
+        parts = [_assemble_1d(ax.n, ax.dx, basis, d_coef, 1.0 / w)
+                 for ax, w in zip(axes, widths)]
+        # kronsum(A, B) runs A's index fastest: fold from the last axis
+        self.L = reduce(sp.kronsum, [pt['L'] for pt in parts[::-1]]).tocsr()
+        self._K = [pt['K'] for pt in parts]
+        self._Kb = [pt['Kb'] for pt in parts]
+        self._Gb = [pt['Gb'] for pt in parts]
+        self.shape = tuple(ax.n for ax in axes) + (p,) * dim
+        self._order = tuple(i for a in range(dim) for i in (a, a + dim))
+        self._unorder = _inverse(self._order)
+        self._split = tuple(s for ax in axes for s in (ax.n, p))
+        self._grid = grid = tuple(ax.n * p for ax in axes)
+        # per axis: the dof grid with that axis first, and the way back
+        fronts = [(a,) + tuple(b for b in range(dim) if b != a)
+                  for a in range(dim)]
+        self._lines = [(f, tuple(grid[b] for b in f), _inverse(f))
+                       for f in fronts]
 
     def flatten(self, u):
-        return self.to_matrix(u).reshape(-1)
+        return np.asarray(u, dtype=float).transpose(self._order).reshape(-1)
 
     def unflatten(self, v):
-        return self.from_matrix(v.reshape(self.nxdof, self.nydof))
-
-    def _wx(self, bdata):
-        return np.stack([np.asarray(bdata.west, dtype=float).reshape(-1),
-                         np.asarray(bdata.east, dtype=float).reshape(-1)])
-
-    def _wy(self, bdata):
-        return np.stack([np.asarray(bdata.south, dtype=float).reshape(-1),
-                         np.asarray(bdata.north, dtype=float).reshape(-1)])
-
-    def gb_matrix(self, bdata):
-        return self._Gbx @ self._wx(bdata) + (self._Gby @ self._wy(bdata)).T
+        return v.reshape(self._split).transpose(self._unorder)
 
     def gb(self, bdata):
-        return self.gb_matrix(bdata).reshape(-1)
+        """Boundary vector: each axis's Gb @ [low; high], in the flat order."""
+        g = None
+        for Gb, (_, shape, back), pair in zip(self._Gb, self._lines,
+                                             bdata.pairs()):
+            term = Gb @ np.array(pair).reshape(2, -1)
+            term = term.reshape(shape).transpose(back)
+            g = term if g is None else g + term
+        return g.reshape(-1)
 
     def apply(self, u, bdata):
-        umat = self.to_matrix(u)
-        rhs = self.Lx @ umat + umat @ self.Ly.T + self.gb_matrix(bdata)
-        return self.from_matrix(rhs)
+        """Full diffusive RHS L u + g_b as a field."""
+        return self.unflatten(self.L @ self.flatten(u) + self.gb(bdata))
 
     def gradient(self, u, bdata):
-        """Auxiliary fields (q1, q2) with the alternating traces."""
-        umat = self.to_matrix(u)
-        q1 = self._Kx @ umat + self._Kbx @ self._wx(bdata)
-        q2 = umat @ self._Ky.T + (self._Kby @ self._wy(bdata)).T
-        return self.from_matrix(q1), self.from_matrix(q2)
+        """Auxiliary fields q_a = weak d/dx_a of u with the alternating
+        traces, one per axis (a 1-tuple in 1D)."""
+        grid = self.flatten(u).reshape(self._grid)
+        out = []
+        for K, Kb, (front, shape, back), pair in zip(
+                self._K, self._Kb, self._lines, bdata.pairs()):
+            q = (K @ grid.transpose(front).reshape(K.shape[0], -1)
+                 + Kb @ np.array(pair).reshape(2, -1))
+            out.append(self.unflatten(q.reshape(shape).transpose(back)))
+        return tuple(out)
 
 
 def build_diffusion(mesh, basis, problem):
     """Diffusion operator for the problem's (linear) diffusion coefficient."""
-    if mesh.dim == 1:
-        return Diffusion1D(mesh, basis, problem.d_coef)
-    return Diffusion2D(mesh, basis, problem.d_coef)
+    return Diffusion(mesh, basis, problem.d_coef)
 
 
 def _convection_lines(u, flux, alpha, bw, be, S, winv, r, l):
@@ -232,64 +205,57 @@ def _convection_lines(u, flux, alpha, bw, be, S, winv, r, l):
     tr_left = np.einsum('q,iqb->ib', l, u)
     u_left = np.concatenate([bw[None, :], tr_right], axis=0)    # (n+1, B)
     u_right = np.concatenate([tr_left, be[None, :]], axis=0)
-    fhat = 0.5 * (flux(u_left) + flux(u_right) - alpha * (u_right - u_left))
+    fhat = lax_friedrichs(u_left, u_right, 1.0, flux, alpha)
     return winv[None, :, None] * (vol
                                   - fhat[1:, None, :] * r[None, :, None]
                                   + fhat[:-1, None, :] * l[None, :, None])
 
 
 def llf_alpha(problem, u, bdata):
-    """Global Lax-Friedrichs bound: max |F'(.)| over all nodal and boundary states."""
-    states = [np.asarray(u, dtype=float).reshape(-1)]
-    for vals in bdata.sides().values():
-        states.append(np.atleast_1d(np.asarray(vals, dtype=float)).reshape(-1))
-    allstates = np.concatenate(states)
-    if problem.dim == 1:
-        return float(np.max(np.abs(problem.fprime(allstates))))
-    return float(max(np.max(np.abs(problem.f1prime(allstates))),
-                     np.max(np.abs(problem.f2prime(allstates)))))
+    """Global Lax-Friedrichs bound: max |f_a'| over all nodal and boundary
+    states, taken over the axes a that carry a flux (0 when none does)."""
+    states = np.concatenate([np.ravel(u)] + [np.ravel(v) for pair
+                                             in bdata.pairs() for v in pair])
+    return max((float(np.max(np.abs(fp(states))))
+                for f, fp, _ in problem.fluxes if f is not None),
+               default=0.0)
+
+
+@lru_cache(maxsize=None)
+def _line_order(axis, dim):
+    """Field index order with axis's (cell, node) first, and its inverse."""
+    own = (axis, axis + dim)
+    front = own + tuple(i for i in range(2 * dim) if i not in own)
+    return front, _inverse(front)
 
 
 def explicit_rhs(u, t, bdata, problem, mesh, basis, coords=None):
-    """The xi part of the semidiscretization: -div F(u) + h(u, x, t)."""
+    """The xi part of the semidiscretization: -div F(u) + h(u, x, t).
+
+    Each axis with a flux runs the 1D LLF operator on every grid line
+    along it, with that axis's face data as the outside states.
+    """
     if coords is None:
         coords = mesh.node_coords(basis)
-    if mesh.dim == 1:
-        rhs = np.zeros_like(np.asarray(u, dtype=float))
-        if problem.f is not None:
-            alpha = llf_alpha(problem, u, bdata)
-            S, winv = _line_matrices(basis, mesh.dx)
-            rhs += _convection_lines(
-                u[:, :, None], problem.f, alpha,
-                np.atleast_1d(float(bdata.west)), np.atleast_1d(float(bdata.east)),
-                S, winv, basis.phi_right, basis.phi_left)[:, :, 0]
-        if problem.has_source():
-            rhs += problem.source(u, coords, t)
-        return rhs
-
-    n, m, p = mesh.n, mesh.m, basis.p
     u = np.asarray(u, dtype=float)
-    rhs = np.zeros_like(u)
-    alpha = llf_alpha(problem, u, bdata)
-    if problem.f1 is not None:
-        S, winv = _line_matrices(basis, mesh.dx)
-        ux = u.transpose(0, 2, 1, 3).reshape(n, p, m * p)
-        cx = _convection_lines(ux, problem.f1, alpha,
-                               np.asarray(bdata.west, dtype=float).reshape(-1),
-                               np.asarray(bdata.east, dtype=float).reshape(-1),
-                               S, winv, basis.phi_right, basis.phi_left)
-        rhs += cx.reshape(n, p, m, p).transpose(0, 2, 1, 3)
-    if problem.f2 is not None:
-        S, winv = _line_matrices(basis, mesh.dy)
-        uy = u.transpose(1, 3, 0, 2).reshape(m, p, n * p)
-        cy = _convection_lines(uy, problem.f2, alpha,
-                               np.asarray(bdata.south, dtype=float).reshape(-1),
-                               np.asarray(bdata.north, dtype=float).reshape(-1),
-                               S, winv, basis.phi_right, basis.phi_left)
-        rhs += cy.reshape(m, p, n, p).transpose(2, 0, 3, 1)
+    dim = len(mesh.axes)
+    terms = []
+    for a, (ax, (f, _, _), (low, high)) in enumerate(
+            zip(mesh.axes, problem.fluxes, bdata.pairs())):
+        if f is None:
+            continue
+        if not terms:  # the first axis with a flux
+            alpha = llf_alpha(problem, u, bdata)
+        front, back = _line_order(a, dim)
+        lines = u.transpose(front)
+        S, winv = _line_matrices(basis, ax.dx)
+        conv = _convection_lines(
+            lines.reshape(ax.n, basis.p, -1), f, alpha, np.ravel(low),
+            np.ravel(high), S, winv, basis.phi_right, basis.phi_left)
+        terms.append(conv.reshape(lines.shape).transpose(back))
     if problem.has_source():
-        rhs += problem.source(u, coords, t)
-    return rhs
+        terms.append(problem.source(u, coords, t))
+    return reduce(np.add, terms) if terms else np.zeros_like(u)
 
 
 def norms(u, exact, mesh, basis, t):

@@ -58,7 +58,6 @@ class ProblemSpec:
         self.omega_t = kw.pop('omega_t', None)
         self.omega_tt = kw.pop('omega_tt', None)
         self.h = kw.pop('h', None)
-        self.h_x = kw.pop('h_x', None)
         self.fprime_const = kw.pop('fprime_const', None)
         self.p_const = kw.pop('p_const', None)
         if kw:
@@ -68,6 +67,14 @@ class ProblemSpec:
                 self.h = lambda u, x, t: self.p(x, t) * u
             else:
                 self.h = lambda u, x, y, t: self.p(x, y, t) * u
+
+    @property
+    def fluxes(self):
+        """(f, f', f'') per mesh axis; f is None on an axis without flux."""
+        if self.dim == 1:
+            return ((self.f, self.fprime, self.fsecond),)
+        return ((self.f1, self.f1prime, self.f1second),
+                (self.f2, self.f2prime, self.f2second))
 
     def source(self, u, coords, t):
         """Source h evaluated nodewise; zero when the problem has none."""
@@ -229,7 +236,8 @@ def residual_check(spec, samples=20, step=1e-5, seed=0):
             u_y = (u(x, y + step, t) - u(x, y - step, t)) / (2 * step)
             u_xx = (u(x + step, y, t) - 2 * u(x, y, t) + u(x - step, y, t)) / step ** 2
             u_yy = (u(x, y + step, t) - 2 * u(x, y, t) + u(x, y - step, t)) / step ** 2
-            conv = spec.f1prime(u(x, y, t)) * u_x + spec.f2prime(u(x, y, t)) * u_y
+            conv = sum(fp(u(x, y, t)) * ua for (f, fp, _), ua
+                       in zip(spec.fluxes, (u_x, u_y)) if f is not None)
             src = spec.h(u(x, y, t), x, y, t) if spec.h is not None else 0.0
             res = u_t + conv - spec.d_coef * (u_xx + u_yy) - src
         worst = max(worst, abs(float(res)))

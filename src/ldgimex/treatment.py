@@ -297,16 +297,15 @@ def _check_problem_fields(problem, scheme_order):
     if problem.h is not None and problem.p is None:
         raise ValueError("boundary treatment needs the source factored as "
                          "h = p*u (supply p and p_x)")
+    if problem.fprime_const is None and any(
+            fp is None for _, fp, _ in problem.fluxes):
+        raise ValueError("boundary treatment needs the flux derivative of "
+                         "every axis (fprime, or f1prime and f2prime)")
     if problem.dim == 1:
-        if problem.fprime is None and problem.fprime_const is None:
-            raise ValueError("boundary treatment needs fprime")
         if (problem.p is not None and problem.p_x is None
                 and problem.p_const is None):
             raise ValueError("boundary treatment needs p_x alongside p")
     else:
-        if ((problem.f1prime is None or problem.f2prime is None)
-                and problem.fprime_const is None):
-            raise ValueError("boundary treatment needs f1prime and f2prime")
         if (problem.p is not None and problem.p_const is None
                 and (problem.p_x is None or problem.p_y is None)):
             raise ValueError("boundary treatment needs p_x and p_y alongside p")
@@ -376,12 +375,14 @@ class StageCorrector:
         # BoundaryDerivatives, stacked and contracted
         if len(axes) == 1:
             self._vec, self._dot, self._matvec = _first, mul, mul
+            scalar = _as_float
             self._grad_of = attrgetter('u_x')
             self._hess_of = attrgetter('u_xx')
             self._third_of = attrgetter('u_xxx_fd' if self.order4
                                         else 'u_xxx')
         else:
             self._vec, self._dot, self._matvec = np.array, _dot2, _matvec2
+            scalar = lambda fn: fn
             self._grad_of = lambda r: np.array([r.u_x, r.u_y])
             self._hess_of = lambda r: np.array([[r.u_xx, r.u_xy],
                                                 [r.u_xy, r.u_yy]])
@@ -389,15 +390,11 @@ class StageCorrector:
                                                  r.u_xxy + r.u_yyy])
         self._fpc = self._fp = self._fpp = None
         if problem.fprime_const is not None:
-            self._fpc = float(problem.fprime_const)
-            if len(axes) == 2:
-                self._fpc = (self._fpc, self._fpc)
-        elif len(axes) == 1:
-            self._fp = [_as_float(problem.fprime)]
-            self._fpp = [_as_float(problem.fsecond)]
+            self._fpc = self._vec([float(problem.fprime_const)] * len(axes))
         else:
-            self._fp = [problem.f1prime, problem.f2prime]
-            self._fpp = [problem.f1second, problem.f2second]
+            fluxes = problem.fluxes
+            self._fp = [scalar(fp) for _, fp, _ in fluxes]
+            self._fpp = [scalar(fpp) for _, _, fpp in fluxes]
         # the source factor p is absent, constant, or sampled per stage
         self._p_const = None
         self._p_names = None

@@ -224,6 +224,17 @@ def test_rejects_nonpositive_step():
     prob, mesh, basis, integ, u0 = _heat_setup(4)
     with pytest.raises(ValueError, match="positive"):
         integ.integrate(u0, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="positive"):
+        integ.integrate(u0, 0.0, 1.0, -0.1)
+    with pytest.raises(ValueError, match="t_end=0.5 lies before t0=1.0"):
+        integ.integrate(u0, 1.0, 0.5, 0.1)
+    for args, name in (((np.nan, 1.0, 0.1), 't0'),
+                       ((0.0, np.nan, 0.1), 't_end'),
+                       ((0.0, np.inf, 0.1), 't_end'),
+                       ((0.0, 1.0, np.nan), 'tau'),
+                       ((0.0, 1.0, np.inf), 'tau')):
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            integ.integrate(u0, *args)
 
 
 def test_nonfinite_solution_raises():

@@ -109,6 +109,8 @@ def test_registry_rejects_unknown_name():
 def test_spec_rejects_unknown_fields():
     with pytest.raises(TypeError, match="unknown fields"):
         ProblemSpec('x', 1, (0.0, 1.0), 1.0, 1.0, 0.1, 2, banana=1)
+    with pytest.raises(TypeError, match="unknown fields"):
+        ProblemSpec('x', 1, (0.0, 1.0), 1.0, 1.0, 0.1, 2, h_x=None)
 
 
 def test_residual_check_flags_a_wrong_definition():
