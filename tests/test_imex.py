@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from ldgimex import imex
 from ldgimex.imex import (ImexIntegrator, ImexTableau, NaiveBoundary,
                           builtin_tableau, validate_tableau)
 from ldgimex.mesh import build_mesh
@@ -12,6 +14,7 @@ from ldgimex.quadrature import build_basis, interpolate
 from ldgimex.treatment import treated_boundary
 
 TOL = 1e-12
+SPLU = spla.splu        # the real factorization, kept from monkeypatching
 
 
 # -- tableau data --------------------------------------------------------------
@@ -173,14 +176,79 @@ def test_implicit_stage_residual_is_small():
     assert 0.0 < info['max_residual'] <= 1e-10
 
 
-def test_single_lu_factorization_per_coefficient():
+def _record_splu(monkeypatch, keywords=True):
+    """Route the integrator's splu through a recorder.
+
+    Returns the list that collects (matrix, factor) per call.  With
+    keywords=False every keyword argument is dropped, so the factor is
+    SuperLU's default one.
+    """
+    made = []
+
+    def splu(a, **kw):
+        lu = SPLU(a, **kw) if keywords else SPLU(a)
+        made.append((a, lu))
+        return lu
+
+    monkeypatch.setattr(imex.spla, 'splu', splu)
+    return made
+
+
+def test_single_lu_factorization_per_coefficient(monkeypatch):
+    made = _record_splu(monkeypatch)
     for name, n in (('ark3', 8), ('ark4', 6)):
         prob, mesh, basis, integ, u0 = _heat_setup(
             n, tableau=builtin_tableau(name))
-        integ.integrate(u0, 0.0, 1.0, 0.25)       # exact multiple: 4 steps
-        assert len(integ._lu) == 1
-        integ.integrate(u0, 0.0, 1.1, 0.25)       # adds one shortened step
-        assert len(integ._lu) == 2
+        aii = integ.tableau.a_im[1, 1]
+        made.clear()
+        _, info = integ.integrate(u0, 0.0, 1.0, 0.25)   # exact multiple
+        assert info['steps'] == 4
+        assert info['factorizations'] == len(made) == 1
+        # the full steps reuse their factors; the shortened one factors
+        _, info = integ.integrate(u0, 0.0, 1.1, 0.25)
+        assert info['steps'] == 5
+        assert info['factorizations'] == 1 and len(made) == 2
+        # ... and then only the shortened step's factors are kept
+        short = 1.1 - 4 * 0.25
+        assert list(integ._lu) == [short * aii]
+        _, info = integ.integrate(u0, 0.0, 1.1, 0.25)
+        assert info['factorizations'] == 2 and len(made) == 4
+
+
+def test_2d_factors_fill_less_than_superlu_defaults(monkeypatch):
+    made = _record_splu(monkeypatch)
+    prob = builtin_problem('heat2d')
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, (6, 6))
+    u0 = interpolate(lambda x, y: prob.exact(x, y, 0.0), mesh, basis)
+    integ = ImexIntegrator(prob, mesh, basis, check_residual=True)
+    tau = prob.cfl * mesh.x.dx
+    _, info = integ.integrate(u0, 0.0, 3.5 * tau, tau)
+    assert info['factorizations'] == len(made) == 2
+    assert 0.0 < info['max_residual'] <= 1e-12
+    for a, lu in made:
+        default = SPLU(a)
+        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+
+
+@pytest.mark.parametrize("name", ["heat1d", "burgers1d", "heat1d_o4"])
+def test_1d_factors_are_superlu_defaults(monkeypatch, name):
+    prob = builtin_problem(name)
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, 20)
+    u0 = interpolate(lambda x: prob.exact(x, 0.0), mesh, basis)
+    tau = prob.cfl * mesh.dx
+    runs = []
+    for keywords in (True, False):
+        made = _record_splu(monkeypatch, keywords)
+        integ = ImexIntegrator(prob, mesh, basis,
+                               controller=treated_boundary(
+                                   prob, mesh, basis,
+                                   builtin_tableau(prob.tableau)))
+        u, info = integ.integrate(u0, 0.0, 10.5 * tau, tau)
+        assert info['factorizations'] == len(made) == 2
+        runs.append(u)
+    assert np.array_equal(runs[0], runs[1])
 
 
 def test_final_step_lands_exactly_on_t_end():

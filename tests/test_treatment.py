@@ -91,6 +91,58 @@ def test_face_recovery_exact_on_low_polynomials(face, name, f, derivs):
         assert np.max(np.abs(got - want)) < 1e-9, (face, key)
 
 
+def _face_reference(mesh, basis, face, field):
+    """Face derivatives by one einsum per term, named by attribute."""
+    r = EdgeDerivatives2D(mesh, basis, face)
+    f = r._oriented(field)
+    dn, dt = r.dn, r.dt
+    eye = np.eye(basis.p)
+    e0 = np.ravel(basis.values(eye, -1.0))
+    e1, e2 = (np.ravel(basis.derivative_values(eye, -1.0, k))
+              * (2.0 / dn) ** k for k in (1, 2))
+    d1, d2 = (np.asarray(basis.derivative_values(eye, basis.nodes, k)).T
+              * (2.0 / dt) ** k for k in (1, 2))
+    x = np.einsum('m,ajmq->ajq', e1, f[:3])
+    y = np.einsum('m,ajmn,qn->ajq', e0, f[:3], d1)
+    inner = (y[0][2:] - 2.0 * y[0][1:-1] + y[0][:-2]) / dt ** 2
+    cn = np.array([-3.0, 4.0, -1.0]) / (2.0 * dn)
+    # np.gradient with edge_order=2: centered inside, one-sided 3-point
+    # at the ends
+    local = dict(
+        n=x[0], t=y[0],
+        nn=np.einsum('m,jmq->jq', e2, f[0]),
+        tt=np.einsum('m,jmn,qn->jq', e0, f[0], d2),
+        nt=np.einsum('m,jmn,qn->jq', e1, f[0], d1),
+        nnn=(x[0] - 2.0 * x[1] + x[2]) / dn ** 2,
+        ttt=np.concatenate([inner[:1], inner, inner[-1:]]),
+        nnt=sum(c * np.gradient(v, dt, axis=0, edge_order=2)
+                for c, v in zip(cn, x)),
+        ttn=sum(c * np.gradient(v, dt, axis=0, edge_order=2)
+                for c, v in zip(cn, y)))
+    sg = -1.0 if r.flip else 1.0
+    n, t = ('x', 'y') if r.normal_axis == 'x' else ('y', 'x')
+    want = {'u_' + n: sg * local['n'], 'u_' + t: local['t'],
+            'u_' + 2 * n: local['nn'], 'u_' + 2 * t: local['tt'],
+            'u_xy': sg * local['nt'], 'u_' + 3 * n: sg * local['nnn'],
+            'u_' + 3 * t: local['ttt'], 'u_' + 2 * n + t: local['nnt'],
+            'u_' + 2 * t + n: sg * local['ttn']}
+    return r, want
+
+
+@pytest.mark.parametrize("face", ["west", "east", "south", "north"])
+def test_face_recovery_matches_per_term_einsums(face):
+    basis = build_basis(2)
+    mesh = build_mesh(((-1.0, 1.0), (-0.5, 1.0)), (7, 5))
+    field = np.random.default_rng(3).standard_normal((7, 5, 3, 3))
+    rec, want = _face_reference(mesh, basis, face, field)
+    got = rec.recover(field)
+    assert len(want) == 9
+    for key, value in want.items():
+        scale = np.max(np.abs(value))
+        assert np.max(np.abs(getattr(got, key) - value)) <= 1e-14 * scale, \
+            (face, key)
+
+
 def test_recovery_rejects_bad_requests():
     mesh = build_mesh((-1.0, 1.0), 10)
     basis = build_basis(2)
@@ -460,6 +512,14 @@ def test_unsupported_configurations_raise():
                        omega_t=lambda x, t: 0.0 * x)
     with pytest.raises(ValueError, match="p_x"):
         treated_boundary(nopx, mesh1, build_basis(2), ARK3)
+    # f' is needed on the axes that have a flux, and only there
+    nofp = ProblemSpec('nofp', 2, heat2.bounds, 1.0, 1.0, 0.2, 2,
+                       f1=lambda u: -u, exact=lambda x, y, t: 0.0 * x,
+                       omega_t=lambda x, y, t: 0.0 * x)
+    with pytest.raises(ValueError, match="flux derivative"):
+        treated_boundary(nofp, mesh2, build_basis(2), ARK3)
+    nofp.f1prime = lambda u: -np.ones_like(u)
+    treated_boundary(nofp, mesh2, build_basis(2), ARK3)
 
 
 def test_stage_protocol_enforced():
