@@ -33,7 +33,7 @@ def _add_common(sub):
                      help='boundary handling (default treated)')
     sub.add_argument('--alg', choices=sorted(ALGORITHMS),
                      help='treatment variant: alg1 anchors corrections at '
-                          'the step start, alg2/alg3 per stage (default)')
+                          'the step start, alg2 per stage (default)')
     sub.add_argument('--cfl', type=float,
                      help='step-size factor, tau = cfl * min cell width')
     sub.add_argument('--T', type=float, help='final time override')

@@ -15,14 +15,13 @@ from .mesh import build_mesh
 from .operators import norms
 from .problems import builtin_problem
 from .quadrature import build_basis, interpolate
-from .treatment import ALGORITHMS, VARIANTS, treated_boundary
+from .treatment import resolve_variant, treated_boundary
 
 CONVERGENCE_HEADER = ("N,l1_error,l1_order,l2_error,l2_order,"
                       "linf_error,linf_order,seconds,steps")
 EFFICIENCY_HEADER = "N,mode,seconds,l2_error,linf_error,overhead"
 
 _BC_MODES = ('naive', 'treated')
-_ALGORITHMS = tuple(ALGORITHMS) + VARIANTS
 
 
 class NumericFailure(RuntimeError):
@@ -38,8 +37,10 @@ class RunConfig:
         levels: strictly increasing cell counts N (N x N cells in 2D).
         tableau: time scheme name; defaults to the problem's own.
         bc_mode: 'naive' (omega sampled at stage times) or 'treated'.
-        algorithm: treatment variant; 'alg1' anchors every correction at the
-            step start, 'alg2'/'alg3' (default) re-anchor per stage.
+        algorithm: treatment variant; 'alg1' (or 'anchored') anchors every
+            correction at the step start, 'alg2' (or 'stagewise', the
+            default) re-anchors per stage.  'alg3' is not implemented and
+            raises ValueError.
         cfl: step-size factor override, tau = cfl * min cell width;
             defaults to the problem's stated value.
         T: final-time override.
@@ -67,9 +68,7 @@ class RunConfig:
             raise ValueError("bc_mode must be one of %s, got %r"
                              % ('/'.join(_BC_MODES), bc_mode))
         self.bc_mode = bc_mode
-        if algorithm not in _ALGORITHMS:
-            raise ValueError("algorithm must be one of %s, got %r"
-                             % ('/'.join(_ALGORITHMS), algorithm))
+        resolve_variant(algorithm)  # raises ValueError for an unknown name
         self.algorithm = algorithm
         self.cfl = self.problem.cfl if cfl is None else float(cfl)
         if not self.cfl > 0.0:
@@ -250,7 +249,7 @@ def efficiency_csv(rows):
     return '\n'.join(lines) + '\n'
 
 
-def error_localization(u, reference, mesh, config=None):
+def error_localization(u, reference, mesh):
     """Ratio of the global max error to the median over interior cells.
 
     Interior means cell centers within the middle 80% of the extent per
@@ -270,45 +269,32 @@ def error_localization(u, reference, mesh, config=None):
     return float(err.max() / med)
 
 
+_PROFILE_HEADERS = {1: "cell,node,x,value,error",
+                    2: "cell_i,cell_j,node1,node2,x,y,value,error"}
+
+
 def _profile_csv(u, reference, mesh, basis):
     err = np.abs(np.asarray(u) - np.asarray(reference))
-    lines = []
-    if mesh.dim == 1:
-        lines.append("cell,node,x,value,error")
-        xs = mesh.node_coords(basis)
-        for i in range(mesh.n):
-            for q in range(basis.p):
-                lines.append("%d,%d,%s,%s,%s"
-                             % (i, q, _fmt(xs[i, q]), _fmt(u[i, q]),
-                                _fmt(err[i, q])))
-    else:
-        lines.append("cell_i,cell_j,node1,node2,x,y,value,error")
-        x, y = mesh.node_coords(basis)
-        for i in range(mesh.n):
-            for j in range(mesh.m):
-                for q1 in range(basis.p):
-                    for q2 in range(basis.p):
-                        lines.append(
-                            "%d,%d,%d,%d,%s,%s,%s,%s"
-                            % (i, j, q1, q2, _fmt(x[i, j, q1, q2]),
-                               _fmt(y[i, j, q1, q2]), _fmt(u[i, j, q1, q2]),
-                               _fmt(err[i, j, q1, q2])))
+    coords = mesh.node_coords(basis)
+    lines = [_PROFILE_HEADERS[len(coords)]]
+    for idx in np.ndindex(u.shape):
+        lines.append(','.join([str(i) for i in idx]
+                              + [_fmt(c[idx]) for c in coords]
+                              + [_fmt(u[idx]), _fmt(err[idx])]))
     return '\n'.join(lines) + '\n'
 
 
 def _trace_csv(trace, dim):
-    head = "step,stage,side,x,naive,treated" if dim == 1 else \
-        "step,stage,side,x,y,naive,treated"
-    lines = [head]
+    lines = ["step,stage,side,%s,naive,treated" % ','.join('xy'[:dim])]
     step = 0
     prev = None
-    for stage, side, x, naive, treated in trace:
+    for stage, side, point, naive, treated in trace:
         if prev is not None and stage < prev:
             step += 1
         prev = stage
-        coord = _fmt(x) if dim == 1 else '%s,%s' % (_fmt(x[0]), _fmt(x[1]))
         lines.append("%d,%d,%s,%s,%s,%s"
-                     % (step, stage, side, coord, _fmt(naive), _fmt(treated)))
+                     % (step, stage, side, ','.join(map(_fmt, point)),
+                        _fmt(naive), _fmt(treated)))
     return '\n'.join(lines) + '\n'
 
 

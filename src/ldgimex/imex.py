@@ -388,7 +388,8 @@ class ImexIntegrator:
 
         Returns (u, info) where info reports the step count, the number
         of sparse LU factorizations made during this call and the largest
-        relative implicit residual seen (if residual checking is on).
+        relative implicit residual seen during this call (if residual
+        checking is on).
         Raises ValueError for a non-finite t0, t_end or tau, a step size
         tau <= 0 or t_end < t0, and FloatingPointError, naming the step and
         time, as soon as a step leaves a non-finite value.
@@ -404,6 +405,7 @@ class ImexIntegrator:
         t = t0
         steps = 0
         factorizations = self.factorizations
+        self.max_residual = 0.0
         remaining = t_end - t0
         nfull = int(math.floor(remaining / tau + 1e-12))
         prepare = getattr(self.controller, 'prepare', None)

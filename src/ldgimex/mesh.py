@@ -27,8 +27,13 @@ class Mesh1D:
         return self.a + self.dx * (np.arange(self.n) + 0.5)
 
     def node_coords(self, basis):
-        """Physical quadrature-node coordinates, shape (n, p)."""
-        return self.centers()[:, None] + 0.5 * self.dx * basis.nodes[None, :]
+        """Physical quadrature-node coordinates, one array per axis.
+
+        Returns the 1-tuple (x,) with x of shape (n, p), so 1D and 2D
+        callers alike call problem functions as fn(*coords, t).
+        """
+        x = self.centers()[:, None] + 0.5 * self.dx * basis.nodes[None, :]
+        return (x,)
 
     def boundary_points(self, basis=None):
         """Boundary point coordinates per side: the endpoints, as (x,)."""
@@ -56,8 +61,8 @@ class Mesh2D:
 
     def node_coords(self, basis):
         """Physical node coordinates (X, Y), each of shape (n, m, p, p)."""
-        xn = self.x.node_coords(basis)  # (n, p)
-        yn = self.y.node_coords(basis)  # (m, p)
+        xn, = self.x.node_coords(basis)  # (n, p)
+        yn, = self.y.node_coords(basis)  # (m, p)
         shape = (self.n, self.m, basis.p, basis.p)
         x = np.broadcast_to(xn[:, None, :, None], shape).copy()
         y = np.broadcast_to(yn[None, :, None, :], shape).copy()
@@ -69,8 +74,8 @@ class Mesh2D:
         West/east faces hold the (m, p) nodes along y, south/north the
         (n, p) nodes along x, matching the BoundaryData layout.
         """
-        xc = self.x.node_coords(basis)
-        yc = self.y.node_coords(basis)
+        xc, = self.x.node_coords(basis)
+        yc, = self.y.node_coords(basis)
         return {'west': (np.full_like(yc, self.x.a), yc),
                 'east': (np.full_like(yc, self.x.b), yc),
                 'south': (xc, np.full_like(xc, self.y.a)),

@@ -13,6 +13,7 @@ Fields are shaped (cells per axis..., nodes per axis...); flat vectors
 order the dofs (cell, node) per axis, x slowest.
 """
 
+import math
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -264,16 +265,14 @@ def norms(u, exact, mesh, basis, t):
     The pointwise error is sampled at the quadrature nodes (which are also
     the nodal points), L1/L2 use the per-cell rule, Linf is the node max.
     """
-    w = basis.weights
-    if mesh.dim == 1:
-        e = np.asarray(u, dtype=float) - exact(mesh.node_coords(basis), t)
-        jac = 0.5 * mesh.dx
-        l1 = jac * float(np.einsum('q,iq->', w, np.abs(e)))
-        l2 = float(np.sqrt(jac * np.einsum('q,iq->', w, e * e)))
-        return l1, l2, float(np.max(np.abs(e)))
-    x, y = mesh.node_coords(basis)
-    e = np.asarray(u, dtype=float) - exact(x, y, t)
-    jac = 0.25 * mesh.dx * mesh.dy
-    l1 = jac * float(np.einsum('q,r,ijqr->', w, w, np.abs(e)))
-    l2 = float(np.sqrt(jac * np.einsum('q,r,ijqr->', w, w, e * e)))
+    e = np.asarray(u, dtype=float) - exact(*mesh.node_coords(basis), t)
+    # one weight vector and one half-width per axis: 'q,iq->' in 1D,
+    # 'q,r,ijqr->' in 2D
+    dim = len(mesh.axes)
+    cells, nodes = 'ij'[:dim], 'qr'[:dim]
+    subscripts = ','.join(nodes) + ',' + cells + nodes + '->'
+    weights = [basis.weights] * dim
+    jac = math.prod(0.5 * ax.dx for ax in mesh.axes)
+    l1 = jac * float(np.einsum(subscripts, *weights, np.abs(e)))
+    l2 = float(np.sqrt(jac * np.einsum(subscripts, *weights, e * e)))
     return l1, l2, float(np.max(np.abs(e)))

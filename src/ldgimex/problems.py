@@ -8,17 +8,24 @@ class ProblemSpec:
 
     The PDE is u_t + div F(u) = div(G(grad u)) + h(u, x, t) with linear
     diffusion G = D grad u and Dirichlet data omega on the whole boundary.
+    Every function of space takes one coordinate per axis, (*coords, t):
+    (x, t) in 1D and (x, y, t) in 2D.  Fields and coordinate arrays are
+    shaped (cells per axis..., nodes per axis...).
 
-    1D fields (dim == 1):
-        f, fprime, fsecond: convective flux and derivatives, callables of u.
+    Fields:
+        bounds: (a, b) in 1D, one (a, b) pair per axis in 2D.
+        f, fprime, fsecond (1D) or f1/f2 pairs with derivatives (2D):
+            convective flux per axis and its derivatives, callables of u;
+            see fluxes.
         d_coef: diffusion coefficient D >= 0.
-        p, p_x: source factor with h = p(x, t) * u, or None for h == 0.
-        exact: exact solution u(x, t) or None.
-        u0: initial data u(x); defaults to exact at t = 0 when that exists.
-        omega, omega_t, omega_tt: boundary trace and time derivatives (x, t).
-
-    2D fields (dim == 2): f1/f2 flux pairs with derivatives, p(x, y, t) with
-    p_x and p_y, exact/omega of (x, y, t).
+        p, p_x (and p_y in 2D): source factor with h = p(*coords, t) * u
+            and its space derivatives, or None for h == 0.
+        h: source h(u, *coords, t); defaults to p(*coords, t) * u.
+        exact: exact solution u(*coords, t) or None.
+        u0: initial data u0(*coords); defaults to exact at t = 0 when that
+            exists.
+        omega, omega_t, omega_tt: boundary trace and its time derivatives,
+            functions of (*coords, t); omega defaults to exact.
 
     fprime_const / p_const hold the scalar values of f' and p when those are
     constant (needed by the fourth-order Cauchy-Kovalevskaya substitution),
@@ -50,10 +57,7 @@ class ProblemSpec:
         self.exact = kw.pop('exact', None)
         self.u0 = kw.pop('u0', None)
         if self.u0 is None and self.exact is not None:
-            if dim == 1:
-                self.u0 = lambda x: self.exact(x, 0.0)
-            else:
-                self.u0 = lambda x, y: self.exact(x, y, 0.0)
+            self.u0 = lambda *x: self.exact(*x, 0.0)
         self.omega = kw.pop('omega', self.exact)
         self.omega_t = kw.pop('omega_t', None)
         self.omega_tt = kw.pop('omega_tt', None)
@@ -63,10 +67,7 @@ class ProblemSpec:
         if kw:
             raise TypeError("ProblemSpec: unknown fields %r" % sorted(kw))
         if self.h is None and self.p is not None:
-            if dim == 1:
-                self.h = lambda u, x, t: self.p(x, t) * u
-            else:
-                self.h = lambda u, x, y, t: self.p(x, y, t) * u
+            self.h = lambda u, *xt: self.p(*xt) * u
 
     @property
     def fluxes(self):
@@ -77,12 +78,11 @@ class ProblemSpec:
                 (self.f2, self.f2prime, self.f2second))
 
     def source(self, u, coords, t):
-        """Source h evaluated nodewise; zero when the problem has none."""
+        """Source h evaluated nodewise at one coordinate array per axis;
+        zero when the problem has none."""
         if self.h is None:
             return np.zeros_like(u)
-        if self.dim == 1:
-            return self.h(u, coords, t)
-        return self.h(u, coords[0], coords[1], t)
+        return self.h(u, *coords, t)
 
     def has_source(self):
         return self.h is not None
@@ -213,32 +213,23 @@ def residual_check(spec, samples=20, step=1e-5, seed=0):
     if spec.exact is None:
         raise ValueError("residual_check needs an exact solution")
     rng = np.random.default_rng(seed)
+    u = spec.exact
+    bounds = np.reshape(spec.bounds, (-1, 2))   # one (a, b) pair per axis
     worst = 0.0
     for _ in range(samples):
         t = rng.uniform(0.1, 2.0)
-        if spec.dim == 1:
-            a, b = spec.bounds
-            x = rng.uniform(a + 0.1, b - 0.1)
-            u = spec.exact
-            u_t = (u(x, t + step) - u(x, t - step)) / (2 * step)
-            u_x = (u(x + step, t) - u(x - step, t)) / (2 * step)
-            u_xx = (u(x + step, t) - 2 * u(x, t) + u(x - step, t)) / step ** 2
-            conv = spec.fprime(u(x, t)) * u_x if spec.f is not None else 0.0
-            src = spec.h(u(x, t), x, t) if spec.h is not None else 0.0
-            res = u_t + conv - spec.d_coef * u_xx - src
-        else:
-            (a1, b1), (a2, b2) = spec.bounds
-            x = rng.uniform(a1 + 0.1, b1 - 0.1)
-            y = rng.uniform(a2 + 0.1, b2 - 0.1)
-            u = spec.exact
-            u_t = (u(x, y, t + step) - u(x, y, t - step)) / (2 * step)
-            u_x = (u(x + step, y, t) - u(x - step, y, t)) / (2 * step)
-            u_y = (u(x, y + step, t) - u(x, y - step, t)) / (2 * step)
-            u_xx = (u(x + step, y, t) - 2 * u(x, y, t) + u(x - step, y, t)) / step ** 2
-            u_yy = (u(x, y + step, t) - 2 * u(x, y, t) + u(x, y - step, t)) / step ** 2
-            conv = sum(fp(u(x, y, t)) * ua for (f, fp, _), ua
-                       in zip(spec.fluxes, (u_x, u_y)) if f is not None)
-            src = spec.h(u(x, y, t), x, y, t) if spec.h is not None else 0.0
-            res = u_t + conv - spec.d_coef * (u_xx + u_yy) - src
+        x = [rng.uniform(a + 0.1, b - 0.1) for a, b in bounds]
+        u_c = u(*x, t)
+        u_t = (u(*x, t + step) - u(*x, t - step)) / (2 * step)
+        conv = 0.0
+        diff = 0.0
+        for k, (f, fp, _) in enumerate(spec.fluxes):
+            up = u(*x[:k], x[k] + step, *x[k + 1:], t)
+            um = u(*x[:k], x[k] - step, *x[k + 1:], t)
+            if f is not None:
+                conv += fp(u_c) * ((up - um) / (2 * step))
+            diff += (up - 2 * u_c + um) / step ** 2
+        src = spec.h(u_c, *x, t) if spec.h is not None else 0.0
+        res = u_t + conv - spec.d_coef * diff - src
         worst = max(worst, abs(float(res)))
     return worst

@@ -123,14 +123,12 @@ def interpolate(f, mesh, basis):
     """Interpolate a function onto the mesh at the mapped quadrature nodes.
 
     Args:
-        f: callable of (x,) in 1D or (x, y) in 2D, vectorized over arrays.
+        f: callable of one coordinate array per axis, (x,) in 1D or (x, y)
+            in 2D, vectorized over arrays.
         mesh: a mesh from ldgimex.mesh.
         basis: NodalBasis shared by both directions.
 
     Returns:
         Nodal coefficient array of shape (n, p) in 1D or (n, m, p, p) in 2D.
     """
-    if mesh.dim == 1:
-        return np.asarray(f(mesh.node_coords(basis)), dtype=float)
-    x, y = mesh.node_coords(basis)
-    return np.asarray(f(x, y), dtype=float)
+    return np.asarray(f(*mesh.node_coords(basis)), dtype=float)

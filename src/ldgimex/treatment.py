@@ -47,19 +47,22 @@ __all__ = [
     'resolve_variant', 'treated_boundary',
 ]
 
-# Algorithm names of the paper and the recursion variant each runs.  alg3
-# runs the stagewise recursion of alg2 until the two are told apart.
-ALGORITHMS = {'alg1': 'anchored', 'alg2': 'stagewise', 'alg3': 'stagewise'}
+# Algorithm names of the paper and the recursion variant each runs.  The
+# paper's alg3 is not implemented: resolve_variant rejects it.
+ALGORITHMS = {'alg1': 'anchored', 'alg2': 'stagewise'}
 VARIANTS = ('anchored', 'stagewise')
 
 
 def resolve_variant(name):
     """The recursion variant for an algorithm or variant name."""
+    if name == 'alg3':
+        raise ValueError("treatment variant 'alg3' is not implemented; "
+                         "alg2 is the per-stage variant")
     variant = ALGORITHMS.get(name, name)
     if variant not in VARIANTS:
         names = sorted(ALGORITHMS) + list(VARIANTS)
-        raise ValueError("unknown treatment variant %r (choose from %s)"
-                         % (name, ', '.join(names)))
+        raise ValueError("unknown treatment variant %r (choose an algorithm "
+                         "or variant from %s)" % (name, ', '.join(names)))
     return variant
 
 
@@ -296,7 +299,7 @@ class EdgeDerivatives2D:
         return rec
 
 
-def _check_problem_fields(problem, scheme_order):
+def _check_problem_fields(problem, scheme_order, axes):
     if problem.omega is None or problem.omega_t is None:
         raise ValueError("boundary treatment needs omega and omega_t")
     if problem.h is not None and problem.p is None:
@@ -307,14 +310,11 @@ def _check_problem_fields(problem, scheme_order):
         raise ValueError("boundary treatment needs the flux derivative of "
                          "every axis with a flux (fprime, or f1prime and "
                          "f2prime)")
-    if problem.dim == 1:
-        if (problem.p is not None and problem.p_x is None
-                and problem.p_const is None):
-            raise ValueError("boundary treatment needs p_x alongside p")
-    else:
-        if (problem.p is not None and problem.p_const is None
-                and (problem.p_x is None or problem.p_y is None)):
-            raise ValueError("boundary treatment needs p_x and p_y alongside p")
+    p_names = ['p_' + a for a in axes]
+    if (problem.p is not None and problem.p_const is None
+            and any(getattr(problem, n) is None for n in p_names)):
+        raise ValueError("boundary treatment needs %s alongside p"
+                         % ' and '.join(p_names))
     if scheme_order == 4:
         if problem.omega_tt is None:
             raise ValueError("fourth-order treatment needs omega_tt")
@@ -366,7 +366,7 @@ class StageCorrector:
     def __init__(self, problem, tableau, scheme_order, variant, axes):
         if variant not in VARIANTS:
             raise ValueError("variant must be 'stagewise' or 'anchored'")
-        _check_problem_fields(problem, scheme_order)
+        _check_problem_fields(problem, scheme_order, axes)
         self.order4 = scheme_order == 4
         if self.order4 and len(axes) != 1:
             raise ValueError("fourth-order treatment is one-dimensional")
@@ -574,8 +574,9 @@ class TreatedBoundary:
     One StageCorrector per side -- the two endpoints in 1D, the four faces
     in 2D -- fed by one BoundarySampler and the side's recovery stencil.
     Plugs into the integrator in place of the naive omega sampler.  Set
-    .trace to a list to collect (stage, side, point, naive, treated) rows;
-    point is x in 1D and (x, y) in 2D.
+    .trace to a list to collect (stage, side, point, naive, treated) rows,
+    one per boundary point; point holds one coordinate per axis, (x,) in
+    1D and (x, y) in 2D, as boundary_points gives them.
     """
 
     def __init__(self, problem, mesh, basis, tableau, variant='stagewise'):
@@ -636,13 +637,10 @@ class TreatedBoundary:
         for side, pts, traces, val in zip(self.sampler.sides,
                                           self.sampler.points, self._traces,
                                           vals):
-            om = traces['omega']
-            if len(pts) == 1:
-                self.trace.append((i, side, pts[0], om[i], val))
-                continue
-            for xv, yv, nv, tv in zip(np.ravel(pts[0]), np.ravel(pts[1]),
-                                      np.ravel(om[i]), np.ravel(val)):
-                self.trace.append((i, side, (float(xv), float(yv)),
+            for *point, nv, tv in zip(*map(np.ravel, pts),
+                                      np.ravel(traces['omega'][i]),
+                                      np.ravel(val)):
+                self.trace.append((i, side, tuple(map(float, point)),
                                    float(nv), float(tv)))
 
     def observe_stage(self, i, u_stage):

@@ -30,8 +30,7 @@ def test_convergence_writes_file(tmp_path, capsys):
 
 
 def test_naive_mode_and_variant_flags(capsys):
-    for extra in (['--bc', 'naive'], ['--alg', 'alg1'], ['--alg', 'alg3'],
-                  ['--tableau', 'ark4']):
+    for extra in (['--bc', 'naive'], ['--alg', 'alg1'], ['--tableau', 'ark4']):
         rc = cli.main(['convergence', '--problem', 'heat1d',
                        '--levels', '5'] + _FAST + extra)
         assert rc == 0, extra
@@ -130,7 +129,8 @@ def test_config_errors_exit_1(capsys, argv, msg):
 
 def test_usage_errors_exit_1(capsys):
     for argv in ([], ['convergence', '--bc', 'bogus'],
-                 ['convergence', '--tableau', 'rk4'], ['mystery']):
+                 ['convergence', '--tableau', 'rk4'], ['mystery'],
+                 ['convergence', '--alg', 'alg3']):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 1

@@ -50,6 +50,7 @@ def test_config_accepts_spec_instances_and_overrides():
     (dict(levels=[5], cfl=-1.0), "cfl must be positive"),
     (dict(levels=[5], T=0.0), "T must be positive"),
     (dict(levels=[5], repeats=0), "repeats"),
+    (dict(levels=[5], algorithm='alg3'), "alg3' is not implemented"),
 ])
 def test_config_rejects_bad_values(kw, msg):
     levels = kw.pop('levels')
@@ -345,6 +346,15 @@ def test_single_2d_profile(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "cell_i,cell_j,node1,node2,x,y,value,error"
     assert len(lines) == 1 + 4 * 4 * 3 * 3
+    # each row: its indices, the node coordinates there, and the field value
+    ref = solve_level(cfg, 4)
+    x, y = ref['mesh'].node_coords(ref['basis'])
+    u = ref['u']
+    rows = [line.split(',') for line in lines[1:]]
+    assert [tuple(map(int, r[:4])) for r in rows] == list(np.ndindex(u.shape))
+    for r in rows:
+        idx = tuple(map(int, r[:4]))
+        assert r[4:7] == ['%.10e' % v for v in (x[idx], y[idx], u[idx])]
 
 
 def test_single_2d_trace(tmp_path):
@@ -355,3 +365,21 @@ def test_single_2d_trace(tmp_path):
     assert lines[0] == "step,stage,side,x,y,naive,treated"
     per_stage = 2 * (4 * 3) + 2 * (4 * 3)
     assert len(lines) == 1 + res['steps'] * 4 * per_stage
+    # rows run over steps, stages, sides and each side's points in order;
+    # the naive value is omega there at the stage time (T is a whole
+    # number of steps)
+    mesh = build_mesh(cfg.problem.bounds, (4, 4))
+    points = mesh.boundary_points(build_basis(cfg.problem.degree))
+    tau = cfg.cfl * mesh.min_width
+    want = [(step, stage, side, point)
+            for step in range(res['steps'])
+            for stage in range(cfg.tableau.stages)
+            for side, pts in points.items()
+            for point in zip(*map(np.ravel, pts))]
+    assert len(want) == len(lines) - 1
+    for line, (step, stage, side, point) in zip(lines[1:], want):
+        cells = line.split(',')
+        assert cells[:5] == ['%d' % step, '%d' % stage, side,
+                             '%.10e' % point[0], '%.10e' % point[1]]
+        t = (step + cfg.tableau.c[stage]) * tau
+        assert abs(float(cells[5]) - cfg.problem.omega(*point, t)) < 1e-10

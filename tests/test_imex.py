@@ -176,6 +176,21 @@ def test_implicit_stage_residual_is_small():
     assert 0.0 < info['max_residual'] <= 1e-10
 
 
+def test_max_residual_is_reported_per_call():
+    # a coarse call leaves larger residuals behind; the next call reports
+    # only its own, as a fresh integrator does
+    prob = builtin_problem('heat2d')
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, (6, 6))
+    u0 = interpolate(lambda x, y: prob.exact(x, y, 0.0), mesh, basis)
+    integ = ImexIntegrator(prob, mesh, basis, check_residual=True)
+    integ.integrate(u0, 0.0, 0.5, 0.25)
+    _, info = integ.integrate(u0, 0.0, 0.01, 0.001)
+    fresh = ImexIntegrator(prob, mesh, basis, check_residual=True)
+    _, want = fresh.integrate(u0, 0.0, 0.01, 0.001)
+    assert info['max_residual'] == want['max_residual'] > 0.0
+
+
 def _record_splu(monkeypatch, keywords=True):
     """Route the integrator's splu through a recorder.
 

@@ -18,7 +18,7 @@ def test_mesh1d_geometry():
 def test_mesh1d_node_coords_cover_cells():
     mesh = Mesh1D(-1.0, 1.0, 5)
     basis = build_basis(2)
-    xs = mesh.node_coords(basis)
+    xs, = mesh.node_coords(basis)
     assert xs.shape == (5, 3)
     breaks = mesh.breaks()
     for i in range(5):
@@ -50,6 +50,17 @@ def test_mesh2d_node_coords_shapes():
     assert np.allclose(np.diff(y, axis=2), 0)
 
 
+@pytest.mark.parametrize("mesh", [Mesh1D(-1.0, 1.0, 5),
+                                  Mesh2D(-1.0, 1.0, 0.0, 2.0, 3, 2)],
+                         ids=['1d', '2d'])
+def test_node_coords_give_one_field_shaped_array_per_axis(mesh):
+    basis = build_basis(2)
+    coords = mesh.node_coords(basis)
+    assert isinstance(coords, tuple) and len(coords) == mesh.dim
+    shape = tuple(ax.n for ax in mesh.axes) + (basis.p,) * mesh.dim
+    assert all(c.shape == shape for c in coords)
+
+
 def test_boundary_faces_1d():
     mesh = Mesh1D(-1.0, 1.0, 6)
     assert mesh.boundary_points() == {'west': (-1.0,), 'east': (1.0,)}
@@ -67,9 +78,10 @@ def test_boundary_faces_2d_counts_and_coords():
     assert np.all(points['east'][0] == 1.0)
     assert np.all(points['south'][1] == -1.0)
     assert np.all(points['north'][1] == 1.0)
-    np.testing.assert_array_equal(points['west'][1], mesh.y.node_coords(basis))
+    np.testing.assert_array_equal(points['west'][1],
+                                  mesh.y.node_coords(basis)[0])
     np.testing.assert_array_equal(points['north'][0],
-                                  mesh.x.node_coords(basis))
+                                  mesh.x.node_coords(basis)[0])
 
 
 def test_build_mesh_dispatch():

@@ -182,8 +182,8 @@ def test_diffusion_exact_on_quadratic():
     out = diff.apply(u, BoundaryData(west=1.0, east=1.0))
     np.testing.assert_allclose(out, 2.0 * d, atol=1e-10, rtol=0)
     q, = diff.gradient(u, BoundaryData(west=1.0, east=1.0))
-    np.testing.assert_allclose(q, 2.0 * mesh.node_coords(basis),
-                               atol=1e-11, rtol=0)
+    x, = mesh.node_coords(basis)
+    np.testing.assert_allclose(q, 2.0 * x, atol=1e-11, rtol=0)
 
 
 def test_diffusion_is_dissipative_with_homogeneous_data():
@@ -240,8 +240,8 @@ def test_diffusion_2d_exact_on_quadratics():
 
 
 def _dirichlet_2d(fn, mesh, basis):
-    xn = mesh.x.node_coords(basis)
-    yn = mesh.y.node_coords(basis)
+    xn, = mesh.x.node_coords(basis)
+    yn, = mesh.y.node_coords(basis)
     return BoundaryData(west=fn(mesh.x.a, yn), east=fn(mesh.x.b, yn),
                         south=fn(xn, mesh.y.a), north=fn(xn, mesh.y.b))
 
@@ -314,7 +314,7 @@ def test_explicit_rhs_linear_flux_matches_oracle():
     got = explicit_rhs(u, t, bdata, prob, mesh, basis)
     alpha = llf_alpha(prob, u, bdata)
     want = convection_oracle(u, omw, ome, prob.f, alpha, mesh, basis)
-    want += prob.p(mesh.node_coords(basis), t) * u
+    want += prob.p(*mesh.node_coords(basis), t) * u
     np.testing.assert_allclose(got, want, atol=1e-11, rtol=0)
 
 
@@ -330,7 +330,7 @@ def test_explicit_rhs_nonlinear_flux_matches_oracle():
     got = explicit_rhs(u, t, bdata, prob, mesh, basis)
     alpha = llf_alpha(prob, u, bdata)
     want = convection_oracle(u, omw, ome, prob.f, alpha, mesh, basis)
-    want += prob.p(mesh.node_coords(basis), t) * u
+    want += prob.p(*mesh.node_coords(basis), t) * u
     np.testing.assert_allclose(got, want, atol=1e-11, rtol=0)
 
 
@@ -344,7 +344,7 @@ def test_explicit_rhs_constant_state_is_silent():
     u = np.full((5, basis.p), c)
     bdata = BoundaryData(west=c, east=c)
     got = explicit_rhs(u, 0.5, bdata, prob, mesh, basis)
-    want = prob.p(mesh.node_coords(basis), 0.5) * c   # only the source acts
+    want = prob.p(*mesh.node_coords(basis), 0.5) * c   # only the source acts
     np.testing.assert_allclose(got, want, atol=1e-13, rtol=0)
 
 
@@ -392,7 +392,7 @@ def test_norms_against_hand_integrals():
     e1, e2, einf = norms(u, lambda x, t: np.zeros_like(x), mesh, basis, 0.0)
     assert abs(e1 - 8.0 / 3.0) < 1e-12
     assert abs(e2 - np.sqrt(56.0 / 15.0)) < 1e-12
-    xs = mesh.node_coords(basis)
+    xs, = mesh.node_coords(basis)
     assert abs(einf - np.max(xs * xs + 1.0)) < 1e-14
 
 

@@ -122,6 +122,17 @@ def test_residual_check_flags_a_wrong_definition():
     assert residual_check(broken) > 1e-2
 
 
+def test_residual_check_flags_a_wrong_definition_2d():
+    prob = builtin_problem('heat2d')
+    broken = ProblemSpec('broken2d', 2, prob.bounds, 2.0 * prob.d_coef,
+                         prob.T, prob.cfl, prob.degree,
+                         f1=prob.f1, f1prime=prob.f1prime,
+                         f2=prob.f2, f2prime=prob.f2prime, p=prob.p,
+                         exact=prob.exact)
+    assert residual_check(prob) < 1e-4
+    assert residual_check(broken) > 1e-2
+
+
 def test_stated_parameters():
     heat = builtin_problem('heat1d')
     assert (heat.dim, heat.d_coef, heat.T, heat.cfl, heat.degree,

@@ -118,7 +118,7 @@ def test_interpolate_1d_hits_nodes():
     mesh = build_mesh((-1.0, 1.0), 4)
     u = interpolate(np.sin, mesh, basis)
     assert u.shape == (4, 3)
-    np.testing.assert_allclose(u, np.sin(mesh.node_coords(basis)),
+    np.testing.assert_allclose(u, np.sin(*mesh.node_coords(basis)),
                                atol=0, rtol=0)
 
 

@@ -378,7 +378,7 @@ def test_tangential_invariance_reduces_to_endpoint_values():
     mesh1 = build_mesh(pb1.bounds, 6)
     u2 = interpolate(lambda x, y: pb2.exact(x, y, 0.3), mesh2, basis)
     u1 = interpolate(lambda x: g(x, 0.3), mesh1, basis)
-    ctrl2 = treated_boundary(pb2, mesh2, basis, ARK3, variant='alg3')
+    ctrl2 = treated_boundary(pb2, mesh2, basis, ARK3, variant='alg2')
     ctrl1 = treated_boundary(pb1, mesh1, basis, ARK3)
     tau = 0.05
     ctrl2.begin_step(u2, 0.3, tau)
@@ -479,8 +479,9 @@ def test_variant_aliases():
                             variant='alg1').anchored
     assert not treated_boundary(prob, mesh, basis, ARK3,
                                 variant='alg2').anchored
-    assert not treated_boundary(prob, mesh, basis, ARK3,
-                                variant='alg3').anchored
+    with pytest.raises(ValueError, match="'alg3' is not implemented; alg2 "
+                                         "is the per-stage variant"):
+        treated_boundary(prob, mesh, basis, ARK3, variant='alg3')
     with pytest.raises(ValueError, match="unknown treatment variant"):
         treated_boundary(prob, mesh, basis, ARK3, variant='alg9')
 
@@ -552,8 +553,8 @@ def test_trace_rows_1d():
     t = 0.0
     for k in range(0, len(rows), 2):
         i, side, x, naive, treated = rows[k]
-        assert side == 'west' and x == mesh.a
-        assert rows[k + 1][1] == 'east' and rows[k + 1][2] == mesh.b
+        assert side == 'west' and x == (mesh.a,)
+        assert rows[k + 1][1] == 'east' and rows[k + 1][2] == (mesh.b,)
         ts = t + ARK3.c[i] * 0.05
         assert abs(naive - prob.omega(mesh.a, ts)) < 1e-14
         if i == 0:
