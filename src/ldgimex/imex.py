@@ -149,7 +149,8 @@ class BoundarySampler:
     each name to its samples indexed by stage (omega_tt: index 0): lists
     of Python floats at 1D endpoints, arrays shaped like the face's points
     in 2D.  sides and points list the side names and their coordinates
-    (see boundary_points on the meshes).
+    (see boundary_points on the meshes); coords holds all sides' points
+    in that order, one flat array per axis.
     """
 
     def __init__(self, problem, mesh, basis, c, names):
@@ -159,8 +160,8 @@ class BoundarySampler:
         self._floats = mesh.dim == 1
         self._shapes = [np.shape(pt[0]) for pt in self.points]
         self._ends = np.cumsum([int(np.prod(s)) for s in self._shapes])
-        self._coords = [np.concatenate([np.ravel(pt[k]) for pt in self.points])
-                        for k in range(mesh.dim)]
+        self.coords = [np.concatenate([np.ravel(pt[k]) for pt in self.points])
+                       for k in range(mesh.dim)]
         self._c = np.asarray(c, dtype=float)
         self._fns = [(name, getattr(problem, name)) for name in names]
         self._pre = None
@@ -169,12 +170,12 @@ class BoundarySampler:
         """Samples for step starts tm, per name: a (steps, stages, points)
         array, or in 1D nested float lists (steps, points, stages)."""
         stage_t = tm[:, None] + tau * self._c[None, :]
-        coords = [x[None, None, :] for x in self._coords]
+        coords = [x[None, None, :] for x in self.coords]
         out = {}
         for name, fn in self._fns:
             times = tm[:, None] if name == 'omega_tt' else stage_t
             v = np.asarray(fn(*coords, times[:, :, None]), dtype=float)
-            v = np.broadcast_to(v, times.shape + self._coords[0].shape)
+            v = np.broadcast_to(v, times.shape + self.coords[0].shape)
             out[name] = v.transpose(0, 2, 1).tolist() if self._floats else v
         return out
 
@@ -311,7 +312,7 @@ class ImexIntegrator:
     def _xi(self, u_field, t, bdata):
         return self.diffusion.flatten(explicit_rhs(
             u_field, t, bdata, self.problem, self.mesh, self.basis,
-            coords=self.coords))
+            coords=self.coords, axes=self.diffusion.axes))
 
     def step(self, u, t, tau, record=False):
         """Advance one step of size tau from (u, t); returns the new field.

@@ -11,6 +11,10 @@ the high one u~ is again the datum while q~ = q^- + s (u^- - omega) adds a
 penalty jump, s = 1/width of the other axis (of the axis itself in 1D).
 Fields are shaped (cells per axis..., nodes per axis...); flat vectors
 order the dofs (cell, node) per axis, x slowest.
+
+Each mesh axis gets one AxisOperator: its reference line matrices, which
+the convective operator reads too, and its diffusion matrices, assembled
+from stacked block diagonals without a loop over cells.
 """
 
 import math
@@ -52,64 +56,103 @@ def lax_friedrichs(u_in, u_out, normal, flux, alpha):
             - 0.5 * alpha * (u_out - u_in))
 
 
-def _line_matrices(basis, dx):
-    """Per-direction reference matrices for a cell row of width dx."""
-    w = basis.weights
-    S = basis.diff_matrix.T * w          # S[m, q] = w_q phi_m'(xi_q)
-    winv = 2.0 / (dx * w)                # inverse of the diagonal mass matrix
-    return S, winv
+class LineMatrices:
+    """Reference matrices of a cell line of width dx along one axis.
 
-
-def _assemble_1d(n, dx, basis, d_coef, penalty_scale):
-    """Sparse 1D diffusion machinery along one direction.
-
-    Returns a dict with the gradient operator K (and its boundary map Kb),
-    the assembled diffusive operator L = d * Ddiv K + P acting on field
-    coefficients, and the boundary map Gb with g_b = Gb @ [omega_w, omega_e].
+    S[m, q] = w_q phi_m'(xi_q) is the collocated stiffness matrix, winv
+    the inverse of the diagonal mass matrix, r and l the trace rows
+    phi_m(+1) and phi_m(-1).  The convective and diffusive operators both
+    read them.
     """
-    p = basis.p
-    S, winv = _line_matrices(basis, dx)
-    r, l = basis.phi_right, basis.phi_left
 
-    def rows(mat):
-        return winv[:, None] * mat
+    def __init__(self, basis, dx):
+        w = basis.weights
+        self.S = basis.diff_matrix.T * w
+        self.winv = 2.0 / (dx * w)
+        self.r, self.l = basis.phi_right, basis.phi_left
 
-    ndof = n * p
-    K = sp.lil_matrix((ndof, ndof))
-    Ddiv = sp.lil_matrix((ndof, ndof))
-    P = sp.lil_matrix((ndof, ndof))
-    Kb = np.zeros((ndof, 2))
-    Pb = np.zeros((ndof, 2))
-    rr, rl, lr, ll = (np.outer(r, r), np.outer(r, l),
-                      np.outer(l, r), np.outer(l, l))
-    for i in range(n):
-        sl = slice(i * p, (i + 1) * p)
-        diag = -S.copy()
-        if i < n - 1:
-            diag += rr          # u~ at interior east face: own right trace
-        else:
-            Kb[sl, 1] = winv * r    # u~ at exterior east face: omega_e
-        if i > 0:
-            K[sl, slice((i - 1) * p, i * p)] = rows(-lr)  # u~ west: left cell
-        else:
-            Kb[sl, 0] = -winv * l   # u~ at exterior west face: omega_w
-        K[sl, sl] = rows(diag)
 
-        ddiag = -S - ll             # q~ at west face: own left trace (all i)
-        if i < n - 1:
-            Ddiv[sl, slice((i + 1) * p, (i + 2) * p)] = rows(rl)
-        else:
-            ddiag = ddiag + rr      # exterior east: q~ from own right trace
-            # penalty jump s (u^- - omega), oriented to dissipate energy
-            P[sl, sl] = -d_coef * penalty_scale * rows(rr)
-            Pb[sl, 1] = d_coef * penalty_scale * winv * r
-        Ddiv[sl, sl] = rows(ddiag)
+def _repeat(count, block, last=None):
+    """count copies of a (p, p) block, the final one replaced by last."""
+    out = np.repeat(block[None], count, axis=0)
+    if last is not None:
+        out[-1] = last
+    return out
 
-    K = K.tocsr()
-    Ddiv = Ddiv.tocsr()
-    L = (d_coef * (Ddiv @ K) + P).tocsr()
-    Gb = d_coef * (Ddiv @ Kb) + Pb
-    return {'K': K, 'Kb': Kb, 'L': L, 'Gb': Gb}
+
+def _block_banded(bands):
+    """CSR matrix from block diagonals {offset: (n - |offset|, p, p) blocks}.
+
+    Stored with sorted indices and no stored zeros, as a cell-by-cell
+    assembly stores it: sparse products then sum in the same order, and
+    SuperLU, which orders by structure, pivots the same way.
+    """
+    n, p = len(bands[0]), bands[0].shape[1]
+    rows = np.concatenate([np.arange(max(0, -k), n - max(0, k))
+                           for k in bands])
+    cols = rows + np.repeat(list(bands), [len(b) for b in bands.values()])
+    order = np.argsort(rows, kind='stable')     # BSR takes block rows in order
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    blocks = np.concatenate(list(bands.values()))[order]
+    mat = sp.bsr_matrix((blocks, cols[order], indptr),
+                        shape=(n * p, n * p)).tocsr()
+    mat.eliminate_zeros()
+    mat.sort_indices()
+    return mat
+
+
+class AxisOperator(LineMatrices):
+    """The 1D LDG diffusion operator along one mesh axis of n cells.
+
+    K is the weak gradient with boundary map Kb, q = K u + Kb [low; high];
+    L = d Ddiv K + P is the diffusive operator on the field coefficients
+    and Gb its boundary map, g_b = Gb [low; high], for the face data low
+    and high of the axis.  The cells of an axis share their blocks, and
+    only the blocks next to the high exterior face differ, so each matrix
+    is assembled at once from stacked (n, p, p) block diagonals:
+
+        K:    diagonal winv(-S + rr), last winv(-S); below winv(-lr)
+        Ddiv: diagonal winv(-S - ll), last winv((-S - ll) + rr);
+              above winv rl
+        P:    last diagonal block -d s winv rr
+
+    with rr = r r^T, rl = r l^T and so on, and s = penalty.  Every block
+    is formed with the same floating-point operations as a cell-by-cell
+    loop would, so K, Kb, L and Gb are bitwise those of that loop (the
+    tests keep it as cell_loop_operator).
+    """
+
+    def __init__(self, n, dx, basis, d_coef, penalty):
+        super().__init__(basis, dx)
+        p, S, winv, r, l = basis.p, self.S, self.winv, self.r, self.l
+
+        def rows(mat):
+            return winv[:, None] * mat
+
+        rr, rl, lr, ll = (np.outer(r, r), np.outer(r, l),
+                          np.outer(l, r), np.outer(l, l))
+        # u~ is the left cell's right trace at interior faces: a cell's
+        # east face reads its own (rr), its west face the left cell's (lr);
+        # at the exterior faces u~ is the datum (Kb)
+        self.K = _block_banded({0: _repeat(n, rows(-S + rr), rows(-S)),
+                                -1: _repeat(n - 1, rows(-lr))})
+        self.Kb = np.zeros((n * p, 2))
+        self.Kb[:p, 0] = -winv * l
+        self.Kb[-p:, 1] = winv * r
+        # q~ is the right cell's left trace at interior faces and the own
+        # left trace at the west face (ll); at the exterior east face it is
+        # the own right trace (rr) with the penalty jump s (u^- - omega),
+        # oriented to dissipate energy (P, Pb)
+        ddiag = -S - ll
+        Ddiv = _block_banded({0: _repeat(n, rows(ddiag), rows(ddiag + rr)),
+                              1: _repeat(n - 1, rows(rl))})
+        # the zero blocks leave no stored entries
+        P = _block_banded({0: _repeat(n, np.zeros((p, p)),
+                                      -d_coef * penalty * rows(rr))})
+        Pb = np.zeros((n * p, 2))
+        Pb[-p:, 1] = d_coef * penalty * winv * r
+        self.L = (d_coef * (Ddiv @ self.K) + P).tocsr()
+        self.Gb = d_coef * (Ddiv @ self.Kb) + Pb
 
 
 def _inverse(perm):
@@ -119,10 +162,11 @@ def _inverse(perm):
 class Diffusion:
     """Diffusive operator RHS = L u + g_b(omega) on a 1D or 2D mesh.
 
-    One 1D operator per mesh axis (_assemble_1d, penalty 1/width of the
-    other axis, of the axis itself in 1D); L is their Kronecker sum, in 1D
-    the axis's operator itself.  flatten/unflatten map fields to and from
-    the flat dof order that L acts on.
+    axes holds one AxisOperator per entry of mesh.axes, with penalty
+    1/width of the other axis (of the axis itself in 1D).  L is their
+    Kronecker sum, in 1D the axis's L itself; g_b adds each axis's Gb
+    applied to its face data along every grid line.  flatten/unflatten
+    map fields to and from the flat dof order that L acts on.
     """
 
     def __init__(self, mesh, basis, d_coef):
@@ -132,13 +176,10 @@ class Diffusion:
         axes = mesh.axes
         dim, p = len(axes), basis.p
         widths = [ax.dx for ax in axes][::-1]
-        parts = [_assemble_1d(ax.n, ax.dx, basis, d_coef, 1.0 / w)
-                 for ax, w in zip(axes, widths)]
+        self.axes = tuple(AxisOperator(ax.n, ax.dx, basis, d_coef, 1.0 / w)
+                          for ax, w in zip(axes, widths))
         # kronsum(A, B) runs A's index fastest: fold from the last axis
-        self.L = reduce(sp.kronsum, [pt['L'] for pt in parts[::-1]]).tocsr()
-        self._K = [pt['K'] for pt in parts]
-        self._Kb = [pt['Kb'] for pt in parts]
-        self._Gb = [pt['Gb'] for pt in parts]
+        self.L = reduce(sp.kronsum, [op.L for op in self.axes[::-1]]).tocsr()
         self.shape = tuple(ax.n for ax in axes) + (p,) * dim
         self._order = tuple(i for a in range(dim) for i in (a, a + dim))
         self._unorder = _inverse(self._order)
@@ -159,9 +200,9 @@ class Diffusion:
     def gb(self, bdata):
         """Boundary vector: each axis's Gb @ [low; high], in the flat order."""
         g = None
-        for Gb, (_, shape, back), pair in zip(self._Gb, self._lines,
+        for op, (_, shape, back), pair in zip(self.axes, self._lines,
                                              bdata.pairs()):
-            term = Gb @ np.array(pair).reshape(2, -1)
+            term = op.Gb @ np.array(pair).reshape(2, -1)
             term = term.reshape(shape).transpose(back)
             g = term if g is None else g + term
         return g.reshape(-1)
@@ -175,10 +216,10 @@ class Diffusion:
         traces, one per axis (a 1-tuple in 1D)."""
         grid = self.flatten(u).reshape(self._grid)
         out = []
-        for K, Kb, (front, shape, back), pair in zip(
-                self._K, self._Kb, self._lines, bdata.pairs()):
-            q = (K @ grid.transpose(front).reshape(K.shape[0], -1)
-                 + Kb @ np.array(pair).reshape(2, -1))
+        for op, (front, shape, back), pair in zip(
+                self.axes, self._lines, bdata.pairs()):
+            q = (op.K @ grid.transpose(front).reshape(op.K.shape[0], -1)
+                 + op.Kb @ np.array(pair).reshape(2, -1))
             out.append(self.unflatten(q.reshape(shape).transpose(back)))
         return tuple(out)
 
@@ -188,7 +229,7 @@ def build_diffusion(mesh, basis, problem):
     return Diffusion(mesh, basis, problem.d_coef)
 
 
-def _convection_lines(u, flux, alpha, bw, be, S, winv, r, l):
+def _convection_lines(u, flux, alpha, bw, be, mats):
     """Convective weak-form RHS of -d/dx F(u) on a batch of 1D cell lines.
 
     Args:
@@ -196,10 +237,12 @@ def _convection_lines(u, flux, alpha, bw, be, S, winv, r, l):
         flux: scalar flux function, vectorized.
         alpha: Lax-Friedrichs dissipation bound.
         bw, be: (B,) outside states at the west and east exterior faces.
+        mats: the axis's LineMatrices.
 
     Returns:
         (n, p, B) RHS values.
     """
+    S, winv, r, l = mats.S, mats.winv, mats.r, mats.l
     fu = flux(u)
     vol = np.einsum('mq,iqb->imb', S, fu)
     tr_right = np.einsum('q,iqb->ib', r, u)
@@ -230,29 +273,33 @@ def _line_order(axis, dim):
     return front, _inverse(front)
 
 
-def explicit_rhs(u, t, bdata, problem, mesh, basis, coords=None):
+def explicit_rhs(u, t, bdata, problem, mesh, basis, coords=None,
+                 axes=None):
     """The xi part of the semidiscretization: -div F(u) + h(u, x, t).
 
     Each axis with a flux runs the 1D LLF operator on every grid line
-    along it, with that axis's face data as the outside states.
+    along it, with that axis's face data as the outside states.  coords
+    (mesh.node_coords) and axes (one LineMatrices per mesh axis, such as
+    Diffusion.axes) are built from the mesh when not given.
     """
     if coords is None:
         coords = mesh.node_coords(basis)
+    if axes is None:
+        axes = [LineMatrices(basis, ax.dx) for ax in mesh.axes]
     u = np.asarray(u, dtype=float)
     dim = len(mesh.axes)
     terms = []
-    for a, (ax, (f, _, _), (low, high)) in enumerate(
-            zip(mesh.axes, problem.fluxes, bdata.pairs())):
+    for a, (ax, mats, (f, _, _), (low, high)) in enumerate(
+            zip(mesh.axes, axes, problem.fluxes, bdata.pairs())):
         if f is None:
             continue
         if not terms:  # the first axis with a flux
             alpha = llf_alpha(problem, u, bdata)
         front, back = _line_order(a, dim)
         lines = u.transpose(front)
-        S, winv = _line_matrices(basis, ax.dx)
         conv = _convection_lines(
             lines.reshape(ax.n, basis.p, -1), f, alpha, np.ravel(low),
-            np.ravel(high), S, winv, basis.phi_right, basis.phi_left)
+            np.ravel(high), mats)
         terms.append(conv.reshape(lines.shape).transpose(back))
     if problem.has_source():
         terms.append(problem.source(u, coords, t))

@@ -233,3 +233,52 @@ def residual_check(spec, samples=20, step=1e-5, seed=0):
         res = u_t + conv - spec.d_coef * diff - src
         worst = max(worst, abs(float(res)))
     return worst
+
+
+def boundary_data_check(spec, coords, names=None):
+    """Compare derivative fields with finite differences at given points.
+
+    omega_t and omega_tt are checked against central differences of omega
+    in t, p_x and p_y against one-sided differences of p that step from
+    each point towards the middle of the domain along that axis (inward
+    at the boundary), all second-order accurate, at the points coords
+    (one flat array per axis) and t = 0.25, 0.5 and 1.  names picks the
+    fields; by default every one of them the problem defines.
+
+    Returns {field: mismatch}, the largest difference over the points
+    relative to max(1, largest finite-difference value).  Raises
+    ValueError naming the first field whose mismatch exceeds 1e-5: with
+    a step of 1e-4 a correct field scores about 1e-8 (the roundoff of the
+    second difference), a wrong one O(1).
+    """
+    if names is None:
+        names = [n for n in ['omega_t', 'omega_tt']
+                 + ['p_' + a for a in 'xy'[:spec.dim]]
+                 if getattr(spec, n) is not None]
+    t = np.array([[0.25], [0.5], [1.0]])
+    step = 1e-4
+    x = [np.asarray(c, dtype=float)[None, :] for c in coords]
+    fd = {}
+    if {'omega_t', 'omega_tt'} & set(names):
+        times = np.concatenate([t - step, t, t + step])   # one omega call
+        om = np.broadcast_to(spec.omega(*x, times), (len(times), x[0].size))
+        before, now, after = np.split(om, 3)
+        fd['omega_t'] = (after - before) / (2 * step)
+        fd['omega_tt'] = (after - 2 * now + before) / step ** 2
+    for a, ((lo, hi), axis) in enumerate(zip(np.reshape(spec.bounds, (-1, 2)),
+                                             'xy')):
+        if 'p_' + axis in names:
+            h = np.where(x[a] < 0.5 * (lo + hi), step, -step)
+            p0, p1, p2 = (spec.p(*x[:a], x[a] + k * h, *x[a + 1:], t)
+                          for k in range(3))
+            fd['p_' + axis] = (4 * p1 - 3 * p0 - p2) / (2 * h)
+    out = {}
+    for name in names:
+        want = fd[name]
+        err = np.abs(getattr(spec, name)(*x, t) - want)
+        out[name] = float(np.max(err)) / max(1.0, float(np.max(np.abs(want))))
+        if out[name] > 1e-5:
+            raise ValueError("%s disagrees with finite differences of %s by "
+                             "%.3g (relative); check its definition"
+                             % (name, name.split('_')[0], out[name]))
+    return out

@@ -40,6 +40,7 @@ import numpy as np
 
 from .imex import BoundarySampler
 from .operators import BoundaryData
+from .problems import boundary_data_check
 
 __all__ = [
     'ALGORITHMS', 'VARIANTS', 'BoundaryDerivatives', 'EdgeDerivatives1D',
@@ -612,6 +613,10 @@ class TreatedBoundary:
         self.correctors = [StageCorrector(problem, tableau, order, variant,
                                           axes)
                            for _ in self.sampler.sides]
+        # a wrong derivative field silently costs order: check them here,
+        # once the correctors have checked that they are there
+        boundary_data_check(problem, self.sampler.coords,
+                            [n for n in names if n not in ('omega', 'p')])
         self.recovery = [recovery(side) for side in self.sampler.sides]
         # refilled by every recovery: correctors read them at once
         self._records = [BoundaryDerivatives() for _ in self.recovery]

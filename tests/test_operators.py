@@ -4,11 +4,16 @@ The oracle rebuilds every weak integral per cell with an independent
 20-point Gauss rule and explicit trace bookkeeping, so it shares nothing
 with the sparse assembly it checks. Collocation on (k+1) Gauss nodes is
 exact for all the integrands involved (degree <= 2k+1), so assembled and
-brute-force results must agree to roundoff.
+brute-force results must agree to roundoff.  The block assembly of the
+axis operators is also held bitwise to a cell-by-cell lil assembly
+(cell_loop_operator).
 """
+
+from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -145,6 +150,108 @@ def test_boundary_data_sides():
 
 
 # -- gradient / diffusion vs brute force -------------------------------------
+
+def cell_loop_operator(n, dx, basis, d_coef, penalty):
+    """K, Kb, L and Gb of one axis filled one cell block at a time.
+
+    The reference for the block assembly in AxisOperator: the same
+    traces and penalty, written into lil matrices cell by cell.
+    """
+    p = basis.p
+    w = basis.weights
+    S = basis.diff_matrix.T * w
+    winv = 2.0 / (dx * w)
+    r, l = basis.phi_right, basis.phi_left
+
+    def rows(mat):
+        return winv[:, None] * mat
+
+    ndof = n * p
+    K = sp.lil_matrix((ndof, ndof))
+    Ddiv = sp.lil_matrix((ndof, ndof))
+    P = sp.lil_matrix((ndof, ndof))
+    Kb = np.zeros((ndof, 2))
+    Pb = np.zeros((ndof, 2))
+    rr, rl, lr, ll = (np.outer(r, r), np.outer(r, l),
+                      np.outer(l, r), np.outer(l, l))
+    for i in range(n):
+        sl = slice(i * p, (i + 1) * p)
+        diag = -S.copy()
+        if i < n - 1:
+            diag += rr
+        else:
+            Kb[sl, 1] = winv * r
+        if i > 0:
+            K[sl, slice((i - 1) * p, i * p)] = rows(-lr)
+        else:
+            Kb[sl, 0] = -winv * l
+        K[sl, sl] = rows(diag)
+
+        ddiag = -S - ll
+        if i < n - 1:
+            Ddiv[sl, slice((i + 1) * p, (i + 2) * p)] = rows(rl)
+        else:
+            ddiag = ddiag + rr
+            P[sl, sl] = -d_coef * penalty * rows(rr)
+            Pb[sl, 1] = d_coef * penalty * winv * r
+        Ddiv[sl, sl] = rows(ddiag)
+
+    K = K.tocsr()
+    Ddiv = Ddiv.tocsr()
+    return {'K': K, 'Kb': Kb, 'L': (d_coef * (Ddiv @ K) + P).tocsr(),
+            'Gb': d_coef * (Ddiv @ Kb) + Pb}
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for part in ('indptr', 'indices', 'data'):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+def assert_canonical(mat):
+    """No stored zeros and strictly increasing column indices per row."""
+    assert np.all(mat.data != 0.0)
+    for lo, hi in zip(mat.indptr[:-1], mat.indptr[1:]):
+        assert np.all(np.diff(mat.indices[lo:hi]) > 0)
+
+
+@pytest.mark.parametrize("d", [1.0, 0.37])
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_axis_operators_equal_the_cell_loop_bitwise(k, n, d):
+    # 1D: penalty 1/dx; 2D on an n x 5 mesh: 1/dy along x, 1/dx along y
+    basis = build_basis(k)
+    one = Diffusion(build_mesh((-1.0, 1.5), n), basis, d)
+    two = Diffusion(build_mesh(((-1.0, 1.5), (0.0, 0.7)), (n, 5)), basis, d)
+    (ax,), (x, y) = one.mesh.axes, two.mesh.axes
+    cases = [(one.axes[0], ax, 1.0 / ax.dx),
+             (two.axes[0], x, 1.0 / y.dx), (two.axes[1], y, 1.0 / x.dx)]
+    refs = []
+    for op, axis, penalty in cases:
+        want = cell_loop_operator(axis.n, axis.dx, basis, d, penalty)
+        for name in ('K', 'L'):
+            assert_same_csr(getattr(op, name), want[name])
+        for name in ('Kb', 'Gb'):
+            assert np.array_equal(getattr(op, name), want[name]), name
+        refs.append(want['L'])
+    assert_same_csr(one.L, refs[0])
+    # kronsum runs its first argument's index fastest: y, then x
+    assert_same_csr(two.L, reduce(sp.kronsum, [refs[2], refs[1]]).tocsr())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_diffusion_matrix_has_no_stored_zeros_and_sorted_indices(k):
+    # SuperLU orders by structure: a stored zero from a block would move
+    # the pivots, and at heat1d_o4's roundoff floor the errors with them
+    basis = build_basis(k)
+    for mesh in (build_mesh((-1.0, 1.0), 9),
+                 build_mesh(((-1.0, 1.0), (-1.0, 1.0)), (4, 3))):
+        diff = Diffusion(mesh, basis, 1.3)
+        assert_canonical(diff.L)
+        for op in diff.axes:
+            assert_canonical(op.K)
+            assert_canonical(op.L)
+
 
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 7), (3, 5)])
 def test_gradient_matches_weak_form_oracle(k, n):

@@ -1,9 +1,16 @@
 """Problem registry: manufactured solutions really solve their PDEs."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from ldgimex.problems import ProblemSpec, builtin_problem, residual_check
+from ldgimex.imex import builtin_tableau
+from ldgimex.mesh import build_mesh
+from ldgimex.problems import (ProblemSpec, boundary_data_check,
+                              builtin_problem, residual_check)
+from ldgimex.quadrature import build_basis
+from ldgimex.treatment import treated_boundary
 
 ALL = ['heat1d', 'burgers1d', 'heat2d', 'heat1d_o4']
 
@@ -131,6 +138,63 @@ def test_residual_check_flags_a_wrong_definition_2d():
                          exact=prob.exact)
     assert residual_check(prob) < 1e-4
     assert residual_check(broken) > 1e-2
+
+
+def _boundary_setup(prob, n=6):
+    """Mesh, basis and all boundary points (one flat array per axis)."""
+    mesh = build_mesh(prob.bounds, n if prob.dim == 1 else (n, n))
+    basis = build_basis(prob.degree)
+    points = list(mesh.boundary_points(basis).values())
+    coords = [np.concatenate([np.ravel(pt[a]) for pt in points])
+              for a in range(prob.dim)]
+    return mesh, basis, coords
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_boundary_data_check_passes_the_builtins(name):
+    prob = builtin_problem(name)
+    _, _, coords = _boundary_setup(prob)
+    got = boundary_data_check(prob, coords)
+    fields = ['omega_t', 'omega_tt', 'p_x', 'p_y'][:2 + prob.dim]
+    assert sorted(got) == sorted(f for f in fields
+                                 if getattr(prob, f) is not None)
+    assert max(got.values()) < 1e-7
+
+
+def _varying_p_2d():
+    # heat2d with p = 1 + x y e^{-t}, so that the treatment samples p_y
+    prob = copy.copy(builtin_problem('heat2d'))
+    prob.p = lambda x, y, t: 1.0 + x * y * np.exp(-t)
+    prob.p_x = lambda x, y, t: y * np.exp(-t)
+    prob.p_y = lambda x, y, t: x * np.exp(-t)
+    prob.p_const = None
+    return prob
+
+
+WRONG_FIELDS = {
+    # heat1d's omega_t without the C cos term
+    'omega_t': ('heat1d', lambda x, t: -np.exp(-t) * np.sin(x + 0.1 * t)),
+    # heat1d_o4's omega_tt without its C terms
+    'omega_tt': ('heat1d_o4', lambda x, t: np.exp(-t) * np.sin(x + 0.1 * t)),
+    # burgers1d's p_x with the sign flipped
+    'p_x': ('burgers1d', lambda x, t: np.exp(-t) * np.sin(x)),
+    # p_x in place of p_y
+    'p_y': (_varying_p_2d, lambda x, y, t: y * np.exp(-t)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(WRONG_FIELDS))
+def test_a_wrong_derivative_field_is_refused(field):
+    source, wrong = WRONG_FIELDS[field]
+    prob = builtin_problem(source) if isinstance(source, str) else source()
+    mesh, basis, coords = _boundary_setup(prob)
+    tableau = builtin_tableau(prob.tableau)
+    treated_boundary(prob, mesh, basis, tableau)   # the right one passes
+    setattr(prob, field, wrong)
+    with pytest.raises(ValueError, match="^%s disagrees" % field):
+        boundary_data_check(prob, coords)
+    with pytest.raises(ValueError, match="^%s disagrees" % field):
+        treated_boundary(prob, mesh, basis, tableau)
 
 
 def test_stated_parameters():
