@@ -29,8 +29,8 @@ from .quadrature import NodalBasis, build_basis, gauss_legendre, interpolate
 from .mesh import Mesh1D, Mesh2D, build_mesh
 from .problems import (ProblemSpec, boundary_data_check, builtin_problem,
                        residual_check)
-from .operators import (BoundaryData, build_diffusion, explicit_rhs,
-                        lax_friedrichs, llf_alpha, norms)
+from .operators import (build_diffusion, explicit_rhs, lax_friedrichs,
+                        llf_alpha, norms)
 from .imex import (ImexIntegrator, ImexTableau, NaiveBoundary,
                    builtin_tableau, validate_tableau)
 from .treatment import treated_boundary
@@ -41,12 +41,11 @@ from .harness import (ConvergenceReport, NumericFailure, RunConfig,
 __version__ = '0.1.0'
 
 __all__ = [
-    'BoundaryData', 'ConvergenceReport', 'ImexIntegrator', 'ImexTableau',
-    'Mesh1D', 'Mesh2D', 'NaiveBoundary', 'NodalBasis', 'NumericFailure',
-    'ProblemSpec', 'RunConfig', 'boundary_data_check', 'build_basis',
-    'build_diffusion', 'build_mesh', 'builtin_problem', 'builtin_tableau',
-    'error_localization', 'explicit_rhs', 'gauss_legendre', 'interpolate',
-    'lax_friedrichs', 'llf_alpha', 'norms', 'residual_check',
-    'run_convergence', 'run_efficiency', 'run_single', 'treated_boundary',
-    'validate_tableau',
+    'ConvergenceReport', 'ImexIntegrator', 'ImexTableau', 'Mesh1D', 'Mesh2D',
+    'NaiveBoundary', 'NodalBasis', 'NumericFailure', 'ProblemSpec',
+    'RunConfig', 'boundary_data_check', 'build_basis', 'build_diffusion',
+    'build_mesh', 'builtin_problem', 'builtin_tableau', 'error_localization',
+    'explicit_rhs', 'gauss_legendre', 'interpolate', 'lax_friedrichs',
+    'llf_alpha', 'norms', 'residual_check', 'run_convergence',
+    'run_efficiency', 'run_single', 'treated_boundary', 'validate_tableau',
 ]

@@ -9,7 +9,19 @@ tableau, the convective/source part xi through the paired explicit tableau:
 
 with psi^j = L u^j + g_b(omega^j).  Boundary values omega^i come from a
 pluggable controller so the intermediate-stage treatment can replace the
-naive pointwise samples.
+naive pointwise samples.  A controller has four methods:
+
+    prepare(t0, tau, nsteps)  before nsteps fixed steps of size tau from t0
+    begin_step(u, t, tau)     at the start of every step, with its field
+    stage_data(i)             stage i's boundary data, i = 0, 1, ... in order
+    observe_stage(i, u_i)     every solved stage field u_i, i >= 1
+
+Boundary data is one (low, high) pair of face values per mesh axis:
+((west, east),) in 1D, with Python floats, and ((west, east), (south,
+north)) in 2D, with west/east arrays of shape (m, p) indexed by (cell j,
+node along y) and south/north arrays of shape (n, p) indexed by (cell i,
+node along x).  NaiveBoundary samples omega at the stage times; the
+treatment module's controller serves the corrected stage values.
 
 Sparse LU factors of (I - a_ii tau L) are cached per diagonal entry for
 the current step size only: a fixed step size factors each distinct a_ii
@@ -26,11 +38,23 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .operators import BoundaryData, build_diffusion, explicit_rhs
+from .operators import build_diffusion, explicit_rhs
+
+
+def _nonzero(weights):
+    return [(j, w) for j, w in enumerate(weights) if w != 0.0]
 
 
 class ImexTableau:
-    """Paired explicit/implicit Butcher tableaus sharing abscissae c."""
+    """Paired explicit/implicit Butcher tableaus sharing abscissae c.
+
+    The stage loops read the nonzero entries, as Python floats, from the
+    lists worked out here once: ex_rows[i] and im_rows[i] hold the
+    (j, a_ij), j < i, of stage i's explicit and implicit rows, im_diag
+    the diagonal a_ii, ex_weights and im_weights the (i, b_i) of the
+    update, and needs_psi[i] tells whether stage i's implicit tendency
+    psi^i enters any later stage or the update.
+    """
 
     def __init__(self, name, c, a_ex, a_im, b_ex, b_im):
         self.name = name
@@ -40,6 +64,17 @@ class ImexTableau:
         self.b_ex = np.asarray(b_ex, dtype=float)
         self.b_im = np.asarray(b_im, dtype=float)
         self.stages = len(self.c)
+        self.ex_rows = [_nonzero(row[:i])
+                        for i, row in enumerate(self.a_ex.tolist())]
+        self.im_rows = [_nonzero(row[:i])
+                        for i, row in enumerate(self.a_im.tolist())]
+        self.im_diag = np.diagonal(self.a_im).tolist()
+        self.ex_weights = _nonzero(self.b_ex.tolist())
+        self.im_weights = _nonzero(self.b_im.tolist())
+        used = {j for row in self.im_rows for j, _ in row}
+        used.update(i for i, _ in self.im_weights)
+        self.needs_psi = [i in used or a != 0.0
+                          for i, a in enumerate(self.im_diag)]
 
 
 def _ark3():
@@ -216,6 +251,12 @@ class BoundarySampler:
         return self._split(self._sample(np.array([t]), tau), 0)
 
 
+def axis_pairs(sides):
+    """Boundary data from per-side values in BoundarySampler order
+    (west, east[, south, north]): one (low, high) pair per mesh axis."""
+    return tuple(zip(sides[::2], sides[1::2]))
+
+
 class NaiveBoundary:
     """Boundary controller sampling omega pointwise at the stage times."""
 
@@ -231,22 +272,10 @@ class NaiveBoundary:
         self._omega = [side['omega'] for side in self.sampler.step(t, tau)]
 
     def stage_data(self, i):
-        return BoundaryData(*[om[i] for om in self._omega])
+        return axis_pairs([om[i] for om in self._omega])
 
     def observe_stage(self, i, u_stage):
         pass
-
-
-class TimeStepState:
-    """Per-step record of stage fields and tendencies (for tests/tracing)."""
-
-    def __init__(self, t, tau):
-        self.t = t
-        self.tau = tau
-        self.stage_values = []
-        self.stage_bdata = []
-        self.xi = []
-        self.psi = []
 
 
 # SuperLU options for meshes with more than one axis (see _solver).
@@ -258,8 +287,7 @@ _SYMMETRIC_ORDERING = {'permc_spec': 'MMD_AT_PLUS_A',
 class ImexIntegrator:
     """Drives the IMEX scheme for one problem/mesh/basis triple."""
 
-    def __init__(self, problem, mesh, basis, tableau=None, controller=None,
-                 check_residual=False):
+    def __init__(self, problem, mesh, basis, tableau=None, controller=None):
         self.problem = problem
         self.mesh = mesh
         self.basis = basis
@@ -269,28 +297,12 @@ class ImexIntegrator:
         self.controller = controller or NaiveBoundary(problem, mesh, basis,
                                                       self.tableau)
         self.coords = mesh.node_coords(basis)
-        self.check_residual = check_residual
-        self.max_residual = 0.0
         ndof = self.diffusion.L.shape[0]
         self._eye = sp.identity(ndof, format='csc')
         self._lcsc = self.diffusion.L.tocsc()
         self._lu = {}
         self._lu_tau = None
         self.factorizations = 0
-        tab = self.tableau
-        s = tab.stages
-        self._ex_terms = [[(j, tab.a_ex[i, j]) for j in range(i)
-                           if tab.a_ex[i, j] != 0.0] for i in range(s)]
-        self._im_terms = [[(j, tab.a_im[i, j]) for j in range(i)
-                           if tab.a_im[i, j] != 0.0] for i in range(s)]
-        self._bt_terms = [(i, tab.b_ex[i]) for i in range(s)
-                          if tab.b_ex[i] != 0.0]
-        self._b_terms = [(i, tab.b_im[i]) for i in range(s)
-                         if tab.b_im[i] != 0.0]
-        used_im = set(j for terms in self._im_terms for j, _ in terms)
-        used_im.update(i for i, _ in self._b_terms)
-        self._need_psi = [i in used_im or tab.a_im[i, i] != 0.0
-                          for i in range(s)]
 
     def _solver(self, coef):
         lu = self._lu.get(coef)
@@ -314,83 +326,56 @@ class ImexIntegrator:
             u_field, t, bdata, self.problem, self.mesh, self.basis,
             coords=self.coords, axes=self.diffusion.axes))
 
-    def step(self, u, t, tau, record=False):
-        """Advance one step of size tau from (u, t); returns the new field.
-
-        With record=True, also returns the TimeStepState holding all stage
-        fields, boundary data, and tendencies.
-        """
+    def step(self, u, t, tau):
+        """Advance one step of size tau from (u, t); returns the new field."""
         tab = self.tableau
         diff = self.diffusion
-        s = tab.stages
         if tau != self._lu_tau:
             # keep one step size's factors: the full-step ones are dead
             # once the shortened final step begins
             self._lu.clear()
             self._lu_tau = tau
         uflat = diff.flatten(u)
-        state = TimeStepState(t, tau) if record else None
         ctrl = self.controller
         ctrl.begin_step(u, t, tau)
-
-        xi = [None] * s
-        psi = [None] * s
-        bdata0 = ctrl.stage_data(0)
-        xi[0] = self._xi(u, t, bdata0)
-        if self._need_psi[0]:
-            psi[0] = self._lcsc @ uflat + diff.gb(bdata0)
-        if record:
-            state.stage_values.append(np.array(u, dtype=float))
-            state.stage_bdata.append(bdata0)
-            state.xi.append(xi[0])
-            state.psi.append(psi[0])
-
-        for i in range(1, s):
+        xi = [None] * tab.stages
+        psi = [None] * tab.stages
+        # stage 0 is the step-start field itself (a_im[0, 0] = 0)
+        ui, ufield = uflat, u
+        for i in range(tab.stages):
             bd = ctrl.stage_data(i)
-            acc = uflat.copy()
-            for j, cf in self._ex_terms[i]:
-                acc += (tau * cf) * xi[j]
-            for j, cf in self._im_terms[i]:
-                acc += (tau * cf) * psi[j]
-            gb_i = diff.gb(bd)
-            aii = tab.a_im[i, i]
-            if aii != 0.0:
-                rhs = acc + (tau * aii) * gb_i
-                ui = self._solver(tau * aii).solve(rhs)
-                if self.check_residual:
-                    res = rhs - (ui - (tau * aii) * (self._lcsc @ ui))
-                    rel = np.linalg.norm(res) / max(np.linalg.norm(rhs), 1e-300)
-                    self.max_residual = max(self.max_residual, rel)
-            else:
-                ui = acc
-            ufield = diff.unflatten(ui)
-            ctrl.observe_stage(i, ufield)
-            if self._need_psi[i]:
+            aii = tab.im_diag[i]
+            gb_i = diff.gb(bd) if aii != 0.0 or tab.needs_psi[i] else None
+            if i:
+                acc = uflat.copy()
+                for j, cf in tab.ex_rows[i]:
+                    acc += (tau * cf) * xi[j]
+                for j, cf in tab.im_rows[i]:
+                    acc += (tau * cf) * psi[j]
+                if aii != 0.0:
+                    rhs = acc + (tau * aii) * gb_i
+                    ui = self._solver(tau * aii).solve(rhs)
+                else:
+                    ui = acc
+                ufield = diff.unflatten(ui)
+                ctrl.observe_stage(i, ufield)
+            if tab.needs_psi[i]:
                 psi[i] = self._lcsc @ ui + gb_i
             xi[i] = self._xi(ufield, t + tab.c[i] * tau, bd)
-            if record:
-                state.stage_values.append(np.array(ufield, dtype=float))
-                state.stage_bdata.append(bd)
-                state.xi.append(xi[i])
-                state.psi.append(psi[i])
 
         unew = uflat.copy()
-        for i, cf in self._bt_terms:
+        for i, cf in tab.ex_weights:
             unew += (tau * cf) * xi[i]
-        for i, cf in self._b_terms:
+        for i, cf in tab.im_weights:
             unew += (tau * cf) * psi[i]
-        out = diff.unflatten(unew)
-        if record:
-            return out, state
-        return out
+        return diff.unflatten(unew)
 
     def integrate(self, u0, t0, t_end, tau):
         """Step from t0 to t_end, shortening the last step to land exactly.
 
         Returns (u, info) where info reports the step count, the number
-        of sparse LU factorizations made during this call and the largest
-        relative implicit residual seen during this call (if residual
-        checking is on).
+        of sparse LU factorizations made during this call and the final
+        time t.
         Raises ValueError for a non-finite t0, t_end or tau, a step size
         tau <= 0 or t_end < t0, and FloatingPointError, naming the step and
         time, as soon as a step leaves a non-finite value.
@@ -406,12 +391,10 @@ class ImexIntegrator:
         t = t0
         steps = 0
         factorizations = self.factorizations
-        self.max_residual = 0.0
         remaining = t_end - t0
         nfull = int(math.floor(remaining / tau + 1e-12))
-        prepare = getattr(self.controller, 'prepare', None)
-        if prepare is not None and nfull > 0:
-            prepare(t0, tau, nfull)
+        if nfull > 0:
+            self.controller.prepare(t0, tau, nfull)
         for _ in range(nfull):
             u = self.step(u, t, tau)
             steps += 1
@@ -422,7 +405,7 @@ class ImexIntegrator:
             steps += 1
             t = t_end
             _check_finite(u, steps, t)
-        return u, {'steps': steps, 'max_residual': self.max_residual,
+        return u, {'steps': steps,
                    'factorizations': self.factorizations - factorizations,
                    't': t}
 

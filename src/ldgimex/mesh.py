@@ -72,7 +72,7 @@ class Mesh2D:
         """Boundary node coordinates per side as (x, y) array pairs.
 
         West/east faces hold the (m, p) nodes along y, south/north the
-        (n, p) nodes along x, matching the BoundaryData layout.
+        (n, p) nodes along x, matching the boundary data layout (see imex).
         """
         xc, = self.x.node_coords(basis)
         yc, = self.y.node_coords(basis)

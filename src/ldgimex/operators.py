@@ -24,28 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 
 
-class BoundaryData:
-    """Dirichlet (or treated stage) values at the boundary quadrature points.
-
-    1D: scalars west/east.  2D: west/east arrays of shape (m, p) indexed by
-    (cell j, node m2) and south/north arrays of shape (n, p) indexed by
-    (cell i, node m1).
-    """
-
-    def __init__(self, west=None, east=None, south=None, north=None):
-        self.west = west
-        self.east = east
-        self.south = south
-        self.north = north
-
-    def pairs(self):
-        """(low, high) face data per mesh axis: (west, east), then
-        (south, north) in 2D."""
-        if self.south is None:
-            return ((self.west, self.east),)
-        return ((self.west, self.east), (self.south, self.north))
-
-
 def lax_friedrichs(u_in, u_out, normal, flux, alpha):
     """Local Lax-Friedrichs numerical flux in the direction of `normal`.
 
@@ -198,10 +176,10 @@ class Diffusion:
         return v.reshape(self._split).transpose(self._unorder)
 
     def gb(self, bdata):
-        """Boundary vector: each axis's Gb @ [low; high], in the flat order."""
+        """Boundary vector in the flat order: each axis's Gb @ [low; high]
+        for the (low, high) face data pairs of bdata, one per axis."""
         g = None
-        for op, (_, shape, back), pair in zip(self.axes, self._lines,
-                                             bdata.pairs()):
+        for op, (_, shape, back), pair in zip(self.axes, self._lines, bdata):
             term = op.Gb @ np.array(pair).reshape(2, -1)
             term = term.reshape(shape).transpose(back)
             g = term if g is None else g + term
@@ -216,8 +194,8 @@ class Diffusion:
         traces, one per axis (a 1-tuple in 1D)."""
         grid = self.flatten(u).reshape(self._grid)
         out = []
-        for op, (front, shape, back), pair in zip(
-                self.axes, self._lines, bdata.pairs()):
+        for op, (front, shape, back), pair in zip(self.axes, self._lines,
+                                                  bdata):
             q = (op.K @ grid.transpose(front).reshape(op.K.shape[0], -1)
                  + op.Kb @ np.array(pair).reshape(2, -1))
             out.append(self.unflatten(q.reshape(shape).transpose(back)))
@@ -258,8 +236,8 @@ def _convection_lines(u, flux, alpha, bw, be, mats):
 def llf_alpha(problem, u, bdata):
     """Global Lax-Friedrichs bound: max |f_a'| over all nodal and boundary
     states, taken over the axes a that carry a flux (0 when none does)."""
-    states = np.concatenate([np.ravel(u)] + [np.ravel(v) for pair
-                                             in bdata.pairs() for v in pair])
+    states = np.concatenate([np.ravel(u)] + [np.ravel(v) for pair in bdata
+                                             for v in pair])
     return max((float(np.max(np.abs(fp(states))))
                 for f, fp, _ in problem.fluxes if f is not None),
                default=0.0)
@@ -290,7 +268,7 @@ def explicit_rhs(u, t, bdata, problem, mesh, basis, coords=None,
     dim = len(mesh.axes)
     terms = []
     for a, (ax, mats, (f, _, _), (low, high)) in enumerate(
-            zip(mesh.axes, axes, problem.fluxes, bdata.pairs())):
+            zip(mesh.axes, axes, problem.fluxes, bdata)):
         if f is None:
             continue
         if not terms:  # the first axis with a flux
@@ -301,8 +279,8 @@ def explicit_rhs(u, t, bdata, problem, mesh, basis, coords=None,
             lines.reshape(ax.n, basis.p, -1), f, alpha, np.ravel(low),
             np.ravel(high), mats)
         terms.append(conv.reshape(lines.shape).transpose(back))
-    if problem.has_source():
-        terms.append(problem.source(u, coords, t))
+    if problem.h is not None:
+        terms.append(problem.h(u, *coords, t))
     return reduce(np.add, terms) if terms else np.zeros_like(u)
 
 

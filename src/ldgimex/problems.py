@@ -77,16 +77,6 @@ class ProblemSpec:
         return ((self.f1, self.f1prime, self.f1second),
                 (self.f2, self.f2prime, self.f2second))
 
-    def source(self, u, coords, t):
-        """Source h evaluated nodewise at one coordinate array per axis;
-        zero when the problem has none."""
-        if self.h is None:
-            return np.zeros_like(u)
-        return self.h(u, *coords, t)
-
-    def has_source(self):
-        return self.h is not None
-
 
 def _heat1d():
     C, D = 0.1, 2.0

@@ -1,5 +1,7 @@
 """Gauss-Legendre quadrature and nodal Lagrange bases on the reference cell [-1, 1]."""
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -77,7 +79,6 @@ class NodalBasis:
         diff_matrix: (p, p) matrix; row a holds phi_b'(node_a), so it maps
             nodal values to nodal values of the derivative on [-1, 1].
         phi_left, phi_right: basis values at -1 and +1 (trace vectors).
-        dphi_left, dphi_right: first-derivative rows at -1 and +1.
     """
 
     def __init__(self, k):
@@ -91,8 +92,6 @@ class NodalBasis:
         self.diff_matrix = self.derivative_values(np.eye(self.p), self.nodes, 1).T
         self.phi_left = self.values(np.eye(self.p), -1.0).T
         self.phi_right = self.values(np.eye(self.p), 1.0).T
-        self.dphi_left = self.derivative_values(np.eye(self.p), -1.0, 1).T
-        self.dphi_right = self.derivative_values(np.eye(self.p), 1.0, 1).T
 
     def _coeffs(self, nodal_values):
         """Monomial coefficients, axis -1 of nodal_values being the node axis."""
@@ -114,9 +113,17 @@ class NodalBasis:
         return np.polynomial.polynomial.polyval(xi, c)
 
 
+@lru_cache(maxsize=None)
 def build_basis(k):
-    """Nodal basis of degree k on the (k + 1)-point Gauss-Legendre nodes."""
-    return NodalBasis(k)
+    """Nodal basis of degree k on the (k + 1)-point Gauss-Legendre nodes.
+
+    One basis per degree is built and shared by every caller, so its
+    arrays are made read-only."""
+    basis = NodalBasis(k)
+    for value in vars(basis).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return basis
 
 
 def interpolate(f, mesh, basis):

@@ -38,8 +38,7 @@ from operator import attrgetter, itemgetter, methodcaller, mul
 
 import numpy as np
 
-from .imex import BoundarySampler
-from .operators import BoundaryData
+from .imex import BoundarySampler, axis_pairs
 from .problems import boundary_data_check
 
 __all__ = [
@@ -373,15 +372,7 @@ class StageCorrector:
             raise ValueError("fourth-order treatment is one-dimensional")
         self.anchored = variant == 'anchored'
         self.d = problem.d_coef
-        s = tableau.stages
-        self._c = [float(v) for v in tableau.c]
-        aex = tableau.a_ex.tolist()
-        aim = tableau.a_im.tolist()
-        self._exnz = [[(j, aex[i][j]) for j in range(i) if aex[i][j] != 0.0]
-                      for i in range(s)]
-        self._imnz = [[(j, aim[i][j]) for j in range(i) if aim[i][j] != 0.0]
-                      for i in range(s)]
-        self._aii = [aim[i][i] for i in range(s)]
+        self._tableau = tableau
         # the point set's layout: how vectors over the axes are read from
         # BoundaryDerivatives, stacked and contracted
         if len(axes) == 1:
@@ -425,10 +416,11 @@ class StageCorrector:
     def _scale(self, tau):
         """Tableau rows and abscissae times the step size tau."""
         self._tau = tau
-        c = self._c
-        self._ex = [[(j, tau * cf) for j, cf in row] for row in self._exnz]
-        self._im = [[(j, tau * cf) for j, cf in row] for row in self._imnz]
-        self._taii = [tau * a for a in self._aii]
+        tab = self._tableau
+        c = tab.c.tolist()
+        self._ex = [[(j, tau * cf) for j, cf in row] for row in tab.ex_rows]
+        self._im = [[(j, tau * cf) for j, cf in row] for row in tab.im_rows]
+        self._taii = [tau * a for a in tab.im_diag]
         self._ct = [ci * tau for ci in c]
         self._dct = [0.0] + [(c[i] - c[i - 1]) * tau
                              for i in range(1, len(c))]
@@ -636,7 +628,7 @@ class TreatedBoundary:
         vals = list(map(methodcaller('stage_value', i), self.correctors))
         if self.trace is not None:
             self._record(i, vals)
-        return BoundaryData(*vals)
+        return axis_pairs(vals)
 
     def _record(self, i, vals):
         for side, pts, traces, val in zip(self.sampler.sides,

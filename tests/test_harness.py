@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ldgimex.harness import (CONVERGENCE_HEADER, EFFICIENCY_HEADER,
-                             ConvergenceReport, RunConfig, efficiency_csv,
-                             error_localization, run_convergence,
-                             run_efficiency, run_single, solve_level)
+                             ConvergenceReport, NumericFailure, RunConfig,
+                             efficiency_csv, error_localization,
+                             run_convergence, run_efficiency, run_single,
+                             solve_level)
 from ldgimex.mesh import build_mesh
 from ldgimex.problems import ProblemSpec, builtin_problem, residual_check
 from ldgimex.quadrature import build_basis
@@ -202,6 +203,58 @@ def test_treated_2d_run_with_a_flux_along_one_axis_reaches_order_three():
     report = run_convergence(RunConfig(spec, [6, 12]))
     assert report.orders('l2')[-1] >= spec.degree + 1 - 0.15, \
         report.orders('l2')
+
+
+def _burgers2d():
+    """u = e^-t sin x cos y solves u_t + (u^2/2)_x + (u^2/2)_y = lap u + p u
+    on [-1, 1]^2 with the varying source factor p = 1 + e^-t cos(x + y)."""
+    def exact(x, y, t):
+        return np.exp(-t) * np.sin(x) * np.cos(y)
+
+    def p_grad(x, y, t):
+        return -np.exp(-t) * np.sin(x + y)
+
+    def ones(u):
+        return np.ones_like(np.asarray(u, dtype=float))
+
+    return ProblemSpec(
+        'burgers2d', 2, ((-1.0, 1.0), (-1.0, 1.0)), 1.0, 1.0, 0.1, 2,
+        f1=lambda u: 0.5 * u * u, f1prime=lambda u: np.asarray(u, float),
+        f1second=ones,
+        f2=lambda u: 0.5 * u * u, f2prime=lambda u: np.asarray(u, float),
+        f2second=ones,
+        p=lambda x, y, t: 1.0 + np.exp(-t) * np.cos(x + y),
+        p_x=p_grad, p_y=p_grad,
+        exact=exact, omega_t=lambda x, y, t: -exact(x, y, t))
+
+
+# The paper's claim on a nonlinear 2D problem, at T = 1 and CFL 0.1.
+# Measured L2 orders at N = 5/10/20: treated 3.06 and 3.00, naive 2.83
+# and 2.59 (residual_check of the problem: 1.2e-6).
+def test_burgers2d_treated_runs_reach_order_three_and_naive_ones_stall():
+    spec = _burgers2d()
+    assert residual_check(spec) < 1e-5
+    treated = run_convergence(RunConfig(spec, [5, 10, 20]))
+    assert min(treated.orders('l2')) >= 2.9, treated.orders('l2')
+    naive = run_convergence(RunConfig(spec, [5, 10, 20], bc_mode='naive'))
+    assert naive.orders('l2')[-1] < 2.7, naive.orders('l2')
+
+
+# At CFL 0.2 and N = 40 the naive run stays stable (L2 5.9e-6 at T =
+# 0.25), while the treated one goes non-finite at step 20 (t = 0.2): the
+# treated controller shrinks the stable step on this problem (ROADMAP
+# item 1).  The strict xfail turns into a failure once that is fixed.
+@pytest.mark.parametrize("bc", [
+    "naive",
+    pytest.param("treated", marks=pytest.mark.xfail(
+        strict=True, raises=NumericFailure,
+        reason="treated burgers2d is unstable at CFL 0.2")),
+])
+def test_burgers2d_is_stable_at_cfl_0_2(bc):
+    config = RunConfig(_burgers2d(), [40], bc_mode=bc, cfl=0.2, T=0.25)
+    with np.errstate(over='ignore', invalid='ignore'):
+        res = solve_level(config, 40)
+    assert res['errors'][1] < 1e-4, res['errors']
 
 
 def test_convergence_csv_written_and_deterministic(tmp_path):

@@ -146,8 +146,7 @@ def _heat_setup(n=8, tableau=None):
     prob = builtin_problem('heat1d')
     basis = build_basis(prob.degree)
     mesh = build_mesh(prob.bounds, n)
-    integ = ImexIntegrator(prob, mesh, basis, tableau=tableau,
-                           check_residual=True)
+    integ = ImexIntegrator(prob, mesh, basis, tableau=tableau)
     u0 = interpolate(lambda x: prob.exact(x, 0.0), mesh, basis)
     return prob, mesh, basis, integ, u0
 
@@ -170,47 +169,70 @@ def test_constant_state_is_a_fixed_point():
     np.testing.assert_allclose(u, c, atol=1e-12, rtol=0)
 
 
-def test_implicit_stage_residual_is_small():
-    prob, mesh, basis, integ, u0 = _heat_setup(8)
-    u, info = integ.integrate(u0, 0.0, 0.5, prob.cfl * mesh.dx)
-    assert 0.0 < info['max_residual'] <= 1e-10
+class _Residuals:
+    """A factor of the matrix a whose solves record their relative
+    residual |rhs - a x| / |rhs|."""
 
+    def __init__(self, a, lu, residuals):
+        self._a, self._lu, self._residuals = a, lu, residuals
 
-def test_max_residual_is_reported_per_call():
-    # a coarse call leaves larger residuals behind; the next call reports
-    # only its own, as a fresh integrator does
-    prob = builtin_problem('heat2d')
-    basis = build_basis(prob.degree)
-    mesh = build_mesh(prob.bounds, (6, 6))
-    u0 = interpolate(lambda x, y: prob.exact(x, y, 0.0), mesh, basis)
-    integ = ImexIntegrator(prob, mesh, basis, check_residual=True)
-    integ.integrate(u0, 0.0, 0.5, 0.25)
-    _, info = integ.integrate(u0, 0.0, 0.01, 0.001)
-    fresh = ImexIntegrator(prob, mesh, basis, check_residual=True)
-    _, want = fresh.integrate(u0, 0.0, 0.01, 0.001)
-    assert info['max_residual'] == want['max_residual'] > 0.0
+    def solve(self, rhs):
+        x = self._lu.solve(rhs)
+        self._residuals.append(np.linalg.norm(rhs - self._a @ x)
+                               / np.linalg.norm(rhs))
+        return x
 
 
 def _record_splu(monkeypatch, keywords=True):
     """Route the integrator's splu through a recorder.
 
-    Returns the list that collects (matrix, factor) per call.  With
-    keywords=False every keyword argument is dropped, so the factor is
-    SuperLU's default one.
+    Returns the list that collects (matrix, factor) per call and the list
+    that collects the relative residual of every solve with those
+    factors.  With keywords=False every keyword argument is dropped, so
+    the factor is SuperLU's default one.
     """
     made = []
+    residuals = []
 
     def splu(a, **kw):
         lu = SPLU(a, **kw) if keywords else SPLU(a)
         made.append((a, lu))
-        return lu
+        return _Residuals(a, lu, residuals)
 
     monkeypatch.setattr(imex.spla, 'splu', splu)
-    return made
+    return made, residuals
+
+
+def test_implicit_stage_residual_is_small(monkeypatch):
+    _, residuals = _record_splu(monkeypatch)
+    prob, mesh, basis, integ, u0 = _heat_setup(8)
+    u, info = integ.integrate(u0, 0.0, 0.5, prob.cfl * mesh.dx)
+    # one solve per implicit stage of every step
+    assert len(residuals) == 3 * info['steps']
+    assert 0.0 < max(residuals) <= 1e-10
+
+
+def test_a_reused_integrator_solves_like_a_fresh_one(monkeypatch):
+    # a coarse call leaves other factors behind; the next call must solve
+    # with its own step size's factors, as a fresh integrator does
+    _, residuals = _record_splu(monkeypatch)
+    prob = builtin_problem('heat2d')
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, (6, 6))
+    u0 = interpolate(lambda x, y: prob.exact(x, y, 0.0), mesh, basis)
+    integ = ImexIntegrator(prob, mesh, basis)
+    integ.integrate(u0, 0.0, 0.5, 0.25)
+    residuals.clear()
+    got, _ = integ.integrate(u0, 0.0, 0.01, 0.001)
+    reused = residuals[:]
+    residuals.clear()
+    want, _ = ImexIntegrator(prob, mesh, basis).integrate(u0, 0.0, 0.01, 0.001)
+    assert reused == residuals and 0.0 < max(reused) <= 1e-12
+    assert np.array_equal(got, want)
 
 
 def test_single_lu_factorization_per_coefficient(monkeypatch):
-    made = _record_splu(monkeypatch)
+    made, _ = _record_splu(monkeypatch)
     for name, n in (('ark3', 8), ('ark4', 6)):
         prob, mesh, basis, integ, u0 = _heat_setup(
             n, tableau=builtin_tableau(name))
@@ -231,16 +253,17 @@ def test_single_lu_factorization_per_coefficient(monkeypatch):
 
 
 def test_2d_factors_fill_less_than_superlu_defaults(monkeypatch):
-    made = _record_splu(monkeypatch)
+    made, residuals = _record_splu(monkeypatch)
     prob = builtin_problem('heat2d')
     basis = build_basis(prob.degree)
     mesh = build_mesh(prob.bounds, (6, 6))
     u0 = interpolate(lambda x, y: prob.exact(x, y, 0.0), mesh, basis)
-    integ = ImexIntegrator(prob, mesh, basis, check_residual=True)
+    integ = ImexIntegrator(prob, mesh, basis)
     tau = prob.cfl * mesh.x.dx
     _, info = integ.integrate(u0, 0.0, 3.5 * tau, tau)
     assert info['factorizations'] == len(made) == 2
-    assert 0.0 < info['max_residual'] <= 1e-12
+    assert len(residuals) == 3 * info['steps']
+    assert 0.0 < max(residuals) <= 1e-12
     for a, lu in made:
         default = SPLU(a)
         assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
@@ -255,7 +278,7 @@ def test_1d_factors_are_superlu_defaults(monkeypatch, name):
     tau = prob.cfl * mesh.dx
     runs = []
     for keywords in (True, False):
-        made = _record_splu(monkeypatch, keywords)
+        made, _ = _record_splu(monkeypatch, keywords)
         integ = ImexIntegrator(prob, mesh, basis,
                                controller=treated_boundary(
                                    prob, mesh, basis,
@@ -296,11 +319,37 @@ def test_prepared_boundary_schedule_matches_per_step_sampling():
             for prepared in (True, False):
                 ctrl = build(prob, mesh, basis, tab)
                 if not prepared:
-                    ctrl.prepare = None     # integrate() skips a None prepare
+                    # a no-op prepare leaves every step to sample itself
+                    ctrl.prepare = lambda t0, tau, nsteps: None
                 integ = ImexIntegrator(prob, mesh, basis, tableau=tab,
                                        controller=ctrl)
                 out.append(integ.integrate(u0, 0.0, 0.53, 0.05)[0])
             assert np.array_equal(out[0], out[1]), (name, build)
+
+
+def test_stage_data_is_one_low_high_pair_per_axis():
+    # ((west, east),) of floats in 1D, ((west, east), (south, north)) of
+    # face arrays in 2D, in the order of mesh.boundary_points, from both
+    # controllers; stage 0 is omega at the step start for either
+    for name, cells in (('heat1d', 6), ('heat2d', (4, 3))):
+        prob = builtin_problem(name)
+        basis = build_basis(prob.degree)
+        mesh = build_mesh(prob.bounds, cells)
+        tab = builtin_tableau(prob.tableau)
+        u0 = interpolate(prob.u0, mesh, basis)
+        points = list(mesh.boundary_points(basis).values())
+        for build in (NaiveBoundary, treated_boundary):
+            ctrl = build(prob, mesh, basis, tab)
+            ctrl.begin_step(u0, 0.3, 0.05)
+            bdata = ctrl.stage_data(0)
+            assert len(bdata) == len(mesh.axes)
+            assert all(len(pair) == 2 for pair in bdata)
+            sides = [v for pair in bdata for v in pair]
+            for value, point in zip(sides, points, strict=True):
+                if mesh.dim == 1:
+                    assert isinstance(value, float)
+                np.testing.assert_allclose(value, prob.omega(*point, 0.3),
+                                           atol=1e-15, rtol=0)
 
 
 def test_rejects_nonpositive_step():
@@ -350,9 +399,34 @@ def test_divergence_stops_at_the_failing_step():
     assert len(begun) == 5
 
 
-def test_zero_diffusion_reduces_to_explicit_tableau():
+def _observed_step(monkeypatch, integ, u0, t, tau):
+    """One step of integ, seen from outside the integrator.
+
+    Returns the new field, the solved stage fields by stage (stages 1 on,
+    seen by the controller's observe_stage) and the (field, boundary
+    data, rate) of every explicit_rhs call, in stage order.
+    """
+    stages = {}
+    calls = []
+    observe = integ.controller.observe_stage
+
+    def observe_stage(i, u_stage):
+        stages[i] = np.array(u_stage)
+        observe(i, u_stage)
+
+    def rates(u, t, bdata, *args, **kwargs):
+        out = explicit_rhs(u, t, bdata, *args, **kwargs)
+        calls.append((np.array(u), bdata, out))
+        return out
+
+    integ.controller.observe_stage = observe_stage
+    monkeypatch.setattr(imex, 'explicit_rhs', rates)
+    return integ.step(u0, t, tau), stages, calls
+
+
+def test_zero_diffusion_reduces_to_explicit_tableau(monkeypatch):
     # with d = 0 the implicit tendencies vanish and one step must equal the
-    # bare explicit RK combination of the recorded stage rates
+    # bare explicit RK combination of the stage rates xi
     prob = ProblemSpec('advect', 1, (-1.0, 1.0), 0.0, 1.0, 0.1, 2,
                        f=lambda u: 0.5 * u * u,
                        fprime=lambda u: np.asarray(u, dtype=float),
@@ -362,37 +436,40 @@ def test_zero_diffusion_reduces_to_explicit_tableau():
     integ = ImexIntegrator(prob, mesh, basis)
     u0 = interpolate(lambda x: prob.exact(x, 0.0), mesh, basis)
     tau = 0.02
-    out, state = integ.step(u0, 0.0, tau, record=True)
+    out, stages, calls = _observed_step(monkeypatch, integ, u0, 0.0, tau)
     tab = integ.tableau
-    # recorded implicit tendencies are exactly zero
-    for p in state.psi:
-        if p is not None:
-            assert np.max(np.abs(p)) == 0.0
-    # recompute each stage and the update from the recorded rates
+    xi = [rate for _, _, rate in calls]
+    # the implicit tendencies L u + g_b are exactly zero
+    diff = integ.diffusion
+    assert abs(diff.L).max() == 0.0
+    for _, bdata, _ in calls:
+        assert np.max(np.abs(diff.gb(bdata))) == 0.0
+    # each rate was taken at its stage field
+    assert np.array_equal(calls[0][0], u0)
+    for i in range(1, tab.stages):
+        assert np.array_equal(calls[i][0], stages[i])
+    # recompute each stage and the update from the observed rates
     for i in range(1, tab.stages):
         want = u0.copy()
         for j in range(i):
             if tab.a_ex[i, j] != 0.0:
-                want += (tau * tab.a_ex[i, j]) * integ.diffusion.unflatten(
-                    state.xi[j])
-        np.testing.assert_allclose(state.stage_values[i], want,
-                                   atol=1e-13, rtol=0)
+                want += (tau * tab.a_ex[i, j]) * xi[j]
+        np.testing.assert_allclose(stages[i], want, atol=1e-13, rtol=0)
     want = u0.copy()
     for i in range(tab.stages):
         if tab.b_ex[i] != 0.0:
-            want += (tau * tab.b_ex[i]) * integ.diffusion.unflatten(
-                state.xi[i])
+            want += (tau * tab.b_ex[i]) * xi[i]
     np.testing.assert_allclose(out, want, atol=1e-13, rtol=0)
-    # and the recorded first rate is the plain convective RHS
-    rhs0 = explicit_rhs(u0, 0.0, state.stage_bdata[0], prob, mesh, basis)
-    np.testing.assert_allclose(integ.diffusion.unflatten(state.xi[0]), rhs0,
-                               atol=0, rtol=0)
+    # and the first rate is the plain convective RHS
+    rhs0 = explicit_rhs(u0, 0.0, calls[0][1], prob, mesh, basis)
+    np.testing.assert_allclose(xi[0], rhs0, atol=0, rtol=0)
 
 
-def test_recorded_stage_count_matches_tableau():
-    prob, mesh, basis, integ, u0 = _heat_setup(4)
-    out, state = integ.step(u0, 0.0, 0.01, record=True)
-    s = integ.tableau.stages
-    assert len(state.stage_values) == s
-    assert len(state.stage_bdata) == s
-    assert len(state.xi) == s
+def test_recorded_stage_count_matches_tableau(monkeypatch):
+    for name in ('ark3', 'ark4'):
+        prob, mesh, basis, integ, u0 = _heat_setup(
+            6, tableau=builtin_tableau(name))
+        _, stages, calls = _observed_step(monkeypatch, integ, u0, 0.0, 0.01)
+        s = integ.tableau.stages
+        assert sorted(stages) == list(range(1, s))
+        assert len(calls) == s

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldgimex.mesh import build_mesh
-from ldgimex.operators import (BoundaryData, Diffusion, build_diffusion,
+from ldgimex.operators import (Diffusion, build_diffusion,
                                explicit_rhs, lax_friedrichs, llf_alpha, norms)
 from ldgimex.problems import builtin_problem
 from ldgimex.quadrature import build_basis, interpolate
@@ -138,15 +138,8 @@ def test_lax_friedrichs_monotone_for_large_alpha(ul, ur):
 def test_llf_alpha_includes_boundary_states():
     prob = builtin_problem('burgers1d')      # f' = u
     u = np.zeros((4, 3))
-    bdata = BoundaryData(west=0.5, east=-3.0)
+    bdata = ((0.5, -3.0),)
     assert abs(llf_alpha(prob, u, bdata) - 3.0) < 1e-15
-
-
-def test_boundary_data_sides():
-    bd = BoundaryData(west=1.0, east=2.0)
-    assert bd.pairs() == ((1.0, 2.0),)
-    bd2 = BoundaryData(west=1, east=2, south=3, north=4)
-    assert bd2.pairs() == ((1, 2), (3, 4))
 
 
 # -- gradient / diffusion vs brute force -------------------------------------
@@ -261,7 +254,7 @@ def test_gradient_matches_weak_form_oracle(k, n):
     diff = Diffusion(mesh, basis, 1.7)
     u = rng.standard_normal((n, basis.p))
     omw, ome = rng.standard_normal(2)
-    got, = diff.gradient(u, BoundaryData(west=omw, east=ome))
+    got, = diff.gradient(u, ((omw, ome),))
     want = gradient_oracle(u, omw, ome, mesh, basis)
     np.testing.assert_allclose(got, want, atol=1e-11, rtol=0)
 
@@ -274,7 +267,7 @@ def test_diffusion_apply_matches_weak_form_oracle(k, n, d):
     diff = Diffusion(mesh, basis, d)
     u = rng.standard_normal((n, basis.p))
     omw, ome = rng.standard_normal(2)
-    got = diff.apply(u, BoundaryData(west=omw, east=ome))
+    got = diff.apply(u, ((omw, ome),))
     want = diffusion_oracle(u, omw, ome, mesh, basis, d)
     np.testing.assert_allclose(got, want, atol=1e-9, rtol=0)
 
@@ -286,9 +279,9 @@ def test_diffusion_exact_on_quadratic():
     d = 2.0
     diff = Diffusion(mesh, basis, d)
     u = interpolate(lambda x: x * x, mesh, basis)
-    out = diff.apply(u, BoundaryData(west=1.0, east=1.0))
+    out = diff.apply(u, ((1.0, 1.0),))
     np.testing.assert_allclose(out, 2.0 * d, atol=1e-10, rtol=0)
-    q, = diff.gradient(u, BoundaryData(west=1.0, east=1.0))
+    q, = diff.gradient(u, ((1.0, 1.0),))
     x, = mesh.node_coords(basis)
     np.testing.assert_allclose(q, 2.0 * x, atol=1e-11, rtol=0)
 
@@ -300,7 +293,7 @@ def test_diffusion_is_dissipative_with_homogeneous_data():
     basis = build_basis(2)
     mesh = build_mesh((-1.0, 1.0), 8)
     diff = Diffusion(mesh, basis, 1.0)
-    zero = BoundaryData(west=0.0, east=0.0)
+    zero = ((0.0, 0.0),)
     mass = 0.5 * mesh.dx * basis.weights
     for _ in range(50):
         u = rng.standard_normal((mesh.n, basis.p))
@@ -314,11 +307,10 @@ def test_diffusion_affine_in_field_and_data():
     mesh = build_mesh((-1.0, 1.0), 5)
     diff = Diffusion(mesh, basis, 1.3)
     u, v = rng.standard_normal((2, mesh.n, basis.p))
-    b1 = BoundaryData(west=0.3, east=-0.8)
-    b2 = BoundaryData(west=-1.1, east=0.4)
+    (w1, e1), (w2, e2) = (0.3, -0.8), (-1.1, 0.4)
+    b1, b2 = ((w1, e1),), ((w2, e2),)
     lhs = diff.apply(2.0 * u - 3.0 * v,
-                     BoundaryData(west=2 * b1.west - 3 * b2.west,
-                                  east=2 * b1.east - 3 * b2.east))
+                     ((2 * w1 - 3 * w2, 2 * e1 - 3 * e2),))
     rhs = 2.0 * diff.apply(u, b1) - 3.0 * diff.apply(v, b2)
     np.testing.assert_allclose(lhs, rhs, atol=1e-11, rtol=0)
 
@@ -349,8 +341,8 @@ def test_diffusion_2d_exact_on_quadratics():
 def _dirichlet_2d(fn, mesh, basis):
     xn, = mesh.x.node_coords(basis)
     yn, = mesh.y.node_coords(basis)
-    return BoundaryData(west=fn(mesh.x.a, yn), east=fn(mesh.x.b, yn),
-                        south=fn(xn, mesh.y.a), north=fn(xn, mesh.y.b))
+    return ((fn(mesh.x.a, yn), fn(mesh.x.b, yn)),
+            (fn(xn, mesh.y.a), fn(xn, mesh.y.b)))
 
 
 def test_diffusion_2d_matches_dimension_split_oracle():
@@ -362,21 +354,20 @@ def test_diffusion_2d_matches_dimension_split_oracle():
     rng = np.random.default_rng(24)
     n, m, p, d = mesh.n, mesh.m, basis.p, 1.3
     u = rng.standard_normal((n, m, p, p))
-    bdata = BoundaryData(west=rng.standard_normal((m, p)),
-                         east=rng.standard_normal((m, p)),
-                         south=rng.standard_normal((n, p)),
-                         north=rng.standard_normal((n, p)))
+    bdata = ((rng.standard_normal((m, p)), rng.standard_normal((m, p))),
+             (rng.standard_normal((n, p)), rng.standard_normal((n, p))))
+    (west, east), (south, north) = bdata
     got = Diffusion(mesh, basis, d).apply(u, bdata)
     want = np.zeros_like(u)
     for j in range(m):
         for q2 in range(p):
             want[:, j, :, q2] += diffusion_oracle(
-                u[:, j, :, q2], bdata.west[j, q2], bdata.east[j, q2], mesh.x,
+                u[:, j, :, q2], west[j, q2], east[j, q2], mesh.x,
                 basis, d, penalty=1.0 / mesh.dy)
     for i in range(n):
         for q1 in range(p):
             want[i, :, q1, :] += diffusion_oracle(
-                u[i, :, q1, :], bdata.south[i, q1], bdata.north[i, q1],
+                u[i, :, q1, :], south[i, q1], north[i, q1],
                 mesh.y, basis, d, penalty=1.0 / mesh.dx)
     np.testing.assert_allclose(got, want, atol=1e-9, rtol=0)
 
@@ -388,8 +379,8 @@ def test_diffusion_2d_dissipative():
     diff = Diffusion(mesh, basis, 1.0)
     w2 = np.einsum('q,r->qr', basis.weights, basis.weights)
     mass = 0.25 * mesh.dx * mesh.dy * w2
-    zero = BoundaryData(west=np.zeros((4, 3)), east=np.zeros((4, 3)),
-                        south=np.zeros((4, 3)), north=np.zeros((4, 3)))
+    zero = ((np.zeros((4, 3)), np.zeros((4, 3))),
+            (np.zeros((4, 3)), np.zeros((4, 3))))
     for _ in range(20):
         u = rng.standard_normal(diff.shape)
         rate = float(np.einsum('qr,ijqr,ijqr->', mass, u,
@@ -416,7 +407,7 @@ def test_explicit_rhs_linear_flux_matches_oracle():
     rng = np.random.default_rng(21)
     u = rng.standard_normal((6, basis.p))
     omw, ome = rng.standard_normal(2)
-    bdata = BoundaryData(west=omw, east=ome)
+    bdata = ((omw, ome),)
     t = 0.7
     got = explicit_rhs(u, t, bdata, prob, mesh, basis)
     alpha = llf_alpha(prob, u, bdata)
@@ -432,7 +423,7 @@ def test_explicit_rhs_nonlinear_flux_matches_oracle():
     rng = np.random.default_rng(22)
     u = rng.standard_normal((5, basis.p))
     omw, ome = rng.standard_normal(2)
-    bdata = BoundaryData(west=omw, east=ome)
+    bdata = ((omw, ome),)
     t = 1.2
     got = explicit_rhs(u, t, bdata, prob, mesh, basis)
     alpha = llf_alpha(prob, u, bdata)
@@ -449,7 +440,7 @@ def test_explicit_rhs_constant_state_is_silent():
     mesh = build_mesh(prob.bounds, 5)
     c = 0.37
     u = np.full((5, basis.p), c)
-    bdata = BoundaryData(west=c, east=c)
+    bdata = ((c, c),)
     got = explicit_rhs(u, 0.5, bdata, prob, mesh, basis)
     want = prob.p(*mesh.node_coords(basis), 0.5) * c   # only the source acts
     np.testing.assert_allclose(got, want, atol=1e-13, rtol=0)
@@ -462,10 +453,9 @@ def test_explicit_rhs_2d_matches_dimension_split_oracle():
     rng = np.random.default_rng(23)
     n, m, p = mesh.n, mesh.m, basis.p
     u = rng.standard_normal((n, m, p, p))
-    bdata = BoundaryData(west=rng.standard_normal((m, p)),
-                         east=rng.standard_normal((m, p)),
-                         south=rng.standard_normal((n, p)),
-                         north=rng.standard_normal((n, p)))
+    bdata = ((rng.standard_normal((m, p)), rng.standard_normal((m, p))),
+             (rng.standard_normal((n, p)), rng.standard_normal((n, p))))
+    (west, east), (south, north) = bdata
     t = 0.3
     got = explicit_rhs(u, t, bdata, prob, mesh, basis)
     alpha = llf_alpha(prob, u, bdata)
@@ -475,13 +465,13 @@ def test_explicit_rhs_2d_matches_dimension_split_oracle():
         for q2 in range(p):
             line = u[:, j, :, q2]
             want[:, j, :, q2] += convection_oracle(
-                line, bdata.west[j, q2], bdata.east[j, q2], prob.f1,
+                line, west[j, q2], east[j, q2], prob.f1,
                 alpha, mesh.x, basis)
     for i in range(n):
         for q1 in range(p):
             line = u[i, :, q1, :]
             want[i, :, q1, :] += convection_oracle(
-                line, bdata.south[i, q1], bdata.north[i, q1], prob.f2,
+                line, south[i, q1], north[i, q1], prob.f2,
                 alpha, mesh.y, basis)
     x, y = mesh.node_coords(basis)
     want += prob.p(x, y, t) * u

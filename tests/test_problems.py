@@ -105,7 +105,6 @@ def test_source_derives_from_p():
     u = np.sin(x)
     np.testing.assert_allclose(prob.h(u, x, 0.3), prob.p(x, 0.3) * u,
                                atol=0, rtol=0)
-    assert prob.has_source()
 
 
 def test_registry_rejects_unknown_name():

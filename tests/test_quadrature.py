@@ -70,8 +70,15 @@ def test_trace_vectors_evaluate_endpoints(k):
     vals = poly(basis.nodes)
     assert abs(basis.phi_left @ vals - poly(-1.0)) < 1e-12
     assert abs(basis.phi_right @ vals - poly(1.0)) < 1e-12
-    assert abs(basis.dphi_left @ vals - poly.deriv()(-1.0)) < 1e-12
-    assert abs(basis.dphi_right @ vals - poly.deriv()(1.0)) < 1e-12
+
+
+def test_build_basis_is_one_object_per_degree():
+    # every level of a study shares its degree's basis
+    assert build_basis(2) is build_basis(2)
+    assert build_basis(3) is not build_basis(2)
+    assert build_basis(3).k == 3
+    with pytest.raises(ValueError, match="read-only"):
+        build_basis(2).weights[0] = 0.0
 
 
 @given(k=st.integers(1, 4), order=st.integers(0, 4),
