@@ -1,9 +1,10 @@
 """LDG space discretization + IMEX-RK time stepping on Cartesian meshes.
 
-Solves u_t + div F(u) = D lap(u) + h(u, x, t) with time-dependent Dirichlet
-data, either sampling the boundary trace naively at stage times or running
-the high-order stage-boundary treatment that removes the resulting order
-reduction.
+Solves u_t + sum_a f_a(u)_a = D lap(u) + h(u, x, t) in 1D and 2D with
+time-dependent Dirichlet data, either sampling the boundary trace naively
+at stage times or running the high-order stage-boundary treatment that
+removes the resulting order reduction.  Problem data (ProblemSpec), meshes,
+operators and boundary data hold one entry per axis, in axis order.
 
 Typical use::
 

@@ -83,11 +83,6 @@ class RunConfig:
             raise ValueError("repeats must be >= 1")
 
 
-def _level_mesh(config, n):
-    prob = config.problem
-    return build_mesh(prob.bounds, n if prob.dim == 1 else (n, n))
-
-
 def _controller(config, mesh, basis, bc_mode):
     if bc_mode == 'naive':
         return NaiveBoundary(config.problem, mesh, basis, config.tableau)
@@ -106,7 +101,7 @@ def solve_level(config, n, bc_mode=None, collect_trace=False):
     prob = config.problem
     mode = bc_mode or config.bc_mode
     basis = build_basis(prob.degree)
-    mesh = _level_mesh(config, n)
+    mesh = build_mesh(prob.bounds, n)
     ctrl = _controller(config, mesh, basis, mode)
     trace = None
     if collect_trace and hasattr(ctrl, 'trace'):

@@ -178,17 +178,18 @@ def validate_tableau(tab, tol=1e-10):
 class BoundarySampler:
     """Boundary traces at every side of a mesh, over the stage times.
 
-    names picks problem functions of (coordinates..., t): omega, omega_t,
-    p, p_x, p_y are sampled at the stage times t + c_i*tau, omega_tt at
-    the step start only.  step(t, tau) returns one dict per side mapping
-    each name to its samples indexed by stage (omega_tt: index 0): lists
-    of Python floats at 1D endpoints, arrays shaped like the face's points
-    in 2D.  sides and points list the side names and their coordinates
+    fns holds the (key, function) pairs its controller samples, functions
+    of (coordinates..., t), at the stage times t + c_i*tau, or at the step
+    start only under the key 'omega_tt'.  step(t, tau) returns one dict
+    per side mapping each key to its samples indexed by stage (omega_tt:
+    index 0): lists of Python floats at 1D endpoints, arrays shaped like
+    the face's points in 2D.  sides and points list the side names and
+    their coordinates
     (see boundary_points on the meshes); coords holds all sides' points
     in that order, one flat array per axis.
     """
 
-    def __init__(self, problem, mesh, basis, c, names):
+    def __init__(self, mesh, basis, c, fns):
         points = mesh.boundary_points(basis)
         self.sides = tuple(points)
         self.points = tuple(points.values())
@@ -198,32 +199,32 @@ class BoundarySampler:
         self.coords = [np.concatenate([np.ravel(pt[k]) for pt in self.points])
                        for k in range(mesh.dim)]
         self._c = np.asarray(c, dtype=float)
-        self._fns = [(name, getattr(problem, name)) for name in names]
+        self._fns = list(fns)
         self._pre = None
 
     def _sample(self, tm, tau):
-        """Samples for step starts tm, per name: a (steps, stages, points)
+        """Samples for step starts tm, per key: a (steps, stages, points)
         array, or in 1D nested float lists (steps, points, stages)."""
         stage_t = tm[:, None] + tau * self._c[None, :]
         coords = [x[None, None, :] for x in self.coords]
         out = {}
-        for name, fn in self._fns:
-            times = tm[:, None] if name == 'omega_tt' else stage_t
+        for key, fn in self._fns:
+            times = tm[:, None] if key == 'omega_tt' else stage_t
             v = np.asarray(fn(*coords, times[:, :, None]), dtype=float)
             v = np.broadcast_to(v, times.shape + self.coords[0].shape)
-            out[name] = v.transpose(0, 2, 1).tolist() if self._floats else v
+            out[key] = v.transpose(0, 2, 1).tolist() if self._floats else v
         return out
 
     def _split(self, samples, m):
-        """One {name: per-stage samples} dict per side for step m."""
+        """One {key: per-stage samples} dict per side for step m."""
         if self._floats:
-            return [{name: v[m][k] for name, v in samples.items()}
+            return [{key: v[m][k] for key, v in samples.items()}
                     for k in range(len(self.sides))]
         out = [{} for _ in self.sides]
-        for name, v in samples.items():
+        for key, v in samples.items():
             lo = 0
             for side, hi, shape in zip(out, self._ends, self._shapes):
-                side[name] = v[m, :, lo:hi].reshape((-1,) + shape)
+                side[key] = v[m, :, lo:hi].reshape((-1,) + shape)
                 lo = hi
         return out
 
@@ -261,8 +262,8 @@ class NaiveBoundary:
     """Boundary controller sampling omega pointwise at the stage times."""
 
     def __init__(self, problem, mesh, basis, tableau):
-        self.sampler = BoundarySampler(problem, mesh, basis, tableau.c,
-                                       ('omega',))
+        self.sampler = BoundarySampler(mesh, basis, tableau.c,
+                                       [('omega', problem.omega)])
         self._omega = None
 
     def prepare(self, t0, tau, nsteps):

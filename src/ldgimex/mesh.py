@@ -82,18 +82,23 @@ class Mesh2D:
                 'north': (xc, np.full_like(xc, self.y.b))}
 
 
-def build_mesh(bounds, counts):
-    """Build a uniform Cartesian mesh.
-
-    Args:
-        bounds: (a, b) for 1D or ((a1, b1), (a2, b2)) for 2D.
-        counts: N for 1D or (N, M) for 2D.
-
-    Returns:
-        Mesh1D or Mesh2D.
-    """
+def axis_bounds(bounds):
+    """One (a, b) float pair per axis; a 1D (a, b) is read as one pair."""
     if np.ndim(bounds[0]) == 0:
-        return Mesh1D(bounds[0], bounds[1], counts)
-    (a1, b1), (a2, b2) = bounds
-    n, m = counts
-    return Mesh2D(a1, b1, a2, b2, n, m)
+        bounds = (bounds,)
+    return tuple((float(a), float(b)) for a, b in bounds)
+
+
+_MESHES = {1: Mesh1D, 2: Mesh2D}
+
+
+def build_mesh(bounds, counts):
+    """Mesh1D or Mesh2D over bounds, one (a, b) pair per axis (see
+    axis_bounds), with counts cells per axis, one int for every axis."""
+    pairs = axis_bounds(bounds)
+    if np.ndim(counts) == 0:
+        counts = (counts,) * len(pairs)
+    if len(counts) != len(pairs) or len(pairs) not in _MESHES:
+        raise ValueError("build_mesh: need one cell count per axis for 1 "
+                         "or 2 axes, got %r and %r" % (bounds, counts))
+    return _MESHES[len(pairs)](*(v for pair in pairs for v in pair), *counts)

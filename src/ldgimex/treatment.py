@@ -19,8 +19,8 @@ whose diffusive closure psi_a = d*sum_b u_bba comes from recovered third
 derivatives.
 
 One recursion serves every boundary: StageCorrector runs it on one point
-set, a 1D endpoint (gradient components ('x',), Python floats) or a 2D face
-(components ('x', 'y'), numpy arrays over the face's quadrature points).
+set, a 1D endpoint (one gradient component, Python floats) or a 2D face
+(two components, numpy arrays over the face's quadrature points).
 Its arithmetic is plain + and *, so the same code handles both; a 1D
 endpoint is a face without tangential terms.  The traces it consumes come
 from the BoundarySampler that the naive controller uses as well.
@@ -299,22 +299,16 @@ class EdgeDerivatives2D:
         return rec
 
 
-def _check_problem_fields(problem, scheme_order, axes):
+def _check_problem_fields(problem, scheme_order):
     if problem.omega is None or problem.omega_t is None:
         raise ValueError("boundary treatment needs omega and omega_t")
     if problem.h is not None and problem.p is None:
         raise ValueError("boundary treatment needs the source factored as "
-                         "h = p*u (supply p and p_x)")
-    if problem.fprime_const is None and any(
-            f is not None and fp is None for f, fp, _ in problem.fluxes):
-        raise ValueError("boundary treatment needs the flux derivative of "
-                         "every axis with a flux (fprime, or f1prime and "
-                         "f2prime)")
-    p_names = ['p_' + a for a in axes]
+                         "h = p*u (supply p and p_grad)")
     if (problem.p is not None and problem.p_const is None
-            and any(getattr(problem, n) is None for n in p_names)):
-        raise ValueError("boundary treatment needs %s alongside p"
-                         % ' and '.join(p_names))
+            and any(g is None for g in problem.p_grad)):
+        raise ValueError("boundary treatment needs p_grad on every axis "
+                         "alongside p")
     if scheme_order == 4:
         if problem.omega_tt is None:
             raise ValueError("fourth-order treatment needs omega_tt")
@@ -349,33 +343,34 @@ def _matvec2(h, v):
 class StageCorrector:
     """Runs the stage recursion at one boundary point set.
 
-    axes names the gradient components: ('x',) at a 1D endpoint, where
-    every value is a Python float, and ('x', 'y') along a 2D face, where
-    values are arrays over the face's points and vectors over the axes
-    (gradient, psi) are stacked on a leading axis.  Only reading those
-    vectors from BoundaryDerivatives and contracting them over the axes
-    differ between the two; the recursion itself is plain + and *, with
-    no tangential terms left at a 1D endpoint.  Drive it with
-    begin(rec, tau, traces), then
-    stage_value(i) for i = 0, 1, ... in order, and observe(i, rec) with
-    the derivatives recovered from each solved interior stage field
-    (stagewise variant).  traces maps sampler names to this point set's
-    per-stage samples (see BoundarySampler).
+    The problem's axis count is the number of gradient components: 1 at
+    a 1D endpoint, where every value is a Python float, and 2 along a 2D
+    face, where values are arrays over the face's points and vectors over
+    the axes (gradient, psi) are stacked on a leading axis.  Only reading
+    those vectors from BoundaryDerivatives and contracting them over the
+    axes differ between the two; the recursion itself is plain + and *,
+    with no tangential terms left at a 1D endpoint.  Drive it with
+    begin(rec, tau, traces), then stage_value(i) for i = 0, 1, ... in
+    order, and observe(i, rec) with the derivatives recovered from each
+    solved interior stage field (stagewise variant).  traces maps sampler
+    keys to this point set's per-stage samples (see BoundarySampler),
+    with the gradient of p under ('p_grad', axis).
     """
 
-    def __init__(self, problem, tableau, scheme_order, variant, axes):
+    def __init__(self, problem, tableau, scheme_order, variant):
         if variant not in VARIANTS:
             raise ValueError("variant must be 'stagewise' or 'anchored'")
-        _check_problem_fields(problem, scheme_order, axes)
+        _check_problem_fields(problem, scheme_order)
+        dim = problem.dim
         self.order4 = scheme_order == 4
-        if self.order4 and len(axes) != 1:
+        if self.order4 and dim != 1:
             raise ValueError("fourth-order treatment is one-dimensional")
         self.anchored = variant == 'anchored'
         self.d = problem.d_coef
         self._tableau = tableau
         # the point set's layout: how vectors over the axes are read from
         # BoundaryDerivatives, stacked and contracted
-        if len(axes) == 1:
+        if dim == 1:
             self._vec, self._dot, self._matvec = _first, mul, mul
             scalar = _as_float
             self._grad_of = attrgetter('u_x')
@@ -392,7 +387,7 @@ class StageCorrector:
                                                  r.u_xxy + r.u_yyy])
         self._fpc = self._fp = self._fpp = None
         if problem.fprime_const is not None:
-            self._fpc = self._vec([float(problem.fprime_const)] * len(axes))
+            self._fpc = self._vec([float(problem.fprime_const)] * dim)
         else:
             # an axis without a flux has f' = f'' = 0
             fluxes = problem.fluxes
@@ -402,12 +397,12 @@ class StageCorrector:
                          for f, _, fpp in fluxes]
         # the source factor p is absent, constant, or sampled per stage
         self._p_const = None
-        self._p_names = None
+        self._p_keys = None
         if problem.p is not None:
             if problem.p_const is not None:
                 self._p_const = float(problem.p_const)
             else:
-                self._p_names = ['p_' + a for a in axes]
+                self._p_keys = [('p_grad', a) for a in range(dim)]
         self._p4 = self._p_const or 0.0     # p in the order-4 closure
         self._ps = None
         self._treated = None
@@ -455,9 +450,9 @@ class StageCorrector:
         self._omt = traces['omega_t']
         if self.order4:
             self._omtt0 = traces['omega_tt'][0]
-        if self._p_names is not None:
+        if self._p_keys is not None:
             self._ps = traces['p']
-            self._pgs = [traces[n] for n in self._p_names]
+            self._pgs = [traces[key] for key in self._p_keys]
         grad = self._grad_of(rec)
         self._treated = [om0]
         self._grads = [grad]
@@ -581,7 +576,6 @@ class TreatedBoundary:
                 raise ValueError("boundary treatment supports k = 2 or 3, "
                                  "got k = %d" % basis.k)
             order = basis.k + 1
-            axes = ('x',)
             recovery = lambda side: EdgeDerivatives1D(mesh, basis, side,
                                                       order)
         else:
@@ -592,23 +586,22 @@ class TreatedBoundary:
                 raise ValueError("2D treatment supports k = 2, got k = %d"
                                  % basis.k)
             order = 3
-            axes = ('x', 'y')
             recovery = lambda side: EdgeDerivatives2D(mesh, basis, side)
-        names = ['omega', 'omega_t']
+        fns = [('omega', problem.omega), ('omega_t', problem.omega_t)]
         if order == 4:
-            names.append('omega_tt')
+            fns.append(('omega_tt', problem.omega_tt))
         if problem.p is not None and problem.p_const is None:
-            names += ['p'] + ['p_' + a for a in axes]
+            fns += [('p', problem.p)] + [(('p_grad', a), grad) for a, grad
+                                         in enumerate(problem.p_grad)]
         self.stages = tableau.stages
         self.anchored = variant == 'anchored'
-        self.sampler = BoundarySampler(problem, mesh, basis, tableau.c, names)
-        self.correctors = [StageCorrector(problem, tableau, order, variant,
-                                          axes)
+        self.sampler = BoundarySampler(mesh, basis, tableau.c, fns)
+        self.correctors = [StageCorrector(problem, tableau, order, variant)
                            for _ in self.sampler.sides]
-        # a wrong derivative field silently costs order: check them here,
-        # once the correctors have checked that they are there
-        boundary_data_check(problem, self.sampler.coords,
-                            [n for n in names if n not in ('omega', 'p')])
+        # a wrong derivative field or shortcut constant silently costs
+        # order: check them all here, once the correctors have checked
+        # that the fields they need are there
+        boundary_data_check(problem, self.sampler.coords)
         self.recovery = [recovery(side) for side in self.sampler.sides]
         # refilled by every recovery: correctors read them at once
         self._records = [BoundaryDerivatives() for _ in self.recovery]

@@ -166,17 +166,18 @@ def test_naive_runs_stall_near_second_order():
 
 def _no_flux_2d():
     return ProblemSpec(
-        'pure2d', 2, ((-1.0, 1.0), (-1.0, 1.0)), 1.0, 1.0, 0.2, 2,
+        'pure2d', ((-1.0, 1.0), (-1.0, 1.0)), 1.0, 1.0, 0.2, 2,
         exact=lambda x, y, t: np.exp(-2.0 * t) * np.sin(x) * np.cos(y))
 
 
 def _x_flux_2d():
     C = 0.1
     return ProblemSpec(
-        'xflux2d', 2, ((-1.0, 1.0), (-1.0, 1.0)), 1.0, 1.0, 0.2, 2,
-        f1=lambda u: -C * u,
-        f1prime=lambda u: -C * np.ones_like(np.asarray(u, dtype=float)),
-        f1second=lambda u: 0.0 * np.asarray(u, dtype=float),
+        'xflux2d', ((-1.0, 1.0), (-1.0, 1.0)), 1.0, 1.0, 0.2, 2,
+        fluxes=[(lambda u: -C * u,
+                 lambda u: -C * np.ones_like(np.asarray(u, dtype=float)),
+                 lambda u: 0.0 * np.asarray(u, dtype=float)),
+                (None, None, None)],
         exact=lambda x, y, t: (np.exp(-2.0 * t) * np.sin(x + C * t)
                                * np.cos(y)),
         omega_t=lambda x, y, t: (np.exp(-2.0 * t) * np.cos(y)
@@ -196,7 +197,7 @@ def test_naive_2d_runs_converge_without_a_flux_per_axis(make):
 
 
 # The treated controller takes f' = f'' = 0 along the axis without a flux
-# (the problem gives neither fprime_const nor f2/f2prime).  Measured L2
+# (the problem gives neither fprime_const nor a y flux).  Measured L2
 # order at N = 6/12: 3.03.
 def test_treated_2d_run_with_a_flux_along_one_axis_reaches_order_three():
     spec = _x_flux_2d()
@@ -217,14 +218,12 @@ def _burgers2d():
     def ones(u):
         return np.ones_like(np.asarray(u, dtype=float))
 
+    flux = (lambda u: 0.5 * u * u, lambda u: np.asarray(u, float), ones)
     return ProblemSpec(
-        'burgers2d', 2, ((-1.0, 1.0), (-1.0, 1.0)), 1.0, 1.0, 0.1, 2,
-        f1=lambda u: 0.5 * u * u, f1prime=lambda u: np.asarray(u, float),
-        f1second=ones,
-        f2=lambda u: 0.5 * u * u, f2prime=lambda u: np.asarray(u, float),
-        f2second=ones,
+        'burgers2d', ((-1.0, 1.0), (-1.0, 1.0)), 1.0, 1.0, 0.1, 2,
+        fluxes=[flux, flux],
         p=lambda x, y, t: 1.0 + np.exp(-t) * np.cos(x + y),
-        p_x=p_grad, p_y=p_grad,
+        p_grad=[p_grad, p_grad],
         exact=exact, omega_t=lambda x, y, t: -exact(x, y, t))
 
 
@@ -273,8 +272,8 @@ def test_convergence_csv_written_and_deterministic(tmp_path):
 
 
 def test_convergence_needs_exact_solution():
-    spec = ProblemSpec('blank', 1, (-1.0, 1.0), 1.0, 1.0, 0.25, 2,
-                       f=lambda u: 0.0 * u, fprime=lambda u: 0.0 * u,
+    spec = ProblemSpec('blank', (-1.0, 1.0), 1.0, 1.0, 0.25, 2,
+                       fluxes=[(lambda u: 0.0 * u,) * 2 + (None,)],
                        fprime_const=0.0, u0=lambda x: np.sin(x),
                        omega=lambda x, t: np.exp(-t) * np.sin(x),
                        omega_t=lambda x, t: -np.exp(-t) * np.sin(x))
@@ -283,8 +282,8 @@ def test_convergence_needs_exact_solution():
 
 
 def test_solve_level_needs_initial_data():
-    spec = ProblemSpec('nodata', 1, (-1.0, 1.0), 1.0, 1.0, 0.25, 2,
-                       f=lambda u: 0.0 * u, fprime=lambda u: 0.0 * u,
+    spec = ProblemSpec('nodata', (-1.0, 1.0), 1.0, 1.0, 0.25, 2,
+                       fluxes=[(lambda u: 0.0 * u,) * 2 + (None,)],
                        fprime_const=0.0,
                        omega=lambda x, t: 0.0 * x,
                        omega_t=lambda x, t: 0.0 * x)
@@ -375,9 +374,9 @@ def test_single_needs_one_level():
 
 
 def test_single_without_exact_uses_naive_reference(tmp_path):
-    spec = ProblemSpec('noexact', 1, (-1.0, 1.0), 2.0, 1.0, 0.25, 2,
-                       f=lambda u: -0.1 * u,
-                       fprime=lambda u: -0.1 * np.ones_like(u),
+    spec = ProblemSpec('noexact', (-1.0, 1.0), 2.0, 1.0, 0.25, 2,
+                       fluxes=[(lambda u: -0.1 * u,
+                                lambda u: -0.1 * np.ones_like(u), None)],
                        fprime_const=-0.1,
                        u0=lambda x: np.sin(x),
                        omega=lambda x, t: np.exp(-t) * np.sin(x + 0.1 * t),
@@ -421,7 +420,7 @@ def test_single_2d_trace(tmp_path):
     # rows run over steps, stages, sides and each side's points in order;
     # the naive value is omega there at the stage time (T is a whole
     # number of steps)
-    mesh = build_mesh(cfg.problem.bounds, (4, 4))
+    mesh = build_mesh(cfg.problem.bounds, 4)
     points = mesh.boundary_points(build_basis(cfg.problem.degree))
     tau = cfg.cfl * mesh.min_width
     want = [(step, stage, side, point)

@@ -153,10 +153,10 @@ def _heat_setup(n=8, tableau=None):
 
 def test_constant_state_is_a_fixed_point():
     c = 0.73
-    prob = ProblemSpec('const', 1, (-1.0, 1.0), 1.5, 1.0, 0.25, 2,
-                       f=lambda u: -0.4 * u,
-                       fprime=lambda u: -0.4 * np.ones_like(
-                           np.asarray(u, dtype=float)),
+    prob = ProblemSpec('const', (-1.0, 1.0), 1.5, 1.0, 0.25, 2,
+                       fluxes=[(lambda u: -0.4 * u,
+                                lambda u: -0.4 * np.ones_like(
+                                    np.asarray(u, dtype=float)), None)],
                        fprime_const=-0.4,
                        exact=lambda x, t: c * np.ones_like(
                            np.asarray(x, dtype=float)))
@@ -427,9 +427,9 @@ def _observed_step(monkeypatch, integ, u0, t, tau):
 def test_zero_diffusion_reduces_to_explicit_tableau(monkeypatch):
     # with d = 0 the implicit tendencies vanish and one step must equal the
     # bare explicit RK combination of the stage rates xi
-    prob = ProblemSpec('advect', 1, (-1.0, 1.0), 0.0, 1.0, 0.1, 2,
-                       f=lambda u: 0.5 * u * u,
-                       fprime=lambda u: np.asarray(u, dtype=float),
+    prob = ProblemSpec('advect', (-1.0, 1.0), 0.0, 1.0, 0.1, 2,
+                       fluxes=[(lambda u: 0.5 * u * u,
+                                lambda u: np.asarray(u, dtype=float), None)],
                        exact=lambda x, t: 0.3 * np.cos(x - t))
     basis = build_basis(2)
     mesh = build_mesh(prob.bounds, 6)

@@ -89,3 +89,16 @@ def test_build_mesh_dispatch():
     assert isinstance(m1, Mesh1D) and m1.n == 4
     m2 = build_mesh(((-1.0, 1.0), (0.0, 1.0)), (4, 6))
     assert isinstance(m2, Mesh2D) and (m2.n, m2.m) == (4, 6)
+
+
+def test_build_mesh_reads_one_pair_and_count_per_axis():
+    # one (a, b) pair per axis; a 1D (a, b) is one pair, an int count
+    # applies to every axis
+    m1 = build_mesh(((-1.0, 1.0),), (4,))
+    assert isinstance(m1, Mesh1D) and (m1.a, m1.b, m1.n) == (-1.0, 1.0, 4)
+    m2 = build_mesh(((-1.0, 1.0), (0.0, 1.0)), 5)
+    assert isinstance(m2, Mesh2D) and (m2.n, m2.m) == (5, 5)
+    with pytest.raises(ValueError, match="one cell count per axis"):
+        build_mesh(((-1.0, 1.0), (0.0, 1.0)), (4,))
+    with pytest.raises(ValueError, match="one cell count per axis"):
+        build_mesh(((0, 1),) * 3, 4)

@@ -411,7 +411,8 @@ def test_explicit_rhs_linear_flux_matches_oracle():
     t = 0.7
     got = explicit_rhs(u, t, bdata, prob, mesh, basis)
     alpha = llf_alpha(prob, u, bdata)
-    want = convection_oracle(u, omw, ome, prob.f, alpha, mesh, basis)
+    want = convection_oracle(u, omw, ome, prob.fluxes[0][0], alpha, mesh,
+                             basis)
     want += prob.p(*mesh.node_coords(basis), t) * u
     np.testing.assert_allclose(got, want, atol=1e-11, rtol=0)
 
@@ -427,7 +428,8 @@ def test_explicit_rhs_nonlinear_flux_matches_oracle():
     t = 1.2
     got = explicit_rhs(u, t, bdata, prob, mesh, basis)
     alpha = llf_alpha(prob, u, bdata)
-    want = convection_oracle(u, omw, ome, prob.f, alpha, mesh, basis)
+    want = convection_oracle(u, omw, ome, prob.fluxes[0][0], alpha, mesh,
+                             basis)
     want += prob.p(*mesh.node_coords(basis), t) * u
     np.testing.assert_allclose(got, want, atol=1e-11, rtol=0)
 
@@ -465,13 +467,13 @@ def test_explicit_rhs_2d_matches_dimension_split_oracle():
         for q2 in range(p):
             line = u[:, j, :, q2]
             want[:, j, :, q2] += convection_oracle(
-                line, west[j, q2], east[j, q2], prob.f1,
+                line, west[j, q2], east[j, q2], prob.fluxes[0][0],
                 alpha, mesh.x, basis)
     for i in range(n):
         for q1 in range(p):
             line = u[i, :, q1, :]
             want[i, :, q1, :] += convection_oracle(
-                line, south[i, q1], north[i, q1], prob.f2,
+                line, south[i, q1], north[i, q1], prob.fluxes[1][0],
                 alpha, mesh.y, basis)
     x, y = mesh.node_coords(basis)
     want += prob.p(x, y, t) * u

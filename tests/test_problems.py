@@ -1,6 +1,7 @@
 """Problem registry: manufactured solutions really solve their PDEs."""
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -23,20 +24,22 @@ def test_exact_solution_satisfies_the_pde(name):
     assert residual_check(builtin_problem(name), samples=40, step=1e-4) < 1e-6
 
 
+def _side_points(prob):
+    """One point on each side: per axis, its low and its high end, with
+    the other coordinates inside the domain."""
+    for a, ends in enumerate(prob.bounds):
+        for end, inside in zip(ends, (0.3, -0.2)):
+            point = [inside] * prob.dim
+            point[a] = end
+            yield tuple(point)
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_boundary_trace_matches_exact_solution(name):
     prob = builtin_problem(name)
-    ts = np.linspace(0.0, prob.T, 7)
-    if prob.dim == 1:
-        a, b = prob.bounds
-        for t in ts:
-            assert abs(prob.omega(a, t) - prob.exact(a, t)) < 1e-14
-            assert abs(prob.omega(b, t) - prob.exact(b, t)) < 1e-14
-    else:
-        (a1, b1), (a2, b2) = prob.bounds
-        for t in ts:
-            for x, y in ((a1, 0.3), (b1, -0.2), (0.1, a2), (-0.4, b2)):
-                assert abs(prob.omega(x, y, t) - prob.exact(x, y, t)) < 1e-14
+    for t in np.linspace(0.0, prob.T, 7):
+        for xy in _side_points(prob):
+            assert abs(prob.omega(*xy, t) - prob.exact(*xy, t)) < 1e-14
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -44,11 +47,7 @@ def test_omega_time_derivatives_match_finite_differences(name):
     prob = builtin_problem(name)
     h = 1e-5
     pts_t = np.linspace(0.17, 1.9, 5)
-    if prob.dim == 1:
-        spots = [(prob.bounds[0],), (prob.bounds[1],)]
-    else:
-        spots = [(prob.bounds[0][0], 0.25), (0.4, prob.bounds[1][1])]
-    for xy in spots:
+    for xy in _side_points(prob):
         for t in pts_t:
             fd1 = (prob.omega(*xy, t + h) - prob.omega(*xy, t - h)) / (2 * h)
             assert abs(prob.omega_t(*xy, t) - fd1) < 1e-8
@@ -63,13 +62,10 @@ def test_flux_derivatives_match_finite_differences(name):
     prob = builtin_problem(name)
     us = np.linspace(-1.5, 1.5, 9)
     h = 1e-6
-    pairs = []
-    if prob.dim == 1:
-        pairs.append((prob.f, prob.fprime, prob.fsecond))
-    else:
-        pairs.append((prob.f1, prob.f1prime, prob.f1second))
-        pairs.append((prob.f2, prob.f2prime, prob.f2second))
-    for f, fp, fpp in pairs:
+    assert any(f is not None for f, _, _ in prob.fluxes)
+    for f, fp, fpp in prob.fluxes:
+        if f is None:
+            continue
         fd = (f(us + h) - f(us - h)) / (2 * h)
         np.testing.assert_allclose(fp(us), fd, atol=1e-8, rtol=0)
         if fpp is not None:
@@ -82,14 +78,11 @@ def test_constant_shortcuts_agree_with_callables(name):
     prob = builtin_problem(name)
     us = np.linspace(-2.0, 2.0, 7)
     if prob.fprime_const is not None:
-        fp = prob.fprime if prob.dim == 1 else prob.f1prime
-        np.testing.assert_allclose(fp(us), prob.fprime_const,
-                                   atol=1e-14, rtol=0)
+        for f, fp, _ in prob.fluxes:
+            np.testing.assert_allclose(0.0 * us if f is None else fp(us),
+                                       prob.fprime_const, atol=1e-14, rtol=0)
     if prob.p_const is not None and prob.p is not None:
-        if prob.dim == 1:
-            vals = prob.p(np.linspace(*prob.bounds, 5), 0.8)
-        else:
-            vals = prob.p(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5), 0.8)
+        vals = prob.p(*(np.linspace(a, b, 5) for a, b in prob.bounds), 0.8)
         np.testing.assert_allclose(vals, prob.p_const, atol=1e-14, rtol=0)
 
 
@@ -114,34 +107,70 @@ def test_registry_rejects_unknown_name():
 
 def test_spec_rejects_unknown_fields():
     with pytest.raises(TypeError, match="unknown fields"):
-        ProblemSpec('x', 1, (0.0, 1.0), 1.0, 1.0, 0.1, 2, banana=1)
+        ProblemSpec('x', (0.0, 1.0), 1.0, 1.0, 0.1, 2, banana=1)
     with pytest.raises(TypeError, match="unknown fields"):
-        ProblemSpec('x', 1, (0.0, 1.0), 1.0, 1.0, 0.1, 2, h_x=None)
+        ProblemSpec('x', (0.0, 1.0), 1.0, 1.0, 0.1, 2, h_x=None)
+    # per-axis data has one field each: fluxes and p_grad
+    for old in ('f', 'fprime', 'f1', 'f2prime', 'p_x', 'p_y', 'dim'):
+        with pytest.raises(TypeError, match="unknown fields"):
+            ProblemSpec('x', (0.0, 1.0), 1.0, 1.0, 0.1, 2, **{old: None})
+
+
+def test_spec_reads_the_dimension_from_bounds():
+    line = ProblemSpec('x', (0.0, 1.0), 1.0, 1.0, 0.1, 2)
+    assert line.bounds == ((0.0, 1.0),) and line.dim == 1
+    assert line.fluxes == ((None, None, None),)
+    assert line.p_grad == (None,)
+    square = ProblemSpec('y', ((0, 1), (-1, 2)), 1.0, 1.0, 0.1, 2)
+    assert square.bounds == ((0.0, 1.0), (-1.0, 2.0)) and square.dim == 2
+    assert square.fluxes == ((None, None, None),) * 2
+    assert square.p_grad == (None, None)
+    heat = builtin_problem('heat2d')
+    assert heat.fluxes is heat.fluxes   # stored, not rebuilt per read
+
+
+@pytest.mark.parametrize("name", ['heat1d', 'heat2d'])
+def test_a_flux_without_its_derivative_is_refused(name):
+    # the last axis has f but no f'; fprime_const does not stand in for it
+    # (it used to fail late, as a call of None inside llf_alpha)
+    heat = builtin_problem(name)
+    fluxes = list(heat.fluxes)
+    fluxes[-1] = (fluxes[-1][0], None, None)
+    with pytest.raises(ValueError, match="axis %d has a flux f but no "
+                                         "derivative f'" % (heat.dim - 1)):
+        ProblemSpec('nofp', heat.bounds, heat.d_coef, heat.T, heat.cfl,
+                    heat.degree, fluxes=fluxes, fprime_const=-0.1,
+                    p=heat.p, p_grad=heat.p_grad, exact=heat.exact,
+                    omega_t=heat.omega_t)
+
+
+def test_per_axis_fields_need_one_entry_per_axis():
+    heat = builtin_problem('heat2d')
+    for field in ({'fluxes': heat.fluxes[:1]}, {'p_grad': heat.p_grad[:1]}):
+        with pytest.raises(ValueError, match="one entry per axis"):
+            ProblemSpec('short', heat.bounds, 1.0, 1.0, 0.2, 2, **field)
+
+
+def _doubled_diffusion(prob):
+    return ProblemSpec('broken', prob.bounds, 2.0 * prob.d_coef, prob.T,
+                       prob.cfl, prob.degree, fluxes=prob.fluxes, p=prob.p,
+                       exact=prob.exact)
 
 
 def test_residual_check_flags_a_wrong_definition():
-    prob = builtin_problem('heat1d')
-    broken = ProblemSpec('broken', 1, prob.bounds, 2.0 * prob.d_coef,
-                         prob.T, prob.cfl, prob.degree,
-                         f=prob.f, fprime=prob.fprime, p=prob.p,
-                         exact=prob.exact)
+    broken = _doubled_diffusion(builtin_problem('heat1d'))
     assert residual_check(broken) > 1e-2
 
 
 def test_residual_check_flags_a_wrong_definition_2d():
     prob = builtin_problem('heat2d')
-    broken = ProblemSpec('broken2d', 2, prob.bounds, 2.0 * prob.d_coef,
-                         prob.T, prob.cfl, prob.degree,
-                         f1=prob.f1, f1prime=prob.f1prime,
-                         f2=prob.f2, f2prime=prob.f2prime, p=prob.p,
-                         exact=prob.exact)
     assert residual_check(prob) < 1e-4
-    assert residual_check(broken) > 1e-2
+    assert residual_check(_doubled_diffusion(prob)) > 1e-2
 
 
 def _boundary_setup(prob, n=6):
     """Mesh, basis and all boundary points (one flat array per axis)."""
-    mesh = build_mesh(prob.bounds, n if prob.dim == 1 else (n, n))
+    mesh = build_mesh(prob.bounds, n)
     basis = build_basis(prob.degree)
     points = list(mesh.boundary_points(basis).values())
     coords = [np.concatenate([np.ravel(pt[a]) for pt in points])
@@ -154,46 +183,93 @@ def test_boundary_data_check_passes_the_builtins(name):
     prob = builtin_problem(name)
     _, _, coords = _boundary_setup(prob)
     got = boundary_data_check(prob, coords)
-    fields = ['omega_t', 'omega_tt', 'p_x', 'p_y'][:2 + prob.dim]
-    assert sorted(got) == sorted(f for f in fields
-                                 if getattr(prob, f) is not None)
+    want = [n for n in ('omega_t', 'omega_tt', 'fprime_const')
+            if getattr(prob, n) is not None]
+    if prob.p is not None:
+        want += ['p_grad[%d]' % a for a in range(prob.dim)]
+        want += ['p_const'] if prob.p_const is not None else []
+    assert sorted(got) == sorted(want)
     assert max(got.values()) < 1e-7
 
 
 def _varying_p_2d():
-    # heat2d with p = 1 + x y e^{-t}, so that the treatment samples p_y
+    # heat2d with p = 1 + x y e^{-t}, so that the treatment samples the
+    # gradient of p on both axes
     prob = copy.copy(builtin_problem('heat2d'))
     prob.p = lambda x, y, t: 1.0 + x * y * np.exp(-t)
-    prob.p_x = lambda x, y, t: y * np.exp(-t)
-    prob.p_y = lambda x, y, t: x * np.exp(-t)
+    prob.p_grad = (lambda x, y, t: y * np.exp(-t),
+                   lambda x, y, t: x * np.exp(-t))
     prob.p_const = None
     return prob
 
 
+# field, the axis of a p_grad entry, and a wrong definition
 WRONG_FIELDS = {
     # heat1d's omega_t without the C cos term
-    'omega_t': ('heat1d', lambda x, t: -np.exp(-t) * np.sin(x + 0.1 * t)),
+    'omega_t': ('heat1d', None,
+                lambda x, t: -np.exp(-t) * np.sin(x + 0.1 * t)),
     # heat1d_o4's omega_tt without its C terms
-    'omega_tt': ('heat1d_o4', lambda x, t: np.exp(-t) * np.sin(x + 0.1 * t)),
-    # burgers1d's p_x with the sign flipped
-    'p_x': ('burgers1d', lambda x, t: np.exp(-t) * np.sin(x)),
-    # p_x in place of p_y
-    'p_y': (_varying_p_2d, lambda x, y, t: y * np.exp(-t)),
+    'omega_tt': ('heat1d_o4', None,
+                 lambda x, t: np.exp(-t) * np.sin(x + 0.1 * t)),
+    # burgers1d's p gradient with the sign flipped
+    'p_x': ('burgers1d', 0, lambda x, t: np.exp(-t) * np.sin(x)),
+    # the x derivative of p in place of the y derivative
+    'p_y': (_varying_p_2d, 1, lambda x, y, t: y * np.exp(-t)),
 }
 
 
 @pytest.mark.parametrize("field", sorted(WRONG_FIELDS))
 def test_a_wrong_derivative_field_is_refused(field):
-    source, wrong = WRONG_FIELDS[field]
+    source, axis, wrong = WRONG_FIELDS[field]
     prob = builtin_problem(source) if isinstance(source, str) else source()
     mesh, basis, coords = _boundary_setup(prob)
     tableau = builtin_tableau(prob.tableau)
     treated_boundary(prob, mesh, basis, tableau)   # the right one passes
-    setattr(prob, field, wrong)
-    with pytest.raises(ValueError, match="^%s disagrees" % field):
+    if axis is None:
+        label = field
+        setattr(prob, field, wrong)
+    else:
+        label = 'p_grad[%d]' % axis
+        grads = list(prob.p_grad)
+        grads[axis] = wrong
+        prob.p_grad = tuple(grads)
+    match = "^%s disagrees" % re.escape(label)
+    with pytest.raises(ValueError, match=match):
         boundary_data_check(prob, coords)
-    with pytest.raises(ValueError, match="^%s disagrees" % field):
+    with pytest.raises(ValueError, match=match):
         treated_boundary(prob, mesh, basis, tableau)
+
+
+# Wrong shortcut constants cost order silently (heat1d, treated, T = 1,
+# N = 20/40/80: L2 orders 3.02, 3.01 with the right constants, 2.48, 2.37
+# with fprime_const = +0.1 and 2.25, 2.25 with p_const = 0.5).  On heat2d
+# with a flux along x only, the single fprime_const would also stand in
+# for the y axis, where f' = 0.
+def _x_flux_only_2d():
+    prob = copy.copy(builtin_problem('heat2d'))
+    prob.fluxes = (prob.fluxes[0], (None, None, None))
+    return prob
+
+
+@pytest.mark.parametrize("make,field,value,what", [
+    (lambda: builtin_problem('heat1d'), 'fprime_const', 0.1, "f' of axis 0"),
+    (lambda: builtin_problem('heat1d'), 'p_const', 0.5, "p"),
+    (lambda: builtin_problem('heat2d'), 'p_const', 0.5, "p"),
+    (_x_flux_only_2d, 'fprime_const', -0.1, "f' of axis 1"),
+], ids=['heat1d-fprime_const', 'heat1d-p_const', 'heat2d-p_const',
+        'x_flux_only_2d-fprime_const'])
+def test_a_wrong_shortcut_constant_is_refused(make, field, value, what):
+    prob = make()
+    mesh, basis, coords = _boundary_setup(prob)
+    tableau = builtin_tableau(prob.tableau)
+    setattr(prob, field, value)
+    match = "^%s disagrees with %s by" % (field, re.escape(what))
+    with pytest.raises(ValueError, match=match):
+        boundary_data_check(prob, coords)
+    with pytest.raises(ValueError, match=match):
+        treated_boundary(prob, mesh, basis, tableau)
+    setattr(prob, field, None)   # without the shortcut it runs
+    treated_boundary(prob, mesh, basis, tableau)
 
 
 def test_stated_parameters():

@@ -161,12 +161,12 @@ def test_recovery_rejects_bad_requests():
 
 def _drive_endpoint(prob, x, variant, tau, rec, om0, omt, t=0.7):
     """Feed a corrector injected traces/derivatives; return stages 1..3."""
-    corr = StageCorrector(prob, ARK3, 3, variant, ('x',))
+    corr = StageCorrector(prob, ARK3, 3, variant)
     traces = {'omega': [om0] * 4, 'omega_t': list(omt)}
     if prob.p is not None and prob.p_const is None:
         tarr = t + tau * np.asarray(ARK3.c)
         traces['p'] = [float(prob.p(x, tv)) for tv in tarr]
-        traces['p_x'] = [float(prob.p_x(x, tv)) for tv in tarr]
+        traces['p_grad', 0] = [float(prob.p_grad[0](x, tv)) for tv in tarr]
     corr.begin(rec, tau, traces)
     out = []
     for i in range(1, 4):
@@ -212,13 +212,13 @@ def test_endpoint_stages_match_hand_expansion_quadratic_flux(variant):
             got, samples = _drive_endpoint(prob, x, variant, 2e-2, rec,
                                            om0, omt)
             want = cf.quadratic_flux_stages(2.0, 2e-2, om0, omt,
-                                            samples['p'], samples['p_x'][0],
+                                            samples['p'], samples['p_grad', 0][0],
                                             ux, uxx, uxxx)
             assert abs(got[0] - want[0]) < 1e-12
             got, samples = _drive_endpoint(prob, x, variant, 2e-5, rec,
                                            om0, omt)
             want = cf.quadratic_flux_stages(2.0, 2e-5, om0, omt,
-                                            samples['p'], samples['p_x'][0],
+                                            samples['p'], samples['p_grad', 0][0],
                                             ux, uxx, uxxx)
             for g, w in zip(got, want):
                 assert abs(g - w) < 1e-12
@@ -240,7 +240,7 @@ def test_face_stages_match_hand_expansion(face):
         rec = BoundaryDerivatives(**{f: rng.standard_normal(xs.shape)
                                      for f in _FACE_FIELDS})
         for tau, stages_checked in ((2e-2, (1,)), (2e-5, (1, 2, 3))):
-            corr = StageCorrector(prob, ARK3, 3, 'stagewise', ('x', 'y'))
+            corr = StageCorrector(prob, ARK3, 3, 'stagewise')
             om0 = np.broadcast_to(
                 np.asarray(prob.omega(xs, ys, t), float), xs.shape)
             omt = [np.broadcast_to(
@@ -279,9 +279,8 @@ def test_boundary_ode_degeneracy(variant):
     # must equal the trace at its own stage time
     aa, bb = 0.7, -0.3
     ode = ProblemSpec(
-        'ode', 1, (-1.0, 1.0), 1.5, 1.0, 0.25, 2,
-        f=lambda u: 0.0 * u, fprime=lambda u: 0.0 * u,
-        fsecond=lambda u: 0.0 * u, fprime_const=0.0,
+        'ode', (-1.0, 1.0), 1.5, 1.0, 0.25, 2,
+        fluxes=[(lambda u: 0.0 * u,) * 3], fprime_const=0.0,
         exact=lambda x, t: (aa + bb * t) + 0.0 * x,
         omega_t=lambda x, t: bb + 0.0 * x,
         omega_tt=lambda x, t: 0.0 * x)
@@ -357,20 +356,17 @@ def test_tangential_invariance_reduces_to_endpoint_values():
     def g_t(x, t):
         return np.exp(-t) * (C * np.cos(x + C * t) - np.sin(x + C * t))
 
+    flux = (lambda u: -C * u,
+            lambda u: -C * np.ones_like(np.asarray(u, float)), None)
     pb2 = ProblemSpec(
-        'strip', 2, ((-1.0, 1.0), (-1.0, 1.0)), D, 1.0, 0.2, 2,
-        f1=lambda u: -C * u, f2=lambda u: -C * u,
-        f1prime=lambda u: -C * np.ones_like(np.asarray(u, float)),
-        f2prime=lambda u: -C * np.ones_like(np.asarray(u, float)),
-        fprime_const=-C,
+        'strip', ((-1.0, 1.0), (-1.0, 1.0)), D, 1.0, 0.2, 2,
+        fluxes=[flux, flux], fprime_const=-C,
         p=lambda x, y, t: q * np.ones_like(np.asarray(x, float)), p_const=q,
         exact=lambda x, y, t: g(x, t) + 0.0 * y,
         omega_t=lambda x, y, t: g_t(x, t) + 0.0 * y)
     pb1 = ProblemSpec(
-        'line', 1, (-1.0, 1.0), D, 1.0, 0.2, 2,
-        f=lambda u: -C * u,
-        fprime=lambda u: -C * np.ones_like(np.asarray(u, float)),
-        fprime_const=-C,
+        'line', (-1.0, 1.0), D, 1.0, 0.2, 2,
+        fluxes=[flux], fprime_const=-C,
         p=lambda x, t: q * np.ones_like(np.asarray(x, float)), p_const=q,
         exact=g, omega_t=g_t)
     basis = build_basis(2)
@@ -411,7 +407,7 @@ def _drive_inputs(prob, tab, order, variant, tau, inputs):
     traces = {'omega': [next(it)] * s, 'omega_t': [next(it) for _ in range(s)]}
     if order == 4:
         traces['omega_tt'] = [next(it)]
-    corr = StageCorrector(prob, tab, order, variant, ('x',))
+    corr = StageCorrector(prob, tab, order, variant)
     corr.begin(BoundaryDerivatives(**{f: next(it) for f in fields}), tau,
                traces)
     out = []
@@ -501,31 +497,30 @@ def test_unsupported_configurations_raise():
     # fourth order needs a linear flux to close d/dt psi_x in space
     with pytest.raises(ValueError, match="fprime_const"):
         treated_boundary(burg, mesh1, build_basis(3), ARK3)
-    nod = ProblemSpec('nod', 1, (-1.0, 1.0), 1.0, 1.0, 0.25, 2,
-                      f=lambda u: -u, fprime_const=-1.0,
+    flux = (lambda u: -u, lambda u: -np.ones_like(u), None)
+    nod = ProblemSpec('nod', (-1.0, 1.0), 1.0, 1.0, 0.25, 2,
+                      fluxes=[flux], fprime_const=-1.0,
                       exact=lambda x, t: 0.0 * x)
     with pytest.raises(ValueError, match="omega and omega_t"):
         treated_boundary(nod, mesh1, build_basis(2), ARK3)
-    nopx = ProblemSpec('nopx', 1, (-1.0, 1.0), 1.0, 1.0, 0.25, 2,
-                       f=lambda u: -u, fprime_const=-1.0,
+    nopx = ProblemSpec('nopx', (-1.0, 1.0), 1.0, 1.0, 0.25, 2,
+                       fluxes=[flux], fprime_const=-1.0,
                        p=lambda x, t: np.cos(x),
                        exact=lambda x, t: 0.0 * x,
                        omega_t=lambda x, t: 0.0 * x)
-    with pytest.raises(ValueError, match="p_x"):
+    with pytest.raises(ValueError, match="p_grad"):
         treated_boundary(nopx, mesh1, build_basis(2), ARK3)
     # f' is needed on the axes that have a flux, and only there
-    nofp = ProblemSpec('nofp', 2, heat2.bounds, 1.0, 1.0, 0.2, 2,
-                       f1=lambda u: -u, exact=lambda x, y, t: 0.0 * x,
+    nofp = ProblemSpec('nofp', heat2.bounds, 1.0, 1.0, 0.2, 2,
+                       fluxes=[flux, (None, None, None)],
+                       exact=lambda x, y, t: 0.0 * x,
                        omega_t=lambda x, y, t: 0.0 * x)
-    with pytest.raises(ValueError, match="flux derivative"):
-        treated_boundary(nofp, mesh2, build_basis(2), ARK3)
-    nofp.f1prime = lambda u: -np.ones_like(u)
     treated_boundary(nofp, mesh2, build_basis(2), ARK3)
 
 
 def test_stage_protocol_enforced():
     prob = builtin_problem('heat1d')
-    corr = StageCorrector(prob, ARK3, 3, 'stagewise', ('x',))
+    corr = StageCorrector(prob, ARK3, 3, 'stagewise')
     with pytest.raises(RuntimeError, match="begin a step"):
         corr.stage_value(1)
     rec = BoundaryDerivatives(u_x=0.1, u_xx=0.2, u_xxx=0.3)
