@@ -7,8 +7,12 @@ tableau, the convective/source part xi through the paired explicit tableau:
                                     + a_ii tau g_b(omega^i)
     u^{n+1} = u^n + tau sum_i (bt_i xi^i + b_i psi^i)
 
-with psi^j = L u^j + g_b(omega^j).  Boundary values omega^i come from a
-pluggable controller so the intermediate-stage treatment can replace the
+with psi^j = L u^j + g_b(omega^j), which a stage with a_jj != 0 reads off
+its own equation as (u^j - acc^j) / (a_jj tau), acc^j the rest of its
+right-hand side: exact for the solved u^j, without the eps ||L|| ~ eps/dx^2
+roundoff of a sparse matvec.  A stage with a_jj = 0 whose psi is used
+later (ARK4's first) forms L u^j + g_b.  Boundary values omega^i come from
+a pluggable controller so the intermediate-stage treatment can replace the
 naive pointwise samples.  A controller has four methods:
 
     prepare(t0, tau, nsteps)  before nsteps fixed steps of size tau from t0
@@ -345,23 +349,22 @@ class ImexIntegrator:
         ui, ufield = uflat, u
         for i in range(tab.stages):
             bd = ctrl.stage_data(i)
-            aii = tab.im_diag[i]
-            gb_i = diff.gb(bd) if aii != 0.0 or tab.needs_psi[i] else None
+            taii = tau * tab.im_diag[i]
             if i:
                 acc = uflat.copy()
                 for j, cf in tab.ex_rows[i]:
                     acc += (tau * cf) * xi[j]
                 for j, cf in tab.im_rows[i]:
                     acc += (tau * cf) * psi[j]
-                if aii != 0.0:
-                    rhs = acc + (tau * aii) * gb_i
-                    ui = self._solver(tau * aii).solve(rhs)
+                if taii != 0.0:
+                    ui = self._solver(taii).solve(acc + taii * diff.gb(bd))
+                    psi[i] = (ui - acc) / taii
                 else:
                     ui = acc
                 ufield = diff.unflatten(ui)
                 ctrl.observe_stage(i, ufield)
-            if tab.needs_psi[i]:
-                psi[i] = self._lcsc @ ui + gb_i
+            if psi[i] is None and tab.needs_psi[i]:
+                psi[i] = self._lcsc @ ui + diff.gb(bd)
             xi[i] = self._xi(ufield, t + tab.c[i] * tau, bd)
 
         unew = uflat.copy()

@@ -14,7 +14,11 @@ order the dofs (cell, node) per axis, x slowest.
 
 Each mesh axis gets one AxisOperator: its reference line matrices, which
 the convective operator reads too, and its diffusion matrices, assembled
-from stacked block diagonals without a loop over cells.
+from stacked block diagonals without a loop over cells.  The convective
+operator lays the field out along an axis as (cells, transverse lines,
+nodes), a transverse line ordered as the axis's face data: its volume
+term is then one product flux(u) (winv S)^T and its face traces one
+[r; l] u^T, for 1D and 2D meshes alike.
 """
 
 import math
@@ -40,7 +44,9 @@ class LineMatrices:
     S[m, q] = w_q phi_m'(xi_q) is the collocated stiffness matrix, winv
     the inverse of the diagonal mass matrix, r and l the trace rows
     phi_m(+1) and phi_m(-1).  The convective and diffusive operators both
-    read them.
+    read them.  The convective kernel reads them scaled and stacked for
+    nodal values laid out as rows: vol = (winv S)^T, traces = [r; l],
+    winv_r = winv r and winv_l = winv l.
     """
 
     def __init__(self, basis, dx):
@@ -48,6 +54,10 @@ class LineMatrices:
         self.S = basis.diff_matrix.T * w
         self.winv = 2.0 / (dx * w)
         self.r, self.l = basis.phi_right, basis.phi_left
+        self.vol = (self.winv[:, None] * self.S).T
+        self.traces = np.array([self.r, self.l])
+        self.winv_r = self.winv * self.r
+        self.winv_l = self.winv * self.l
 
 
 def _repeat(count, block, last=None):
@@ -168,6 +178,16 @@ class Diffusion:
                   for a in range(dim)]
         self._lines = [(f, tuple(grid[b] for b in f), _inverse(f))
                        for f in fronts]
+        # per axis: the (cell, node) split of the flat order with that axis
+        # first, and Gb's nonzero cell blocks shaped to broadcast against
+        # the face data: low reaches cell 0 only, high (through Ddiv's
+        # upper blocks) cells n - 2 and n - 1, one column a row if n >= 3
+        ones = (1,) * (2 * dim - 2)
+        self._gb_blocks = [
+            (tuple(i for b in f for i in (2 * b, 2 * b + 1)),
+             op.Gb[:p, 0].reshape((p,) + ones), max(ax.n - 2, 0),
+             op.Gb[max(ax.n - 2, 0) * p:, 1].reshape((-1, p) + ones))
+            for f, ax, op in zip(fronts, axes, self.axes)]
 
     def flatten(self, u):
         return np.asarray(u, dtype=float).transpose(self._order).reshape(-1)
@@ -177,12 +197,14 @@ class Diffusion:
 
     def gb(self, bdata):
         """Boundary vector in the flat order: each axis's Gb @ [low; high]
-        for the (low, high) face data pairs of bdata, one per axis."""
-        g = None
-        for op, (_, shape, back), pair in zip(self.axes, self._lines, bdata):
-            term = op.Gb @ np.array(pair).reshape(2, -1)
-            term = term.reshape(shape).transpose(back)
-            g = term if g is None else g + term
+        for the (low, high) face data pairs of bdata, one per axis, with
+        only the cell blocks where Gb has nonzeros applied."""
+        g = np.zeros(self._split)
+        for (front, gb_low, first, gb_high), (low, high) in zip(
+                self._gb_blocks, bdata):
+            lines = g.transpose(front)      # (cells, nodes, transverse...)
+            lines[0] += gb_low * low
+            lines[first:] += gb_high * high
         return g.reshape(-1)
 
     def apply(self, u, bdata):
@@ -207,47 +229,42 @@ def build_diffusion(mesh, basis, problem):
     return Diffusion(mesh, basis, problem.d_coef)
 
 
-def _convection_lines(u, flux, alpha, bw, be, mats):
-    """Convective weak-form RHS of -d/dx F(u) on a batch of 1D cell lines.
-
-    Args:
-        u: (n, p, B) nodal values (B transverse lines).
-        flux: scalar flux function, vectorized.
-        alpha: Lax-Friedrichs dissipation bound.
-        bw, be: (B,) outside states at the west and east exterior faces.
-        mats: the axis's LineMatrices.
-
-    Returns:
-        (n, p, B) RHS values.
-    """
-    S, winv, r, l = mats.S, mats.winv, mats.r, mats.l
-    fu = flux(u)
-    vol = np.einsum('mq,iqb->imb', S, fu)
-    tr_right = np.einsum('q,iqb->ib', r, u)
-    tr_left = np.einsum('q,iqb->ib', l, u)
-    u_left = np.concatenate([bw[None, :], tr_right], axis=0)    # (n+1, B)
-    u_right = np.concatenate([tr_left, be[None, :]], axis=0)
-    fhat = lax_friedrichs(u_left, u_right, 1.0, flux, alpha)
-    return winv[None, :, None] * (vol
-                                  - fhat[1:, None, :] * r[None, :, None]
-                                  + fhat[:-1, None, :] * l[None, :, None])
+def _convection_lines(u, flux, alpha, low, high, mats):
+    """Convective weak-form RHS of -d/dx F(u), shaped like u, for the
+    (n, B, p) nodal values u of n cells on B lines, with outside states
+    low and high, each (B,), the vectorized flux, the Lax-Friedrichs bound
+    alpha and the axis's LineMatrices mats."""
+    n, count, p = u.shape
+    rows = u.reshape(-1, p)
+    vol = flux(rows) @ mats.vol
+    # the face states [low, r.u, l.u, high]: faces 0..n see the first
+    # half on their low side, the second half on their high side
+    states = np.concatenate((low, (mats.traces @ rows.T).ravel(), high))
+    fs = flux(states)
+    half = (n + 1) * count
+    fhat = (0.5 * (fs[:half] + fs[half:])
+            - (0.5 * alpha) * (states[half:] - states[:half]))
+    fhat = fhat.reshape(n + 1, count, 1)
+    return (vol.reshape(u.shape) - fhat[1:] * mats.winv_r
+            + fhat[:-1] * mats.winv_l)
 
 
 def llf_alpha(problem, u, bdata):
     """Global Lax-Friedrichs bound: max |f_a'| over all nodal and boundary
     states, taken over the axes a that carry a flux (0 when none does)."""
-    states = np.concatenate([np.ravel(u)] + [np.ravel(v) for pair in bdata
-                                             for v in pair])
-    return max((float(np.max(np.abs(fp(states))))
+    states = np.concatenate([np.ravel(u)] + [np.ravel(pair)
+                                             for pair in bdata])
+    return max((float(np.abs(fp(states)).max())
                 for f, fp, _ in problem.fluxes if f is not None),
                default=0.0)
 
 
 @lru_cache(maxsize=None)
 def _line_order(axis, dim):
-    """Field index order with axis's (cell, node) first, and its inverse."""
-    own = (axis, axis + dim)
-    front = own + tuple(i for i in range(2 * dim) if i not in own)
+    """Field index order (axis's cell, transverse indices, axis's node),
+    and its inverse."""
+    front = ((axis,) + tuple(i for i in range(2 * dim) if i % dim != axis)
+             + (axis + dim,))
     return front, _inverse(front)
 
 
@@ -256,9 +273,10 @@ def explicit_rhs(u, t, bdata, problem, mesh, basis, coords=None,
     """The xi part of the semidiscretization: -div F(u) + h(u, x, t).
 
     Each axis with a flux runs the 1D LLF operator on every grid line
-    along it, with that axis's face data as the outside states.  coords
-    (mesh.node_coords) and axes (one LineMatrices per mesh axis, such as
-    Diffusion.axes) are built from the mesh when not given.
+    along it, with that axis's face data as the outside states, the lines
+    laid out as the module docstring says.  coords (mesh.node_coords) and
+    axes (one LineMatrices per mesh axis, such as Diffusion.axes) are
+    built from the mesh when not given.
     """
     if coords is None:
         coords = mesh.node_coords(basis)
@@ -275,9 +293,8 @@ def explicit_rhs(u, t, bdata, problem, mesh, basis, coords=None,
             alpha = llf_alpha(problem, u, bdata)
         front, back = _line_order(a, dim)
         lines = u.transpose(front)
-        conv = _convection_lines(
-            lines.reshape(ax.n, basis.p, -1), f, alpha, np.ravel(low),
-            np.ravel(high), mats)
+        conv = _convection_lines(lines.reshape(ax.n, -1, basis.p), f, alpha,
+                                 np.ravel(low), np.ravel(high), mats)
         terms.append(conv.reshape(lines.shape).transpose(back))
     if problem.h is not None:
         terms.append(problem.h(u, *coords, t))

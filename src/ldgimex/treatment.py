@@ -309,6 +309,12 @@ def _check_problem_fields(problem, scheme_order):
             and any(g is None for g in problem.p_grad)):
         raise ValueError("boundary treatment needs p_grad on every axis "
                          "alongside p")
+    if problem.fprime_const is None:
+        for a, (f, _, fpp) in enumerate(problem.fluxes):
+            if f is not None and fpp is None:
+                raise ValueError("boundary treatment needs f'' on axis %d, "
+                                 "which has a flux (or fprime_const for a "
+                                 "linear flux)" % a)
     if scheme_order == 4:
         if problem.omega_tt is None:
             raise ValueError("fourth-order treatment needs omega_tt")
@@ -393,7 +399,7 @@ class StageCorrector:
             fluxes = problem.fluxes
             self._fp = [scalar(_zero if f is None else fp)
                         for f, fp, _ in fluxes]
-            self._fpp = [None if f is None else scalar(fpp)
+            self._fpp = [scalar(_zero if f is None else fpp)
                          for f, _, fpp in fluxes]
         # the source factor p is absent, constant, or sampled per stage
         self._p_const = None
@@ -502,8 +508,7 @@ class StageCorrector:
         fp = self._fpc
         if fp is None:
             fp = self._vec([f(u) for f in self._fp])
-            fpp = self._vec([0.0 * u if f is None else f(u)
-                             for f in self._fpp])
+            fpp = self._vec([f(u) for f in self._fpp])
             xig = -(self._dot(fpp, g) * g) - self._matvec(hess, fp)
         else:
             xig = -self._matvec(hess, fp)

@@ -227,6 +227,16 @@ def _burgers2d():
         exact=exact, omega_t=lambda x, y, t: -exact(x, y, t))
 
 
+def test_heat1d_o4_roundoff_floor_is_low():
+    # psi read from the stage equations carries no eps ||L|| ~ eps/dx^2
+    # roundoff of a sparse matvec: with it, N = 320 gave L2 3.5e-12 and
+    # Linf 1.5e-11, now 5.6e-13 and 6.0e-13
+    config = RunConfig('heat1d_o4', [320], T=1.0, bc_mode='treated',
+                       algorithm='alg2')
+    _, l2, linf = solve_level(config, 320)['errors']
+    assert l2 < 1.5e-12 and linf < 3e-12, (l2, linf)
+
+
 # The paper's claim on a nonlinear 2D problem, at T = 1 and CFL 0.1.
 # Measured L2 orders at N = 5/10/20: treated 3.06 and 3.00, naive 2.83
 # and 2.59 (residual_check of the problem: 1.2e-6).

@@ -371,7 +371,10 @@ def test_rejects_nonpositive_step():
 
 def test_nonfinite_solution_raises():
     prob, mesh, basis, integ, u0 = _heat_setup(4)
-    with pytest.raises(FloatingPointError, match="non-finite"):
+    # an infinite field makes inf - inf on purpose
+    with np.errstate(invalid='ignore'), \
+            pytest.raises(FloatingPointError,
+                          match=r"non-finite solution after step 1 at t=0\.1"):
         integ.integrate(np.full_like(u0, np.inf), 0.0, 0.1, 0.1)
 
 
@@ -473,3 +476,46 @@ def test_recorded_stage_count_matches_tableau(monkeypatch):
         s = integ.tableau.stages
         assert sorted(stages) == list(range(1, s))
         assert len(calls) == s
+
+
+class _CountingMatrix:
+    """A sparse matrix that counts its products with vectors."""
+
+    def __init__(self, mat):
+        self.mat, self.products = mat, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.mat @ v
+
+    def __rmul__(self, c):
+        return c * self.mat
+
+
+@pytest.mark.parametrize("name,products", [('ark3', 0), ('ark4', 1)])
+def test_psi_comes_from_the_stage_equation(monkeypatch, name, products):
+    # a stage with a_ii != 0 reads psi^i from its solve; only ARK4's first
+    # stage (a_00 = 0, its psi used later) forms L u + g_b
+    prob, mesh, basis, integ, u0 = _heat_setup(
+        10, tableau=builtin_tableau(name))
+    integ._lcsc = counting = _CountingMatrix(integ._lcsc)
+    tau = prob.cfl * mesh.dx
+    out, stages, calls = _observed_step(monkeypatch, integ, u0, 0.3, tau)
+    assert counting.products == products
+    tab, diff = integ.tableau, integ.diffusion
+    fields = [diff.flatten(u) for u, _, _ in calls]
+    xi = [diff.flatten(rate) for _, _, rate in calls]
+    direct = [diff.L @ u + diff.gb(bdata)
+              for u, (_, bdata, _) in zip(fields, calls)]
+    # the tendencies that the observed stage fields imply
+    psi = [direct[0]]
+    for i in range(1, tab.stages):
+        acc = fields[0] + tau * sum(tab.a_ex[i, j] * xi[j]
+                                    + tab.a_im[i, j] * psi[j]
+                                    for j in range(i))
+        psi.append((fields[i] - acc) / (tau * tab.a_im[i, i]))
+        err = np.max(np.abs(psi[i] - direct[i])) / np.max(np.abs(direct[i]))
+        assert err <= 1e-12, (i, err)
+    want = fields[0] + tau * sum(tab.b_ex[i] * xi[i] + tab.b_im[i] * psi[i]
+                                 for i in range(tab.stages))
+    np.testing.assert_allclose(diff.flatten(out), want, atol=1e-14, rtol=0)

@@ -6,9 +6,12 @@ with the sparse assembly it checks. Collocation on (k+1) Gauss nodes is
 exact for all the integrands involved (degree <= 2k+1), so assembled and
 brute-force results must agree to roundoff.  The block assembly of the
 axis operators is also held bitwise to a cell-by-cell lil assembly
-(cell_loop_operator).
+(cell_loop_operator), the explicit RHS to the per-axis einsum kernel it
+replaced (einsum_explicit_rhs) and the boundary vector to the dense
+product with each axis's whole Gb.
 """
 
+import copy
 from functools import reduce
 
 import numpy as np
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldgimex.mesh import build_mesh
-from ldgimex.operators import (Diffusion, build_diffusion,
+from ldgimex.operators import (Diffusion, LineMatrices, build_diffusion,
                                explicit_rhs, lax_friedrichs, llf_alpha, norms)
 from ldgimex.problems import builtin_problem
 from ldgimex.quadrature import build_basis, interpolate
@@ -478,6 +481,115 @@ def test_explicit_rhs_2d_matches_dimension_split_oracle():
     x, y = mesh.node_coords(basis)
     want += prob.p(x, y, t) * u
     np.testing.assert_allclose(got, want, atol=1e-11, rtol=0)
+
+
+# -- explicit RHS and boundary vector against the code they replaced ----------
+
+def einsum_convection_lines(u, flux, alpha, bw, be, mats):
+    """The convective RHS on (n, p, B) cell lines by three einsums, as
+    explicit_rhs computed it before its lines became (n, B, p) rows."""
+    S, winv, r, l = mats.S, mats.winv, mats.r, mats.l
+    fu = flux(u)
+    vol = np.einsum('mq,iqb->imb', S, fu)
+    tr_right = np.einsum('q,iqb->ib', r, u)
+    tr_left = np.einsum('q,iqb->ib', l, u)
+    u_left = np.concatenate([bw[None, :], tr_right], axis=0)    # (n+1, B)
+    u_right = np.concatenate([tr_left, be[None, :]], axis=0)
+    fhat = lax_friedrichs(u_left, u_right, 1.0, flux, alpha)
+    return winv[None, :, None] * (vol
+                                  - fhat[1:, None, :] * r[None, :, None]
+                                  + fhat[:-1, None, :] * l[None, :, None])
+
+
+def einsum_explicit_rhs(u, t, bdata, problem, mesh, basis):
+    """-div F(u) + h, one einsum_convection_lines call per axis."""
+    dim = len(mesh.axes)
+    alpha = llf_alpha(problem, u, bdata)
+    out = problem.h(u, *mesh.node_coords(basis), t)
+    for a, (ax, (f, _, _), (low, high)) in enumerate(
+            zip(mesh.axes, problem.fluxes, bdata)):
+        own = (a, a + dim)
+        front = own + tuple(i for i in range(2 * dim) if i not in own)
+        lines = u.transpose(front)
+        conv = einsum_convection_lines(
+            lines.reshape(ax.n, basis.p, -1), f, alpha, np.ravel(low),
+            np.ravel(high), LineMatrices(basis, ax.dx))
+        out = out + conv.reshape(lines.shape).transpose(np.argsort(front))
+    return out
+
+
+def _burgers_2d():
+    prob = copy.copy(builtin_problem('heat2d'))
+    burgers = (lambda u: 0.5 * u * u, lambda u: u, lambda u: 1.0 + 0.0 * u)
+    prob.fluxes = (burgers, burgers)
+    prob.fprime_const = None
+    return prob
+
+
+@pytest.mark.parametrize("make,cells", [
+    (lambda: builtin_problem('heat1d'), 9),
+    (lambda: builtin_problem('burgers1d'), 7),
+    (lambda: builtin_problem('heat2d'), (5, 3)),
+    (_burgers_2d, (3, 6)),
+], ids=['linear-1d', 'burgers-1d', 'linear-2d', 'burgers-2d'])
+def test_explicit_rhs_matches_the_einsum_kernel(make, cells):
+    prob = make()
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, cells)
+    rng = np.random.default_rng(31)
+    diff = Diffusion(mesh, basis, prob.d_coef)
+    u = rng.standard_normal(diff.shape)
+    if mesh.dim == 1:
+        bdata = (tuple(rng.standard_normal(2)),)
+    else:
+        bdata = ((rng.standard_normal((mesh.m, basis.p)),
+                  rng.standard_normal((mesh.m, basis.p))),
+                 (rng.standard_normal((mesh.n, basis.p)),
+                  rng.standard_normal((mesh.n, basis.p))))
+    want = einsum_explicit_rhs(u, 0.4, bdata, prob, mesh, basis)
+    for axes in (None, diff.axes):
+        got = explicit_rhs(u, 0.4, bdata, prob, mesh, basis, axes=axes)
+        assert got.shape == want.shape
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-14, err
+
+
+def _dense_gb(diff, bdata, part=np.asarray):
+    """Each axis's whole part(Gb) @ part([low; high]) along every grid
+    line, summed (part=np.abs gives the magnitude of the terms)."""
+    grid = tuple(ax.n * diff.basis.p for ax in diff.mesh.axes)
+    g = 0.0
+    for a, (op, pair) in enumerate(zip(diff.axes, bdata)):
+        front = (a,) + tuple(b for b in range(len(grid)) if b != a)
+        term = part(op.Gb) @ part(np.array(pair)).reshape(2, -1)
+        term = term.reshape([grid[b] for b in front])
+        g = g + term.transpose(np.argsort(front))
+    return np.reshape(g, -1)
+
+
+@pytest.mark.parametrize("cells", [(1,), (2,), (3,), (8,), (4, 3), (3, 5),
+                                   (2, 4), (1, 3)])
+def test_boundary_vector_matches_the_dense_map(cells):
+    rng = np.random.default_rng(41)
+    mesh = build_mesh(((-1.0, 1.0),) * len(cells), cells)
+    for k in (2, 3):
+        basis = build_basis(k)
+        diff = Diffusion(mesh, basis, 0.7)
+        for _ in range(5):
+            if mesh.dim == 1:
+                bdata = (tuple(rng.standard_normal(2)),)
+            else:
+                bdata = tuple((rng.standard_normal((m, k + 1)),
+                               rng.standard_normal((m, k + 1)))
+                              for m in (mesh.m, mesh.n))
+            got, want = diff.gb(bdata), _dense_gb(diff, bdata)
+            if min(ax.n for ax in mesh.axes) >= 3:
+                assert np.array_equal(got, want)
+            else:
+                # a cell block that both columns of Gb reach sums two
+                # products in another order: a few ulps of the terms
+                terms = _dense_gb(diff, bdata, part=np.abs)
+                assert np.all(np.abs(got - want) <= 4 * np.spacing(terms))
 
 
 # -- norms --------------------------------------------------------------------
