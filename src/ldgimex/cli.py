@@ -69,6 +69,11 @@ def build_parser():
     single.add_argument('--trace',
                         help='per-stage boundary-value trace CSV path '
                              '(treated mode)')
+    # a config file may set exactly the subcommand's own flags
+    for sub in (conv, eff, single):
+        sub.set_defaults(file_keys={
+            a.dest: a.type or str for a in sub._actions
+            if a.option_strings and a.dest not in ('help', 'config')})
     return ap
 
 
@@ -90,26 +95,20 @@ def _read_config_file(path):
     return values
 
 
-_FILE_KEYS = {
-    'problem': str, 'tableau': str, 'bc': str, 'alg': str,
-    'cfl': float, 'T': float, 'levels': str, 'out': str,
-    'n': int, 'profile': str, 'trace': str, 'repeats': int,
-}
-
-
 def _merge(args):
     """Effective option dict: CLI flags override config-file entries."""
+    keys = args.file_keys
     merged = {}
-    if getattr(args, 'config', None):
+    if args.config:
         for key, val in _read_config_file(args.config).items():
-            if key not in _FILE_KEYS:
+            if key not in keys:
                 raise ValueError("unknown config key %r" % key)
             try:
-                merged[key] = _FILE_KEYS[key](val)
+                merged[key] = keys[key](val)
             except ValueError:
                 raise ValueError("config key %r: bad value %r" % (key, val))
-    for key in _FILE_KEYS:
-        flag = getattr(args, key, None)
+    for key in keys:
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
     return merged
@@ -126,17 +125,17 @@ def _parse_levels(spec):
     return list(spec)
 
 
+# the options that RunConfig takes, by flag
+_RUN_CONFIG_ARGS = {'tableau': 'tableau', 'bc': 'bc_mode', 'alg': 'algorithm',
+                    'cfl': 'cfl', 'T': 'T', 'out': 'out', 'trace': 'trace',
+                    'repeats': 'repeats'}
+
+
 def _build_config(opts, levels):
-    return RunConfig(opts.get('problem') or _missing('problem'),
-                     levels,
-                     tableau=opts.get('tableau'),
-                     bc_mode=opts.get('bc', 'treated'),
-                     algorithm=opts.get('alg', 'alg2'),
-                     cfl=opts.get('cfl'),
-                     T=opts.get('T'),
-                     out=opts.get('out'),
-                     trace=opts.get('trace'),
-                     repeats=opts.get('repeats', 3))
+    given = {arg: opts[key] for key, arg in _RUN_CONFIG_ARGS.items()
+             if key in opts}
+    return RunConfig(opts.get('problem') or _missing('problem'), levels,
+                     **given)
 
 
 def _missing(key):

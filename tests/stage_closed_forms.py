@@ -68,18 +68,16 @@ def quadratic_flux_stages(D, tau, om0, omt, p, px0, u_x, u_xx, u_xxx):
     return s1, s2, s3
 
 
-def linear_heat_2d_stages(C, D, tau, om0, omt, rec):
+def linear_heat_2d_stages(C, D, tau, om0, omt, grad, hess, grad_lap):
     """Stages for u_t - C(u_x + u_y) = D(u_xx + u_yy) + (2D-1) u.
 
-    rec carries the nine face derivatives (u_x, u_y, u_xx, u_yy, u_xy,
-    u_xxx, u_yyy, u_xxy, u_yyx) as arrays over the face points.
+    grad = [u_x, u_y], hess = [[u_xx, u_xy], [u_xy, u_yy]] and grad_lap =
+    [u_xxx + u_yyx, u_xxy + u_yyy] hold arrays over the face points.
     """
     g = GAMMA
     q = 2.0 * D - 1.0
-    dux = g * tau * (C * rec.u_xx + C * rec.u_xy + q * rec.u_x
-                     + D * rec.u_xxx + D * rec.u_yyx)
-    duy = g * tau * (C * rec.u_xy + C * rec.u_yy + q * rec.u_y
-                     + D * rec.u_xxy + D * rec.u_yyy)
+    dux, duy = (g * tau * (C * h[0] + C * h[1] + q * u_a + D * lap_a)
+                for u_a, h, lap_a in zip(grad, hess, grad_lap))
     s1 = (om0 + g * tau * omt[1] - g * g * tau * tau * q * omt[0]
           - g * tau * C * (dux + duy))
     s2 = (om0 + ALPHA1 * tau * omt[1] + g * tau * omt[2]

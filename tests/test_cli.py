@@ -103,6 +103,28 @@ def test_bad_config_files_exit_1(tmp_path, capsys, content, msg):
     assert msg in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ['trace', 'n', 'repeats', 'profile'])
+def test_config_file_keys_are_the_subcommands_own_flags(tmp_path, capsys,
+                                                        key):
+    # `convergence --trace` is refused, so `trace = ...` in its config file
+    # must be too, instead of being read and silently dropped
+    cfg = tmp_path / 'study.cfg'
+    cfg.write_text("problem = heat1d\nlevels = 5\n%s = 1\n" % key)
+    rc = cli.main(['convergence', '--config', str(cfg)])
+    assert rc == 1
+    assert "unknown config key %r" % key in capsys.readouterr().err
+
+
+def test_single_config_file_writes_its_trace(tmp_path, capsys):
+    trace = tmp_path / 't.csv'
+    cfg = tmp_path / 'single.cfg'
+    cfg.write_text("problem = heat1d\nn = 8\ncfl = 0.5\nT = 0.2\n"
+                   "trace = %s\n" % trace)
+    assert cli.main(['single', '--config', str(cfg)]) == 0
+    assert trace.read_text().startswith("step,stage,side,x,naive,treated")
+    capsys.readouterr()
+
+
 def test_missing_config_file_exits_1(capsys):
     rc = cli.main(['convergence', '--config', '/no/such/file',
                    '--levels', '5'])

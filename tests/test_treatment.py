@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import stage_closed_forms as cf
+from ldgimex.harness import RunConfig, solve_level
 from ldgimex.imex import ImexIntegrator, builtin_tableau
 from ldgimex.mesh import build_mesh
 from ldgimex.problems import ProblemSpec, builtin_problem
 from ldgimex.quadrature import build_basis, interpolate
-from ldgimex.treatment import (BoundaryDerivatives, EdgeDerivatives1D,
-                               EdgeDerivatives2D, StageCorrector,
-                               treated_boundary)
+from ldgimex.treatment import (EdgeDerivatives1D, EdgeDerivatives2D,
+                               StageCorrector, treated_boundary)
 
 ARK3 = builtin_tableau('ark3')
 
@@ -24,24 +24,29 @@ def test_recovery_exact_on_quadratic(side, xb):
     mesh = build_mesh((-1.0, 1.0), 10)
     basis = build_basis(2)
     u = interpolate(lambda x: x * x, mesh, basis)
-    rec = EdgeDerivatives1D(mesh, basis, side, 3).recover(u)
-    assert abs(rec.u_x - 2.0 * xb) < 1e-12
-    assert abs(rec.u_xx - 2.0) < 1e-12
-    assert abs(rec.u_xxx) < 1e-10
+    u_x, u_xx, u_xxx = EdgeDerivatives1D(mesh, basis, side, 3).recover(u)
+    assert abs(u_x - 2.0 * xb) < 1e-12
+    assert abs(u_xx - 2.0) < 1e-12
+    assert abs(u_xxx) < 1e-10
+
+
+def _check_cubic(n, side, xb):
+    mesh = build_mesh((-1.0, 1.0), n)
+    basis = build_basis(3)
+    u = interpolate(lambda x: x ** 3, mesh, basis)
+    u_x, u_xx, u_xxx_fd, u_xxx, u_xxxx, u_xxxxx = EdgeDerivatives1D(
+        mesh, basis, side, 4).recover(u)
+    assert abs(u_x - 3.0 * xb * xb) < 1e-12
+    assert abs(u_xx - 6.0 * xb) < 1e-12
+    assert abs(u_xxx - 6.0) < 1e-11
+    assert abs(u_xxx_fd - 6.0) < 1e-10
+    assert abs(u_xxxx) < 1e-10
+    assert abs(u_xxxxx) < 1e-9
 
 
 @pytest.mark.parametrize("side,xb", [("west", -1.0), ("east", 1.0)])
 def test_recovery_exact_on_cubic(side, xb):
-    mesh = build_mesh((-1.0, 1.0), 10)
-    basis = build_basis(3)
-    u = interpolate(lambda x: x ** 3, mesh, basis)
-    rec = EdgeDerivatives1D(mesh, basis, side, 4).recover(u)
-    assert abs(rec.u_x - 3.0 * xb * xb) < 1e-12
-    assert abs(rec.u_xx - 6.0 * xb) < 1e-12
-    assert abs(rec.u_xxx - 6.0) < 1e-11
-    assert abs(rec.u_xxx_fd - 6.0) < 1e-10
-    assert abs(rec.u_xxxx) < 1e-10
-    assert abs(rec.u_xxxxx) < 1e-9
+    _check_cubic(10, side, xb)
 
 
 def test_recovered_third_derivative_converges():
@@ -51,50 +56,61 @@ def test_recovered_third_derivative_converges():
     for n in (40, 80):
         mesh = build_mesh((-1.0, 1.0), n)
         u = interpolate(np.sin, mesh, basis)
-        rec = EdgeDerivatives1D(mesh, basis, 'west', 3).recover(u)
-        errs.append(abs(rec.u_xxx - (-np.cos(-1.0))))
+        u_xxx = EdgeDerivatives1D(mesh, basis, 'west', 3).recover(u)[2]
+        errs.append(abs(u_xxx - (-np.cos(-1.0))))
     assert 1.5 < errs[0] / errs[1] < 3.0
+
+
+def test_order_4_third_derivatives_converge_at_their_orders():
+    # entry 2, the differenced u_xxx_fd that psi_x reads, is second order;
+    # entry 3, the boundary cell's own u_xxx, is first order
+    basis = build_basis(3)
+    errs = []
+    for n in (40, 80):
+        mesh = build_mesh((-1.0, 1.0), n)
+        rec = EdgeDerivatives1D(mesh, basis, 'east', 4).recover(
+            interpolate(np.sin, mesh, basis))
+        errs.append(np.abs(np.array(rec[2:4]) + np.cos(1.0)))
+    fd, own = np.log2(errs[0] / errs[1])
+    assert 1.8 < fd < 2.3 and 0.8 < own < 1.2, (fd, own)
 
 
 _POLY_CASES = [
     ("x2y", lambda x, y: x * x * y,
-     dict(u_x=lambda x, y: 2 * x * y, u_y=lambda x, y: x * x,
-          u_xx=lambda x, y: 2 * y, u_yy=lambda x, y: 0 * x,
-          u_xy=lambda x, y: 2 * x, u_xxy=lambda x, y: 2 + 0 * x,
-          u_yyx=lambda x, y: 0 * x, u_xxx=lambda x, y: 0 * x,
-          u_yyy=lambda x, y: 0 * x)),
+     lambda x, y: ([2 * x * y, x * x], [[2 * y, 2 * x], [2 * x, 0]], [0, 2])),
     ("x+y", lambda x, y: x + y,
-     dict(u_x=lambda x, y: 1 + 0 * x, u_y=lambda x, y: 1 + 0 * x,
-          u_xx=lambda x, y: 0 * x, u_yy=lambda x, y: 0 * x,
-          u_xy=lambda x, y: 0 * x, u_xxy=lambda x, y: 0 * x,
-          u_yyx=lambda x, y: 0 * x, u_xxx=lambda x, y: 0 * x,
-          u_yyy=lambda x, y: 0 * x)),
+     lambda x, y: ([1, 1], [[0, 0], [0, 0]], [0, 0])),
     ("xy2", lambda x, y: x * y * y,
-     dict(u_x=lambda x, y: y * y, u_y=lambda x, y: 2 * x * y,
-          u_xx=lambda x, y: 0 * x, u_yy=lambda x, y: 2 * x,
-          u_xy=lambda x, y: 2 * y, u_xxy=lambda x, y: 0 * x,
-          u_yyx=lambda x, y: 2 + 0 * x, u_xxx=lambda x, y: 0 * x,
-          u_yyy=lambda x, y: 0 * x)),
+     lambda x, y: ([y * y, 2 * x * y], [[0, 2 * y], [2 * y, 2 * x]], [2, 0])),
 ]
+
+
+def _stacked(entries, shape):
+    """A nested list of scalars and arrays as one array over the points."""
+    if isinstance(entries, list):
+        return np.array([_stacked(e, shape) for e in entries])
+    return np.broadcast_to(np.asarray(entries, float), shape)
 
 
 @pytest.mark.parametrize("name,f,derivs", _POLY_CASES,
                          ids=[c[0] for c in _POLY_CASES])
 @pytest.mark.parametrize("face", ["west", "east", "south", "north"])
 def test_face_recovery_exact_on_low_polynomials(face, name, f, derivs):
+    # grad = [u_x, u_y], hess = [[u_xx, u_xy], [u_xy, u_yy]] and
+    # grad_lap = [u_xxx + u_yyx, u_xxy + u_yyy] at every face point
     basis = build_basis(2)
     mesh = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), (6, 5))
     X, Y = mesh.node_coords(basis)
-    rec = EdgeDerivatives2D(mesh, basis, face).recover(f(X, Y))
+    got = EdgeDerivatives2D(mesh, basis, face).recover(f(X, Y))
     xs, ys = mesh.boundary_points(basis)[face]
-    for key, fn in derivs.items():
-        got = getattr(rec, key)
-        want = np.broadcast_to(np.asarray(fn(xs, ys), float), got.shape)
-        assert np.max(np.abs(got - want)) < 1e-9, (face, key)
+    for key, g, w in zip(('grad', 'hess', 'grad_lap'), got, derivs(xs, ys)):
+        want = _stacked(w, xs.shape)
+        assert g.shape == want.shape, (face, key)
+        assert np.max(np.abs(g - want)) < 1e-9, (face, key)
 
 
 def _face_reference(mesh, basis, face, field):
-    """Face derivatives by one einsum per term, named by attribute."""
+    """Face derivatives by one einsum per term, stacked over (x, y)."""
     r = EdgeDerivatives2D(mesh, basis, face)
     f = r._oriented(field)
     dn, dt = r.dn, r.dt
@@ -121,13 +137,18 @@ def _face_reference(mesh, basis, face, field):
                 for c, v in zip(cn, x)),
         ttn=sum(c * np.gradient(v, dt, axis=0, edge_order=2)
                 for c, v in zip(cn, y)))
+    # x/y names, each odd count of derivatives along a reversed normal
+    # negated
     sg = -1.0 if r.flip else 1.0
     n, t = ('x', 'y') if r.normal_axis == 'x' else ('y', 'x')
-    want = {'u_' + n: sg * local['n'], 'u_' + t: local['t'],
-            'u_' + 2 * n: local['nn'], 'u_' + 2 * t: local['tt'],
-            'u_xy': sg * local['nt'], 'u_' + 3 * n: sg * local['nnn'],
-            'u_' + 3 * t: local['ttt'], 'u_' + 2 * n + t: local['nnt'],
-            'u_' + 2 * t + n: sg * local['ttn']}
+    u = {'u_' + n: sg * local['n'], 'u_' + t: local['t'],
+         'u_' + 2 * n: local['nn'], 'u_' + 2 * t: local['tt'],
+         'u_xy': sg * local['nt'], 'u_' + 3 * n: sg * local['nnn'],
+         'u_' + 3 * t: local['ttt'], 'u_' + 2 * n + t: local['nnt'],
+         'u_' + 2 * t + n: sg * local['ttn']}
+    want = (np.array([u['u_x'], u['u_y']]),
+            np.array([[u['u_xx'], u['u_xy']], [u['u_xy'], u['u_yy']]]),
+            np.array([u['u_xxx'] + u['u_yyx'], u['u_xxy'] + u['u_yyy']]))
     return r, want
 
 
@@ -138,11 +159,10 @@ def test_face_recovery_matches_per_term_einsums(face):
     field = np.random.default_rng(3).standard_normal((7, 5, 3, 3))
     rec, want = _face_reference(mesh, basis, face, field)
     got = rec.recover(field)
-    assert len(want) == 9
-    for key, value in want.items():
-        scale = np.max(np.abs(value))
-        assert np.max(np.abs(getattr(got, key) - value)) <= 1e-14 * scale, \
-            (face, key)
+    assert len(got) == 3
+    for key, g, w in zip(('grad', 'hess', 'grad_lap'), got, want):
+        assert g.shape == w.shape, (face, key)
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), (face, key)
 
 
 def test_recovery_rejects_bad_requests():
@@ -154,30 +174,58 @@ def test_recovery_rejects_bad_requests():
         EdgeDerivatives1D(mesh, basis, 'west', 5)
     with pytest.raises(ValueError, match=">= 3 cells"):
         EdgeDerivatives1D(build_mesh((-1.0, 1.0), 2), basis, 'west', 3)
-    with pytest.raises(ValueError, match=">= 5 cells"):
-        EdgeDerivatives1D(build_mesh((-1.0, 1.0), 4), build_basis(3),
+    with pytest.raises(ValueError, match=">= 3 cells"):
+        EdgeDerivatives1D(build_mesh((-1.0, 1.0), 2), build_basis(3),
                           'west', 4)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("side,xb", [("west", -1.0), ("east", 1.0)])
+def test_order_4_recovery_needs_only_three_cells(n, side, xb):
+    # both orders read the three cells next to the endpoint
+    _check_cubic(n, side, xb)
+
+
+def test_treated_heat1d_o4_runs_on_three_and_four_cells():
+    for n in (3, 4):
+        l2 = {mode: solve_level(RunConfig('heat1d_o4', [n], bc_mode=mode,
+                                          T=0.5), n)['errors'][1]
+              for mode in ('naive', 'treated')}
+        assert l2['treated'] < l2['naive'] < 2e-5, (n, l2)
 
 
 # -- hand-expanded stage values as oracles --------------------------------------
 
-def _drive_endpoint(prob, x, variant, tau, rec, om0, omt, t=0.7):
-    """Feed a corrector injected traces/derivatives; return stages 1..3."""
-    corr = StageCorrector(prob, ARK3, 3, variant)
-    traces = {'omega': [om0] * 4, 'omega_t': list(omt)}
+def _endpoint_traces(prob, tab, x, t, tau, om0, omt):
+    """A step's traces at endpoint x: omega, omega_t, and p if sampled."""
+    traces = {'omega': [om0] * tab.stages, 'omega_t': list(omt)}
     if prob.p is not None and prob.p_const is None:
-        tarr = t + tau * np.asarray(ARK3.c)
+        tarr = t + tau * np.asarray(tab.c)
         traces['p'] = [float(prob.p(x, tv)) for tv in tarr]
         traces['p_grad', 0] = [float(prob.p_grad[0](x, tv)) for tv in tarr]
+    return traces
+
+
+def _stages_observing(prob, tab, order, variant, tau, traces, rec):
+    """Stages 1..s-1 of a corrector observing rec after every stage."""
+    corr = StageCorrector(prob, tab, order, variant)
     corr.begin(rec, tau, traces)
     out = []
-    for i in range(1, 4):
+    for i in range(1, tab.stages):
         out.append(corr.stage_value(i))
-        if variant == 'stagewise' and i < 3:
-            # observed stage derivatives enter the recursion at O(tau); the
-            # step-start values are consistent to that order
+        if i < tab.stages - 1:
             corr.observe(i, rec)
-    return out, traces
+    return out
+
+
+def _drive_endpoint(prob, x, variant, tau, rec, om0, omt, t=0.7):
+    """Feed a corrector injected traces/derivatives; return stages 1..3.
+
+    Observed stage derivatives enter the recursion at O(tau); the
+    step-start values are consistent to that order.
+    """
+    traces = _endpoint_traces(prob, ARK3, x, t, tau, om0, omt)
+    return _stages_observing(prob, ARK3, 3, variant, tau, traces, rec), traces
 
 
 def _random_states(seed, count):
@@ -195,7 +243,7 @@ def test_endpoint_stages_match_hand_expansion_linear(variant):
     C, D = 0.1, 2.0
     for x in (-1.0, 1.0):
         for om0, omt, (ux, uxx, uxxx) in _random_states(3, 60):
-            rec = BoundaryDerivatives(u_x=ux, u_xx=uxx, u_xxx=uxxx)
+            rec = (ux, uxx, uxxx)
             got, _ = _drive_endpoint(prob, x, variant, 2e-2, rec, om0, omt)
             want = cf.linear_heat_stages(C, D, 2e-2, om0, omt, ux, uxx, uxxx)
             assert abs(got[0] - want[0]) < 1e-12
@@ -210,7 +258,7 @@ def test_endpoint_stages_match_hand_expansion_quadratic_flux(variant):
     prob = builtin_problem('burgers1d')
     for x in (-1.0, 1.0):
         for om0, omt, (ux, uxx, uxxx) in _random_states(5, 60):
-            rec = BoundaryDerivatives(u_x=ux, u_xx=uxx, u_xxx=uxxx)
+            rec = (ux, uxx, uxxx)
             got, samples = _drive_endpoint(prob, x, variant, 2e-2, rec,
                                            om0, omt)
             want = cf.quadratic_flux_stages(2.0, 2e-2, om0, omt,
@@ -226,9 +274,6 @@ def test_endpoint_stages_match_hand_expansion_quadratic_flux(variant):
                 assert abs(g - w) < 1e-12
 
 
-_FACE_FIELDS = 'u_x u_y u_xx u_yy u_xy u_xxx u_yyy u_xxy u_yyx'.split()
-
-
 @pytest.mark.parametrize("face", ["west", "east", "south", "north"])
 def test_face_stages_match_hand_expansion(face):
     prob = builtin_problem('heat2d')
@@ -239,8 +284,9 @@ def test_face_stages_match_hand_expansion(face):
     rng = np.random.default_rng(9)
     t = 0.4
     for _ in range(2):   # 2 draws x >= 18 points x 3 stages
-        rec = BoundaryDerivatives(**{f: rng.standard_normal(xs.shape)
-                                     for f in _FACE_FIELDS})
+        grad, grad_lap = rng.standard_normal((2, 2) + xs.shape)
+        u_xx, u_xy, u_yy = rng.standard_normal((3,) + xs.shape)
+        rec = (grad, np.array([[u_xx, u_xy], [u_xy, u_yy]]), grad_lap)
         for tau, stages_checked in ((2e-2, (1,)), (2e-5, (1, 2, 3))):
             corr = StageCorrector(prob, ARK3, 3, 'stagewise')
             om0 = np.broadcast_to(
@@ -249,7 +295,7 @@ def test_face_stages_match_hand_expansion(face):
                 np.asarray(prob.omega_t(xs, ys, t + ci * tau), float),
                 xs.shape) for ci in ARK3.c]
             corr.begin(rec, tau, {'omega': [om0] * 4, 'omega_t': omt})
-            want = cf.linear_heat_2d_stages(C, D, tau, om0, omt, rec)
+            want = cf.linear_heat_2d_stages(C, D, tau, om0, omt, *rec)
             for i in range(1, 4):
                 got = corr.stage_value(i)
                 if i in stages_checked:
@@ -262,8 +308,7 @@ def test_late_stage_gap_to_hand_expansion_is_cubic():
     # the documented structural O(tau^3) difference at stages 2-3
     prob = builtin_problem('heat1d')
     om0, omt = 0.6, np.array([0.3, -0.8, 0.5, 1.1])
-    ux, uxx, uxxx = 0.9, -1.2, 0.7
-    rec = BoundaryDerivatives(u_x=ux, u_xx=uxx, u_xxx=uxxx)
+    rec = ux, uxx, uxxx = 0.9, -1.2, 0.7
     gaps = []
     for tau in (1e-2, 5e-3, 2.5e-3):
         got, _ = _drive_endpoint(prob, -1.0, 'anchored', tau, rec, om0, omt)
@@ -271,6 +316,35 @@ def test_late_stage_gap_to_hand_expansion_is_cubic():
         gaps.append(max(abs(got[1] - want[1]), abs(got[2] - want[2])))
     slopes = [np.log2(gaps[i - 1] / gaps[i]) for i in (1, 2)]
     assert min(slopes) >= 2.9, (gaps, slopes)
+
+
+@pytest.mark.parametrize("name", ["heat1d", "burgers1d", "heat1d_o4"])
+def test_anchored_is_stagewise_observing_the_step_start(name):
+    # which --alg values really differ: at order 3, anchored (alg1) gives
+    # bitwise the stage values of stagewise (alg2) observing the step-start
+    # derivatives at every stage; at order 4 anchored also Taylor-shifts the
+    # Hessian and psi from the step start, so from stage 2 on they differ
+    prob = builtin_problem(name)
+    tab = builtin_tableau(prob.tableau)
+    order = prob.degree + 1
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        x = float(rng.choice([-1.0, 1.0]))
+        tau = 10.0 ** rng.uniform(-2.0, -1.0)    # order-4 gaps > 1e-12
+        traces = _endpoint_traces(prob, tab, x, rng.uniform(), tau,
+                                  rng.standard_normal(),
+                                  rng.standard_normal(tab.stages))
+        if order == 4:
+            traces['omega_tt'] = [rng.standard_normal()]
+        rec = tuple(rng.standard_normal(_TUPLE_SIZE[order]).tolist())
+        anchored, stagewise = (
+            _stages_observing(prob, tab, order, variant, tau, traces, rec)
+            for variant in ('anchored', 'stagewise'))
+        if order == 3:
+            assert anchored == stagewise
+        else:
+            assert anchored[0] == stagewise[0]
+            assert all(a != s for a, s in zip(anchored[1:], stagewise[1:]))
 
 
 # -- structural properties -------------------------------------------------------
@@ -392,8 +466,7 @@ def test_tangential_invariance_reduces_to_endpoint_values():
 
 # -- one recursion for floats and arrays ------------------------------------------
 
-_ORDER_FIELDS = {3: ('u_x', 'u_xx', 'u_xxx'),
-                 4: ('u_x', 'u_xx', 'u_xxx', 'u_xxx_fd', 'u_xxxx', 'u_xxxxx')}
+_TUPLE_SIZE = {3: 3, 4: 6}     # entries of a recovery's tuple per order
 
 
 def _drive_inputs(prob, tab, order, variant, tau, inputs):
@@ -404,26 +477,24 @@ def _drive_inputs(prob, tab, order, variant, tau, inputs):
     observed after each interior stage.  Entries may be floats or arrays.
     """
     s = tab.stages
-    fields = _ORDER_FIELDS[order]
+    size = _TUPLE_SIZE[order]
     it = iter(inputs)
     traces = {'omega': [next(it)] * s, 'omega_t': [next(it) for _ in range(s)]}
     if order == 4:
         traces['omega_tt'] = [next(it)]
     corr = StageCorrector(prob, tab, order, variant)
-    corr.begin(BoundaryDerivatives(**{f: next(it) for f in fields}), tau,
-               traces)
+    corr.begin(tuple(next(it) for _ in range(size)), tau, traces)
     out = []
     for i in range(1, s):
         out.append(corr.stage_value(i))
         if i < s - 1:
-            corr.observe(i, BoundaryDerivatives(**{f: next(it)
-                                                   for f in fields}))
+            corr.observe(i, tuple(next(it) for _ in range(size)))
     return out
 
 
 def _input_size(tab, order):
-    nfields = len(_ORDER_FIELDS[order])
-    return 1 + tab.stages + (order == 4) + (tab.stages - 1) * nfields
+    return (1 + tab.stages + (order == 4)
+            + (tab.stages - 1) * _TUPLE_SIZE[order])
 
 
 @pytest.mark.parametrize("name,order", [("heat1d", 3), ("heat1d_o4", 4)])
@@ -546,7 +617,7 @@ def test_stage_protocol_enforced():
     corr = StageCorrector(prob, ARK3, 3, 'stagewise')
     with pytest.raises(RuntimeError, match="begin a step"):
         corr.stage_value(1)
-    rec = BoundaryDerivatives(u_x=0.1, u_xx=0.2, u_xxx=0.3)
+    rec = (0.1, 0.2, 0.3)
     corr.begin(rec, 0.01, {'omega': [1.0] * 4, 'omega_t': [0.0] * 4})
     with pytest.raises(RuntimeError, match="in order"):
         corr.stage_value(2)
