@@ -28,16 +28,6 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def lax_friedrichs(u_in, u_out, normal, flux, alpha):
-    """Local Lax-Friedrichs numerical flux in the direction of `normal`.
-
-    F~ . n = 1/2 [ (F(u_in) + F(u_out)) . n - alpha (u_out - u_in) ]
-    with alpha >= sup |F'(u) . n| over the relevant states.
-    """
-    return (0.5 * normal * (flux(u_in) + flux(u_out))
-            - 0.5 * alpha * (u_out - u_in))
-
-
 class LineMatrices:
     """Reference matrices of a cell line of width dx along one axis.
 
@@ -172,12 +162,8 @@ class Diffusion:
         self._order = tuple(i for a in range(dim) for i in (a, a + dim))
         self._unorder = _inverse(self._order)
         self._split = tuple(s for ax in axes for s in (ax.n, p))
-        self._grid = grid = tuple(ax.n * p for ax in axes)
-        # per axis: the dof grid with that axis first, and the way back
         fronts = [(a,) + tuple(b for b in range(dim) if b != a)
                   for a in range(dim)]
-        self._lines = [(f, tuple(grid[b] for b in f), _inverse(f))
-                       for f in fronts]
         # per axis: the (cell, node) split of the flat order with that axis
         # first, and Gb's nonzero cell blocks shaped to broadcast against
         # the face data: low reaches cell 0 only, high (through Ddiv's
@@ -206,22 +192,6 @@ class Diffusion:
             lines[0] += gb_low * low
             lines[first:] += gb_high * high
         return g.reshape(-1)
-
-    def apply(self, u, bdata):
-        """Full diffusive RHS L u + g_b as a field."""
-        return self.unflatten(self.L @ self.flatten(u) + self.gb(bdata))
-
-    def gradient(self, u, bdata):
-        """Auxiliary fields q_a = weak d/dx_a of u with the alternating
-        traces, one per axis (a 1-tuple in 1D)."""
-        grid = self.flatten(u).reshape(self._grid)
-        out = []
-        for op, (front, shape, back), pair in zip(self.axes, self._lines,
-                                                  bdata):
-            q = (op.K @ grid.transpose(front).reshape(op.K.shape[0], -1)
-                 + op.Kb @ np.array(pair).reshape(2, -1))
-            out.append(self.unflatten(q.reshape(shape).transpose(back)))
-        return tuple(out)
 
 
 def build_diffusion(mesh, basis, problem):

@@ -1,5 +1,7 @@
 """Problem registry: fluxes, diffusion, sources, boundary data, exact solutions."""
 
+import numbers
+
 import numpy as np
 
 from .mesh import axis_bounds
@@ -18,25 +20,29 @@ class ProblemSpec:
         bounds: one (a, b) pair per axis (a 1D (a, b) is one pair); the
             dimension is len(bounds).
         fluxes: per axis, the flux f and its derivatives f', f'' as
-            callables of u, (None, None, None) on an axis without a flux
-            (the default); f'' may be None where f is not.
+            callables of u, or a number c for the linear flux f(u) = c u;
+            (None, None, None) on an axis without a flux (the default);
+            f'' may be None where f is not.
         d_coef: diffusion coefficient D >= 0.
         p, p_grad: source factor with h = p(*coords, t) * u, and one
-            space derivative of p per axis; p None means h == 0.
-        h: source h(u, *coords, t); defaults to p(*coords, t) * u.
+            space derivative of p per axis; a number q means h = q u, with
+            no p_grad.
+        h: source h(u, *coords, t) in place of p (not both: the boundary
+            treatment reads p); defaults to p * u.
         exact: exact solution u(*coords, t) or None.
         u0: initial data u0(*coords); defaults to exact at t = 0 when that
             exists.
         omega, omega_t, omega_tt: boundary trace and its time derivatives,
             functions of (*coords, t); omega defaults to exact.
 
-    fprime_const / p_const hold the scalar values of f' (on every axis,
-    0 on one without a flux) and p when those are constant, else None.
-    The boundary treatment uses them in place of the callables, and the
-    fourth-order Cauchy-Kovalevskaya substitution needs them.
+    speeds (read-only, read off fluxes) holds per axis the f' of a flux
+    given as a number, 0.0 without a flux and None for a callable one.
+    The boundary treatment uses them in place of f' and f'' when none is
+    None; its fourth-order closure needs them and a number p.
 
     Raises ValueError unless fluxes and p_grad hold one entry per axis,
-    and for an axis with a flux f but no f'.
+    for an axis with a flux f but no f', for both p and h, and for p_grad
+    beside a number p.
     """
 
     def __init__(self, name, bounds, d_coef, T, cfl, degree,
@@ -49,8 +55,10 @@ class ProblemSpec:
         self.degree = int(degree)
         self.tableau = tableau
         dim = len(self.bounds)
-        self.fluxes = tuple(tuple(triple) for triple in
-                            kw.pop('fluxes', [(None, None, None)] * dim))
+        self.fluxes = tuple(
+            _linear_flux(float(entry)) if isinstance(entry, numbers.Real)
+            else tuple(entry)
+            for entry in kw.pop('fluxes', [(None, None, None)] * dim))
         self.p = kw.pop('p', None)
         self.p_grad = tuple(kw.pop('p_grad', [None] * dim))
         self.exact = kw.pop('exact', None)
@@ -61,8 +69,6 @@ class ProblemSpec:
         self.omega_t = kw.pop('omega_t', None)
         self.omega_tt = kw.pop('omega_tt', None)
         self.h = kw.pop('h', None)
-        self.fprime_const = kw.pop('fprime_const', None)
-        self.p_const = kw.pop('p_const', None)
         if kw:
             raise TypeError("ProblemSpec: unknown fields %r" % sorted(kw))
         if len(self.fluxes) != dim or len(self.p_grad) != dim:
@@ -72,7 +78,16 @@ class ProblemSpec:
             if f is not None and fp is None:
                 raise ValueError("ProblemSpec %r: axis %d has a flux f but "
                                  "no derivative f'" % (name, a))
-        if self.h is None and self.p is not None:
+        if self.p is not None and self.h is not None:
+            raise ValueError("ProblemSpec %r: give the source as p (h = p*u) "
+                             "or as h, not both" % name)
+        if isinstance(self.p, numbers.Real):
+            if any(self.p_grad):
+                raise ValueError("ProblemSpec %r: a number p takes no p_grad"
+                                 % name)
+            self.p = q = float(self.p)
+            self.h = lambda u, *xt: q * u
+        elif self.p is not None:
             self.h = lambda u, *xt: self.p(*xt) * u
 
     @property
@@ -80,16 +95,21 @@ class ProblemSpec:
         """The number of axes, len(bounds)."""
         return len(self.bounds)
 
+    @property
+    def speeds(self):
+        """f' per axis: c for a flux c, 0.0 for none, None if callable."""
+        return tuple(0.0 if f is None else getattr(fp, 'speed', None)
+                     for f, fp, _ in self.fluxes)
 
-def _linear_flux(C):
-    """(f, f', f'') of the linear flux f(u) = -C u."""
-    return (lambda u: -C * u,
-            lambda u: -C * np.ones_like(np.asarray(u, dtype=float)),
+
+def _linear_flux(c):
+    """(f, f', f'') of the linear flux f(u) = c u; f' carries c as .speed."""
+    def fprime(u):
+        return c * np.ones_like(np.asarray(u, dtype=float))
+
+    fprime.speed = c
+    return (lambda u: c * u, fprime,
             lambda u: np.zeros_like(np.asarray(u, dtype=float)))
-
-
-def _zero(x, *rest):
-    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 def _moving_sine(C):
@@ -111,9 +131,7 @@ def _heat1d():
     C, D = 0.1, 2.0
     return ProblemSpec(
         'heat1d', (-1.0, 1.0), D, 5.0, 0.25, 2, tableau='ark3',
-        fluxes=[_linear_flux(C)], fprime_const=-C,
-        p=lambda x, t: (D - 1.0) * np.ones_like(np.asarray(x, dtype=float)),
-        p_grad=[_zero], p_const=D - 1.0, **_moving_sine(C))
+        fluxes=[-C], p=D - 1.0, **_moving_sine(C))
 
 
 def _burgers1d():
@@ -152,18 +170,14 @@ def _heat2d():
     return ProblemSpec(
         'heat2d', ((-1.0, 1.0), (-1.0, 1.0)), D, 5.0, 0.2, 2,
         tableau='ark3',
-        fluxes=[_linear_flux(C)] * 2, fprime_const=-C,
-        p=lambda x, y, t: (2.0 * D - 1.0) * np.ones_like(np.asarray(x, dtype=float)),
-        p_grad=[_zero, _zero], p_const=2.0 * D - 1.0,
-        exact=exact, omega_t=omega_t)
+        fluxes=[-C, -C], p=2.0 * D - 1.0, exact=exact, omega_t=omega_t)
 
 
 def _heat1d_o4():
     C, D = 0.1, 1.0
     return ProblemSpec(
         'heat1d_o4', (-1.0, 1.0), D, 5.0, 0.25, 3, tableau='ark4',
-        fluxes=[_linear_flux(C)], fprime_const=-C, p_const=0.0,
-        **_moving_sine(C))
+        fluxes=[-C], **_moving_sine(C))
 
 
 _BUILTIN = {
@@ -215,15 +229,13 @@ def residual_check(spec, samples=20, step=1e-5, seed=0):
 
 
 def boundary_data_check(spec, coords):
-    """Compare derivative fields and constants with what they stand for.
+    """Compare derivative fields with what they stand for.
 
     At the points coords (one flat array per axis) and t = 0.25, 0.5 and
     1, each of these the problem defines: omega_t and omega_tt against
-    central differences of omega in t, fprime_const against every axis's
-    f' (0 without a flux) at the omega values, and, alongside p, each
+    central differences of omega in t and, alongside a callable p, each
     axis's p_grad entry against second-order one-sided differences of p
-    stepping towards the middle of the domain along that axis, and
-    p_const against p.
+    stepping towards the middle of the domain along that axis.
 
     Returns {label: mismatch}, p_grad labelled per axis ('p_grad[1]'):
     the largest difference relative to max(1, largest reference value).
@@ -238,7 +250,7 @@ def boundary_data_check(spec, coords):
               if getattr(spec, n) is not None]
     # (label, value, reference, what the reference is)
     checks = []
-    if fields or spec.fprime_const is not None:
+    if fields:
         times = np.concatenate([t - step, t, t + step])   # one omega call
         om = np.broadcast_to(spec.omega(*x, times), (len(times), x[0].size))
         before, now, after = np.split(om, 3)
@@ -246,10 +258,6 @@ def boundary_data_check(spec, coords):
               'omega_tt': (after - 2 * now + before) / step ** 2}
         checks += [(n, getattr(spec, n)(*x, t), fd[n],
                     'finite differences of omega') for n in fields]
-    if spec.fprime_const is not None:
-        checks += [('fprime_const', spec.fprime_const,
-                    0.0 * now if f is None else fp(now), "f' of axis %d" % a)
-                   for a, (f, fp, _) in enumerate(spec.fluxes)]
     for a, ((lo, hi), grad) in enumerate(zip(spec.bounds, spec.p_grad)):
         if spec.p is None or grad is None:
             continue
@@ -259,8 +267,6 @@ def boundary_data_check(spec, coords):
         checks.append(('p_grad[%d]' % a, grad(*x, t),
                        (4 * p1 - 3 * p0 - p2) / (2 * h),
                        'finite differences of p along axis %d' % a))
-    if spec.p is not None and spec.p_const is not None:
-        checks.append(('p_const', spec.p_const, spec.p(*x, t), 'p'))
     out = {}
     for label, value, want, what in checks:
         err = float(np.max(np.abs(value - want)))

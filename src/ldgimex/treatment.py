@@ -269,28 +269,25 @@ def _check_problem_fields(problem, scheme_order):
     if problem.omega is None or problem.omega_t is None:
         raise ValueError("boundary treatment needs omega and omega_t")
     if problem.h is not None and problem.p is None:
-        raise ValueError("boundary treatment needs the source factored as "
-                         "h = p*u (supply p and p_grad)")
-    if (problem.p is not None and problem.p_const is None
-            and any(g is None for g in problem.p_grad)):
+        raise ValueError("boundary treatment needs the source as p, with "
+                         "h = p*u: give p in place of h")
+    if callable(problem.p) and None in problem.p_grad:
         raise ValueError("boundary treatment needs p_grad on every axis "
-                         "alongside p")
-    if problem.fprime_const is None:
-        for a, (f, _, fpp) in enumerate(problem.fluxes):
-            if f is not None and fpp is None:
-                raise ValueError("boundary treatment needs f'' on axis %d, "
-                                 "which has a flux (or fprime_const for a "
-                                 "linear flux)" % a)
+                         "alongside a callable p")
+    for a, (f, _, fpp) in enumerate(problem.fluxes):
+        if f is not None and fpp is None:
+            raise ValueError("boundary treatment needs f'' on axis %d, "
+                             "which has a flux" % a)
     if scheme_order == 4:
         if problem.omega_tt is None:
             raise ValueError("fourth-order treatment needs omega_tt")
-        if problem.fprime_const is None:
+        if None in problem.speeds:
             raise ValueError("fourth-order treatment closes the time "
                              "derivative of psi_x in space only for linear "
-                             "convection (fprime_const required)")
-        if problem.p is not None and problem.p_const is None:
+                             "convection (every flux a number)")
+        if callable(problem.p):
             raise ValueError("fourth-order treatment requires a constant "
-                             "source factor p (p_const)")
+                             "source factor (p a number)")
 
 
 def _as_float(fn):
@@ -351,8 +348,8 @@ class StageCorrector:
             self._vec, self._dot, self._matvec = np.array, _dot2, _matvec2
             scalar = lambda fn: fn
         self._fpc = self._fp = self._fpp = None
-        if problem.fprime_const is not None:
-            self._fpc = self._vec([float(problem.fprime_const)] * dim)
+        if None not in problem.speeds:
+            self._fpc = self._vec(list(problem.speeds))
         else:
             # an axis without a flux has f' = f'' = 0
             fluxes = problem.fluxes
@@ -360,14 +357,10 @@ class StageCorrector:
                         for f, fp, _ in fluxes]
             self._fpp = [scalar(_zero if f is None else fpp)
                          for f, _, fpp in fluxes]
-        # the source factor p is absent, constant, or sampled per stage
-        self._p_const = None
-        self._p_keys = None
-        if problem.p is not None:
-            if problem.p_const is not None:
-                self._p_const = float(problem.p_const)
-            else:
-                self._p_keys = [('p_grad', a) for a in range(dim)]
+        # the source factor p is absent, a number, or sampled per stage
+        sampled = callable(problem.p)
+        self._p_const = None if sampled else problem.p
+        self._p_keys = [('p_grad', a) for a in range(dim)] if sampled else None
         self._p4 = self._p_const or 0.0     # p in the order-4 closure
         self._ps = None
         self._treated = None
@@ -554,7 +547,7 @@ class TreatedBoundary:
         fns = [('omega', problem.omega), ('omega_t', problem.omega_t)]
         if order == 4:
             fns.append(('omega_tt', problem.omega_tt))
-        if problem.p is not None and problem.p_const is None:
+        if callable(problem.p):
             fns += [('p', problem.p)] + [(('p_grad', a), grad) for a, grad
                                          in enumerate(problem.p_grad)]
         self.stages = tableau.stages
@@ -562,9 +555,8 @@ class TreatedBoundary:
         self.sampler = BoundarySampler(mesh, basis, tableau.c, fns)
         self.correctors = [StageCorrector(problem, tableau, order, variant)
                            for _ in self.sampler.sides]
-        # a wrong derivative field or shortcut constant silently costs
-        # order: check them all here, once the correctors have checked
-        # that the fields they need are there
+        # a wrong derivative field silently costs order: check them all,
+        # once the correctors have checked that the fields they need exist
         boundary_data_check(problem, self.sampler.coords)
         self.recovery = [recovery(side) for side in self.sampler.sides]
         self.trace = None

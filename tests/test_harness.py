@@ -197,8 +197,8 @@ def test_naive_2d_runs_converge_without_a_flux_per_axis(make):
 
 
 # The treated controller takes f' = f'' = 0 along the axis without a flux
-# (the problem gives neither fprime_const nor a y flux).  Measured L2
-# order at N = 6/12: 3.03.
+# (the x flux is a callable triple, so the speeds do not stand in).
+# Measured L2 order at N = 6/12: 3.03.
 def test_treated_2d_run_with_a_flux_along_one_axis_reaches_order_three():
     spec = _x_flux_2d()
     report = run_convergence(RunConfig(spec, [6, 12]))
@@ -283,8 +283,7 @@ def test_convergence_csv_written_and_deterministic(tmp_path):
 
 def test_convergence_needs_exact_solution():
     spec = ProblemSpec('blank', (-1.0, 1.0), 1.0, 1.0, 0.25, 2,
-                       fluxes=[(lambda u: 0.0 * u,) * 2 + (None,)],
-                       fprime_const=0.0, u0=lambda x: np.sin(x),
+                       fluxes=[0.0], u0=lambda x: np.sin(x),
                        omega=lambda x, t: np.exp(-t) * np.sin(x),
                        omega_t=lambda x, t: -np.exp(-t) * np.sin(x))
     with pytest.raises(ValueError, match="exact solution"):
@@ -293,9 +292,7 @@ def test_convergence_needs_exact_solution():
 
 def test_solve_level_needs_initial_data():
     spec = ProblemSpec('nodata', (-1.0, 1.0), 1.0, 1.0, 0.25, 2,
-                       fluxes=[(lambda u: 0.0 * u,) * 2 + (None,)],
-                       fprime_const=0.0,
-                       omega=lambda x, t: 0.0 * x,
+                       fluxes=[0.0], omega=lambda x, t: 0.0 * x,
                        omega_t=lambda x, t: 0.0 * x)
     with pytest.raises(ValueError, match="neither u0 nor an exact"):
         solve_level(RunConfig(spec, [5], T=0.5), 5)
@@ -385,9 +382,7 @@ def test_single_needs_one_level():
 
 def test_single_without_exact_uses_naive_reference(tmp_path):
     spec = ProblemSpec('noexact', (-1.0, 1.0), 2.0, 1.0, 0.25, 2,
-                       fluxes=[(lambda u: -0.1 * u,
-                                lambda u: -0.1 * np.ones_like(u), None)],
-                       fprime_const=-0.1,
+                       fluxes=[-0.1],
                        u0=lambda x: np.sin(x),
                        omega=lambda x, t: np.exp(-t) * np.sin(x + 0.1 * t),
                        omega_t=lambda x, t: np.exp(-t) * (

@@ -154,10 +154,7 @@ def _heat_setup(n=8, tableau=None):
 def test_constant_state_is_a_fixed_point():
     c = 0.73
     prob = ProblemSpec('const', (-1.0, 1.0), 1.5, 1.0, 0.25, 2,
-                       fluxes=[(lambda u: -0.4 * u,
-                                lambda u: -0.4 * np.ones_like(
-                                    np.asarray(u, dtype=float)), None)],
-                       fprime_const=-0.4,
+                       fluxes=[-0.4],
                        exact=lambda x, t: c * np.ones_like(
                            np.asarray(x, dtype=float)))
     basis = build_basis(2)

@@ -8,7 +8,10 @@ brute-force results must agree to roundoff.  The block assembly of the
 axis operators is also held bitwise to a cell-by-cell lil assembly
 (cell_loop_operator), the explicit RHS to the per-axis einsum kernel it
 replaced (einsum_explicit_rhs) and the boundary vector to the dense
-product with each axis's whole Gb.
+product with each axis's whole Gb.  The solver never applies L to a
+field or forms q, so the tests do (diffusion_apply, diffusion_gradient),
+and they keep the LLF flux formula (lax_friedrichs) that the convective
+kernel inlines.
 """
 
 import copy
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 
 from ldgimex.mesh import build_mesh
 from ldgimex.operators import (Diffusion, LineMatrices, build_diffusion,
-                               explicit_rhs, lax_friedrichs, llf_alpha, norms)
+                               explicit_rhs, llf_alpha, norms)
 from ldgimex.problems import builtin_problem
 from ldgimex.quadrature import build_basis, interpolate
 
@@ -118,6 +121,17 @@ def convection_oracle(u, omw, ome, flux, alpha, mesh, basis):
 
 
 # -- numerical flux ----------------------------------------------------------
+
+def lax_friedrichs(u_in, u_out, normal, flux, alpha):
+    """Local Lax-Friedrichs numerical flux in the direction of `normal`.
+
+    F~ . n = 1/2 [ (F(u_in) + F(u_out)) . n - alpha (u_out - u_in) ]
+    with alpha >= sup |F'(u) . n| over the relevant states.  The solver's
+    convective kernel inlines this formula.
+    """
+    return (0.5 * normal * (flux(u_in) + flux(u_out))
+            - 0.5 * alpha * (u_out - u_in))
+
 
 def test_lax_friedrichs_consistency():
     f = lambda u: 0.5 * u * u
@@ -249,6 +263,28 @@ def test_diffusion_matrix_has_no_stored_zeros_and_sorted_indices(k):
             assert_canonical(op.L)
 
 
+def diffusion_apply(diff, u, bdata):
+    """The full diffusive RHS L u + g_b of a Diffusion, as a field."""
+    return diff.unflatten(diff.L @ diff.flatten(u) + diff.gb(bdata))
+
+
+def diffusion_gradient(diff, u, bdata):
+    """Auxiliary fields q_a = weak d/dx_a of u with the alternating traces,
+    one per axis (a 1-tuple in 1D): each axis's K u + Kb [low; high] on
+    every grid line along it."""
+    dim = len(diff.axes)
+    grid = tuple(ax.n * diff.basis.p for ax in diff.mesh.axes)
+    field = diff.flatten(u).reshape(grid)
+    out = []
+    for a, (op, pair) in enumerate(zip(diff.axes, bdata)):
+        front = (a,) + tuple(b for b in range(dim) if b != a)
+        q = (op.K @ field.transpose(front).reshape(op.K.shape[0], -1)
+             + op.Kb @ np.array(pair).reshape(2, -1))
+        q = q.reshape([grid[b] for b in front]).transpose(np.argsort(front))
+        out.append(diff.unflatten(q))
+    return tuple(out)
+
+
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 7), (3, 5)])
 def test_gradient_matches_weak_form_oracle(k, n):
     rng = np.random.default_rng(3 * n + k)
@@ -257,7 +293,7 @@ def test_gradient_matches_weak_form_oracle(k, n):
     diff = Diffusion(mesh, basis, 1.7)
     u = rng.standard_normal((n, basis.p))
     omw, ome = rng.standard_normal(2)
-    got, = diff.gradient(u, ((omw, ome),))
+    got, = diffusion_gradient(diff, u, ((omw, ome),))
     want = gradient_oracle(u, omw, ome, mesh, basis)
     np.testing.assert_allclose(got, want, atol=1e-11, rtol=0)
 
@@ -270,7 +306,7 @@ def test_diffusion_apply_matches_weak_form_oracle(k, n, d):
     diff = Diffusion(mesh, basis, d)
     u = rng.standard_normal((n, basis.p))
     omw, ome = rng.standard_normal(2)
-    got = diff.apply(u, ((omw, ome),))
+    got = diffusion_apply(diff, u, ((omw, ome),))
     want = diffusion_oracle(u, omw, ome, mesh, basis, d)
     np.testing.assert_allclose(got, want, atol=1e-9, rtol=0)
 
@@ -282,9 +318,9 @@ def test_diffusion_exact_on_quadratic():
     d = 2.0
     diff = Diffusion(mesh, basis, d)
     u = interpolate(lambda x: x * x, mesh, basis)
-    out = diff.apply(u, ((1.0, 1.0),))
+    out = diffusion_apply(diff, u, ((1.0, 1.0),))
     np.testing.assert_allclose(out, 2.0 * d, atol=1e-10, rtol=0)
-    q, = diff.gradient(u, ((1.0, 1.0),))
+    q, = diffusion_gradient(diff, u, ((1.0, 1.0),))
     x, = mesh.node_coords(basis)
     np.testing.assert_allclose(q, 2.0 * x, atol=1e-11, rtol=0)
 
@@ -300,7 +336,8 @@ def test_diffusion_is_dissipative_with_homogeneous_data():
     mass = 0.5 * mesh.dx * basis.weights
     for _ in range(50):
         u = rng.standard_normal((mesh.n, basis.p))
-        rate = float(np.einsum('q,iq,iq->', mass, u, diff.apply(u, zero)))
+        rate = float(np.einsum('q,iq,iq->', mass, u,
+                               diffusion_apply(diff, u, zero)))
         assert rate <= 1e-10
 
 
@@ -312,9 +349,10 @@ def test_diffusion_affine_in_field_and_data():
     u, v = rng.standard_normal((2, mesh.n, basis.p))
     (w1, e1), (w2, e2) = (0.3, -0.8), (-1.1, 0.4)
     b1, b2 = ((w1, e1),), ((w2, e2),)
-    lhs = diff.apply(2.0 * u - 3.0 * v,
-                     ((2 * w1 - 3 * w2, 2 * e1 - 3 * e2),))
-    rhs = 2.0 * diff.apply(u, b1) - 3.0 * diff.apply(v, b2)
+    lhs = diffusion_apply(diff, 2.0 * u - 3.0 * v,
+                          ((2 * w1 - 3 * w2, 2 * e1 - 3 * e2),))
+    rhs = (2.0 * diffusion_apply(diff, u, b1)
+           - 3.0 * diffusion_apply(diff, v, b2))
     np.testing.assert_allclose(lhs, rhs, atol=1e-11, rtol=0)
 
 
@@ -333,9 +371,9 @@ def test_diffusion_2d_exact_on_quadratics():
 
     u = poly(x, y)
     bdata = _dirichlet_2d(poly, mesh, basis)
-    out = diff.apply(u, bdata)
+    out = diffusion_apply(diff, u, bdata)
     np.testing.assert_allclose(out, d * lap(x, y), atol=1e-9, rtol=0)
-    q1, q2 = diff.gradient(u, bdata)
+    q1, q2 = diffusion_gradient(diff, u, bdata)
     np.testing.assert_allclose(q1, 2 * x * y * y + 2 * y, atol=1e-9, rtol=0)
     np.testing.assert_allclose(q2, 2 * x * x * y + 2 * x - 2 * y,
                                atol=1e-9, rtol=0)
@@ -360,7 +398,7 @@ def test_diffusion_2d_matches_dimension_split_oracle():
     bdata = ((rng.standard_normal((m, p)), rng.standard_normal((m, p))),
              (rng.standard_normal((n, p)), rng.standard_normal((n, p))))
     (west, east), (south, north) = bdata
-    got = Diffusion(mesh, basis, d).apply(u, bdata)
+    got = diffusion_apply(Diffusion(mesh, basis, d), u, bdata)
     want = np.zeros_like(u)
     for j in range(m):
         for q2 in range(p):
@@ -387,7 +425,7 @@ def test_diffusion_2d_dissipative():
     for _ in range(20):
         u = rng.standard_normal(diff.shape)
         rate = float(np.einsum('qr,ijqr,ijqr->', mass, u,
-                               diff.apply(u, zero)))
+                               diffusion_apply(diff, u, zero)))
         assert rate <= 1e-10
 
 
@@ -404,7 +442,7 @@ def test_build_diffusion_dispatch():
 # -- convective RHS vs brute force -------------------------------------------
 
 def test_explicit_rhs_linear_flux_matches_oracle():
-    prob = builtin_problem('heat1d')        # f = -0.1 u, p = D - 1
+    prob = builtin_problem('heat1d')        # f = -0.1 u, p = D - 1 = 1
     basis = build_basis(prob.degree)
     mesh = build_mesh(prob.bounds, 6)
     rng = np.random.default_rng(21)
@@ -416,7 +454,7 @@ def test_explicit_rhs_linear_flux_matches_oracle():
     alpha = llf_alpha(prob, u, bdata)
     want = convection_oracle(u, omw, ome, prob.fluxes[0][0], alpha, mesh,
                              basis)
-    want += prob.p(*mesh.node_coords(basis), t) * u
+    want += u
     np.testing.assert_allclose(got, want, atol=1e-11, rtol=0)
 
 
@@ -478,8 +516,7 @@ def test_explicit_rhs_2d_matches_dimension_split_oracle():
             want[i, :, q1, :] += convection_oracle(
                 line, south[i, q1], north[i, q1], prob.fluxes[1][0],
                 alpha, mesh.y, basis)
-    x, y = mesh.node_coords(basis)
-    want += prob.p(x, y, t) * u
+    want += u                               # p = 2 D - 1 = 1
     np.testing.assert_allclose(got, want, atol=1e-11, rtol=0)
 
 
@@ -522,7 +559,6 @@ def _burgers_2d():
     prob = copy.copy(builtin_problem('heat2d'))
     burgers = (lambda u: 0.5 * u * u, lambda u: u, lambda u: 1.0 + 0.0 * u)
     prob.fluxes = (burgers, burgers)
-    prob.fprime_const = None
     return prob
 
 

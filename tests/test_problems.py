@@ -75,29 +75,58 @@ def test_flux_derivatives_match_finite_differences(name):
 
 @pytest.mark.parametrize("name", ALL)
 def test_constant_shortcuts_agree_with_callables(name):
+    # the speeds stand in for f' and f'' in the boundary treatment
     prob = builtin_problem(name)
     us = np.linspace(-2.0, 2.0, 7)
-    if prob.fprime_const is not None:
-        for f, fp, _ in prob.fluxes:
-            np.testing.assert_allclose(0.0 * us if f is None else fp(us),
-                                       prob.fprime_const, atol=1e-14, rtol=0)
-    if prob.p_const is not None and prob.p is not None:
-        vals = prob.p(*(np.linspace(a, b, 5) for a, b in prob.bounds), 0.8)
-        np.testing.assert_allclose(vals, prob.p_const, atol=1e-14, rtol=0)
+    for (f, fp, fpp), speed in zip(prob.fluxes, prob.speeds):
+        if speed is not None and f is not None:
+            np.testing.assert_array_equal(fp(us), speed)
+            np.testing.assert_array_equal(fpp(us), 0.0)
+            np.testing.assert_array_equal(f(us), speed * us)
 
 
-def test_p_const_is_none_when_p_varies():
-    prob = builtin_problem('burgers1d')   # p depends on x and t
-    assert prob.p_const is None
-    assert prob.fprime_const is None      # f' = u is not constant either
+def test_speeds_are_none_for_a_callable_flux():
+    burg = builtin_problem('burgers1d')     # f' = u, p varies with x, t
+    assert burg.speeds == (None,) and callable(burg.p)
+    assert builtin_problem('heat1d').speeds == (-0.1,)
+    assert builtin_problem('heat2d').speeds == (-0.1, -0.1)
+    x_only = ProblemSpec('x_only', ((-1, 1), (-1, 1)), 1.0, 1.0, 0.2, 2,
+                         fluxes=[-0.1, (None, None, None)])
+    assert x_only.speeds == (-0.1, 0.0)
+
+
+def test_replacing_the_fluxes_leaves_no_stale_speeds():
+    # speeds are read off the fluxes, not stored beside them
+    heat = copy.copy(builtin_problem('heat1d'))
+    heat.fluxes = ((lambda u: -0.1 * u, lambda u: -0.1 + 0.0 * u,
+                    lambda u: 0.0 * u),)
+    assert heat.speeds == (None,)
 
 
 def test_source_derives_from_p():
-    prob = builtin_problem('heat1d')
     x = np.linspace(-1, 1, 5)
     u = np.sin(x)
-    np.testing.assert_allclose(prob.h(u, x, 0.3), prob.p(x, 0.3) * u,
-                               atol=0, rtol=0)
+    heat = builtin_problem('heat1d')        # p = D - 1, a number
+    assert heat.p == 1.0 and heat.p_grad == (None,)
+    np.testing.assert_array_equal(heat.h(u, x, 0.3), heat.p * u)
+    burg = builtin_problem('burgers1d')     # p varies with x and t
+    np.testing.assert_array_equal(burg.h(u, x, 0.3), burg.p(x, 0.3) * u)
+
+
+def test_a_source_given_as_both_p_and_h_is_refused():
+    # explicit_rhs reads h while the treatment reads p: given both, they
+    # could disagree without a sign (burgers1d with h = 2 p u ran, naive
+    # and treated alike)
+    burg = builtin_problem('burgers1d')
+    with pytest.raises(ValueError, match="as p .* or as h, not both"):
+        ProblemSpec('twice', burg.bounds, burg.d_coef, burg.T, burg.cfl,
+                    burg.degree, fluxes=burg.fluxes, p=burg.p,
+                    p_grad=burg.p_grad,
+                    h=lambda u, x, t: 2.0 * burg.p(x, t) * u,
+                    exact=burg.exact, omega_t=burg.omega_t)
+    with pytest.raises(ValueError, match="a number p takes no p_grad"):
+        ProblemSpec('grad', (-1.0, 1.0), 1.0, 1.0, 0.25, 2, p=1.0,
+                    p_grad=[lambda x, t: 0.0 * x])
 
 
 def test_registry_rejects_unknown_name():
@@ -127,21 +156,22 @@ def test_spec_reads_the_dimension_from_bounds():
     assert square.p_grad == (None, None)
     heat = builtin_problem('heat2d')
     assert heat.fluxes is heat.fluxes   # stored, not rebuilt per read
+    # the settable fields; speeds and dim are derived
+    assert len(vars(heat)) == 16
 
 
 @pytest.mark.parametrize("name", ['heat1d', 'heat2d'])
 def test_a_flux_without_its_derivative_is_refused(name):
-    # the last axis has f but no f'; fprime_const does not stand in for it
-    # (it used to fail late, as a call of None inside llf_alpha)
+    # the last axis has f but no f' (it used to fail late, as a call of
+    # None inside llf_alpha)
     heat = builtin_problem(name)
     fluxes = list(heat.fluxes)
     fluxes[-1] = (fluxes[-1][0], None, None)
     with pytest.raises(ValueError, match="axis %d has a flux f but no "
                                          "derivative f'" % (heat.dim - 1)):
         ProblemSpec('nofp', heat.bounds, heat.d_coef, heat.T, heat.cfl,
-                    heat.degree, fluxes=fluxes, fprime_const=-0.1,
-                    p=heat.p, p_grad=heat.p_grad, exact=heat.exact,
-                    omega_t=heat.omega_t)
+                    heat.degree, fluxes=fluxes, p=heat.p, p_grad=heat.p_grad,
+                    exact=heat.exact, omega_t=heat.omega_t)
 
 
 def test_per_axis_fields_need_one_entry_per_axis():
@@ -183,11 +213,10 @@ def test_boundary_data_check_passes_the_builtins(name):
     prob = builtin_problem(name)
     _, _, coords = _boundary_setup(prob)
     got = boundary_data_check(prob, coords)
-    want = [n for n in ('omega_t', 'omega_tt', 'fprime_const')
+    want = [n for n in ('omega_t', 'omega_tt')
             if getattr(prob, n) is not None]
-    if prob.p is not None:
+    if callable(prob.p):
         want += ['p_grad[%d]' % a for a in range(prob.dim)]
-        want += ['p_const'] if prob.p_const is not None else []
     assert sorted(got) == sorted(want)
     assert max(got.values()) < 1e-7
 
@@ -195,12 +224,14 @@ def test_boundary_data_check_passes_the_builtins(name):
 def _varying_p_2d():
     # heat2d with p = 1 + x y e^{-t}, so that the treatment samples the
     # gradient of p on both axes
-    prob = copy.copy(builtin_problem('heat2d'))
-    prob.p = lambda x, y, t: 1.0 + x * y * np.exp(-t)
-    prob.p_grad = (lambda x, y, t: y * np.exp(-t),
-                   lambda x, y, t: x * np.exp(-t))
-    prob.p_const = None
-    return prob
+    heat = builtin_problem('heat2d')
+    return ProblemSpec(
+        'varying_p_2d', heat.bounds, heat.d_coef, heat.T, heat.cfl,
+        heat.degree, fluxes=heat.fluxes,
+        p=lambda x, y, t: 1.0 + x * y * np.exp(-t),
+        p_grad=[lambda x, y, t: y * np.exp(-t),
+                lambda x, y, t: x * np.exp(-t)],
+        exact=heat.exact, omega_t=heat.omega_t)
 
 
 # field, the axis of a p_grad entry, and a wrong definition
@@ -238,38 +269,6 @@ def test_a_wrong_derivative_field_is_refused(field):
         boundary_data_check(prob, coords)
     with pytest.raises(ValueError, match=match):
         treated_boundary(prob, mesh, basis, tableau)
-
-
-# Wrong shortcut constants cost order silently (heat1d, treated, T = 1,
-# N = 20/40/80: L2 orders 3.02, 3.01 with the right constants, 2.48, 2.37
-# with fprime_const = +0.1 and 2.25, 2.25 with p_const = 0.5).  On heat2d
-# with a flux along x only, the single fprime_const would also stand in
-# for the y axis, where f' = 0.
-def _x_flux_only_2d():
-    prob = copy.copy(builtin_problem('heat2d'))
-    prob.fluxes = (prob.fluxes[0], (None, None, None))
-    return prob
-
-
-@pytest.mark.parametrize("make,field,value,what", [
-    (lambda: builtin_problem('heat1d'), 'fprime_const', 0.1, "f' of axis 0"),
-    (lambda: builtin_problem('heat1d'), 'p_const', 0.5, "p"),
-    (lambda: builtin_problem('heat2d'), 'p_const', 0.5, "p"),
-    (_x_flux_only_2d, 'fprime_const', -0.1, "f' of axis 1"),
-], ids=['heat1d-fprime_const', 'heat1d-p_const', 'heat2d-p_const',
-        'x_flux_only_2d-fprime_const'])
-def test_a_wrong_shortcut_constant_is_refused(make, field, value, what):
-    prob = make()
-    mesh, basis, coords = _boundary_setup(prob)
-    tableau = builtin_tableau(prob.tableau)
-    setattr(prob, field, value)
-    match = "^%s disagrees with %s by" % (field, re.escape(what))
-    with pytest.raises(ValueError, match=match):
-        boundary_data_check(prob, coords)
-    with pytest.raises(ValueError, match=match):
-        treated_boundary(prob, mesh, basis, tableau)
-    setattr(prob, field, None)   # without the shortcut it runs
-    treated_boundary(prob, mesh, basis, tableau)
 
 
 def test_stated_parameters():

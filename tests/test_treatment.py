@@ -1,7 +1,5 @@
 """Boundary treatment: recovery stencils, stage recursion, controllers."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -199,7 +197,7 @@ def test_treated_heat1d_o4_runs_on_three_and_four_cells():
 def _endpoint_traces(prob, tab, x, t, tau, om0, omt):
     """A step's traces at endpoint x: omega, omega_t, and p if sampled."""
     traces = {'omega': [om0] * tab.stages, 'omega_t': list(omt)}
-    if prob.p is not None and prob.p_const is None:
+    if callable(prob.p):
         tarr = t + tau * np.asarray(tab.c)
         traces['p'] = [float(prob.p(x, tv)) for tv in tarr]
         traces['p_grad', 0] = [float(prob.p_grad[0](x, tv)) for tv in tarr]
@@ -356,7 +354,7 @@ def test_boundary_ode_degeneracy(variant):
     aa, bb = 0.7, -0.3
     ode = ProblemSpec(
         'ode', (-1.0, 1.0), 1.5, 1.0, 0.25, 2,
-        fluxes=[(lambda u: 0.0 * u,) * 3], fprime_const=0.0,
+        fluxes=[0.0],
         exact=lambda x, t: (aa + bb * t) + 0.0 * x,
         omega_t=lambda x, t: bb + 0.0 * x,
         omega_tt=lambda x, t: 0.0 * x)
@@ -432,19 +430,13 @@ def test_tangential_invariance_reduces_to_endpoint_values():
     def g_t(x, t):
         return np.exp(-t) * (C * np.cos(x + C * t) - np.sin(x + C * t))
 
-    flux = (lambda u: -C * u,
-            lambda u: -C * np.ones_like(np.asarray(u, float)), None)
     pb2 = ProblemSpec(
         'strip', ((-1.0, 1.0), (-1.0, 1.0)), D, 1.0, 0.2, 2,
-        fluxes=[flux, flux], fprime_const=-C,
-        p=lambda x, y, t: q * np.ones_like(np.asarray(x, float)), p_const=q,
+        fluxes=[-C, -C], p=q,
         exact=lambda x, y, t: g(x, t) + 0.0 * y,
         omega_t=lambda x, y, t: g_t(x, t) + 0.0 * y)
-    pb1 = ProblemSpec(
-        'line', (-1.0, 1.0), D, 1.0, 0.2, 2,
-        fluxes=[flux], fprime_const=-C,
-        p=lambda x, t: q * np.ones_like(np.asarray(x, float)), p_const=q,
-        exact=g, omega_t=g_t)
+    pb1 = ProblemSpec('line', (-1.0, 1.0), D, 1.0, 0.2, 2, fluxes=[-C], p=q,
+                      exact=g, omega_t=g_t)
     basis = build_basis(2)
     mesh2 = build_mesh(pb2.bounds, (6, 5))
     mesh1 = build_mesh(pb1.bounds, 6)
@@ -568,23 +560,36 @@ def test_unsupported_configurations_raise():
     with pytest.raises(ValueError, match="k = 2"):
         treated_boundary(heat2, mesh2, build_basis(3), ARK3)
     # fourth order needs a linear flux to close d/dt psi_x in space
-    with pytest.raises(ValueError, match="fprime_const"):
+    with pytest.raises(ValueError, match="every flux a number"):
         treated_boundary(burg, mesh1, build_basis(3), ARK3)
-    flux = (lambda u: -u, lambda u: -np.ones_like(u), None)
-    nod = ProblemSpec('nod', (-1.0, 1.0), 1.0, 1.0, 0.25, 2,
-                      fluxes=[flux], fprime_const=-1.0,
+    # and a constant source factor
+    nopq = ProblemSpec('nopq', (-1.0, 1.0), 1.0, 1.0, 0.25, 3, fluxes=[-1.0],
+                       p=lambda x, t: np.cos(x),
+                       p_grad=[lambda x, t: -np.sin(x)],
+                       exact=lambda x, t: 0.0 * x,
+                       omega_t=lambda x, t: 0.0 * x,
+                       omega_tt=lambda x, t: 0.0 * x)
+    with pytest.raises(ValueError, match="p a number"):
+        treated_boundary(nopq, mesh1, build_basis(3), ARK3)
+    nod = ProblemSpec('nod', (-1.0, 1.0), 1.0, 1.0, 0.25, 2, fluxes=[-1.0],
                       exact=lambda x, t: 0.0 * x)
     with pytest.raises(ValueError, match="omega and omega_t"):
         treated_boundary(nod, mesh1, build_basis(2), ARK3)
     nopx = ProblemSpec('nopx', (-1.0, 1.0), 1.0, 1.0, 0.25, 2,
-                       fluxes=[flux], fprime_const=-1.0,
-                       p=lambda x, t: np.cos(x),
+                       fluxes=[-1.0], p=lambda x, t: np.cos(x),
                        exact=lambda x, t: 0.0 * x,
                        omega_t=lambda x, t: 0.0 * x)
     with pytest.raises(ValueError, match="p_grad"):
         treated_boundary(nopx, mesh1, build_basis(2), ARK3)
+    # the treatment reads the source as p, so an h alone is refused
+    noph = ProblemSpec('noph', (-1.0, 1.0), 1.0, 1.0, 0.25, 2,
+                       h=lambda u, x, t: np.cos(x) * u,
+                       exact=lambda x, t: 0.0 * x,
+                       omega_t=lambda x, t: 0.0 * x)
+    with pytest.raises(ValueError, match="source as p"):
+        treated_boundary(noph, mesh1, build_basis(2), ARK3)
     # f' and f'' are needed on the axes that have a flux, and only there
-    linear = (flux[0], flux[1], lambda u: 0.0 * u)
+    linear = (lambda u: -u, lambda u: -np.ones_like(u), lambda u: 0.0 * u)
     nofp = ProblemSpec('nofp', heat2.bounds, 1.0, 1.0, 0.2, 2,
                        fluxes=[linear, (None, None, None)],
                        exact=lambda x, y, t: 0.0 * x,
@@ -595,15 +600,18 @@ def test_unsupported_configurations_raise():
 @pytest.mark.parametrize("name", ['heat1d', 'burgers1d', 'heat1d_o4',
                                   'heat2d'])
 def test_a_flux_without_its_second_derivative_is_refused(name):
-    # without fprime_const the stage recursion reads f''; a missing one
-    # used to count as 0, and burgers1d lost order (L2 2.95 -> 2.33)
+    # a callable flux's f'' enters the stage recursion; a missing one used
+    # to count as 0, and burgers1d lost order (L2 2.95 -> 2.33).  A triple
+    # without f'' is refused even where f' carries a constant speed.
     prob = builtin_problem(name)
     mesh = build_mesh(prob.bounds, 6)
     basis = build_basis(prob.degree)
     treated_boundary(prob, mesh, basis, builtin_tableau(prob.tableau))
-    prob = copy.copy(prob)
-    prob.fprime_const = None
-    prob.fluxes = prob.fluxes[:-1] + (prob.fluxes[-1][:2] + (None,),)
+    fluxes = prob.fluxes[:-1] + (prob.fluxes[-1][:2] + (None,),)
+    prob = ProblemSpec(name, prob.bounds, prob.d_coef, prob.T, prob.cfl,
+                       prob.degree, tableau=prob.tableau, fluxes=fluxes,
+                       p=prob.p, p_grad=prob.p_grad, exact=prob.exact,
+                       omega_t=prob.omega_t, omega_tt=prob.omega_tt)
     with pytest.raises(ValueError, match="f'' on axis %d" % (prob.dim - 1)):
         treated_boundary(prob, mesh, basis, ARK3)
     # naive runs never read f''
