@@ -19,6 +19,15 @@ operator lays the field out along an axis as (cells, transverse lines,
 nodes), a transverse line ordered as the axis's face data: its volume
 term is then one product flux(u) (winv S)^T and its face traces one
 [r; l] u^T, for 1D and 2D meshes alike.
+
+A flux given as a number c (problem.speeds) is linear, and so is its LLF
+operator: block tridiagonal over the cells, three products of the rows
+with p x p blocks (LineMatrices.llf_blocks) plus the outside states'
+rows, with no flux call and no face-state vector.  When every flux is
+linear the LLF bound is max |c| over the axes, read off the speeds
+without scanning the states, so the blocks are built once per run; a
+callable flux on another axis moves the bound, and with it the blocks,
+at every call.
 """
 
 import math
@@ -48,6 +57,27 @@ class LineMatrices:
         self.traces = np.array([self.r, self.l])
         self.winv_r = self.winv * self.r
         self.winv_l = self.winv * self.l
+        self._llf_memo = (None, None)
+
+    def llf_blocks(self, c, alpha):
+        """Row blocks of the LLF operator of the linear flux c u with bound
+        alpha: (m0, m_low, m_high, b_low, b_high), m0 acting on a cell's
+        own rows, m_low on those of the cell below, m_high on those of the
+        cell above, b_low and b_high the rows the outside states low and
+        high add to the first and last cell.  Only the last (c, alpha) is
+        kept: alpha changes every call when another axis's flux is not
+        linear."""
+        key, blocks = self._llf_memo
+        if key != (c, alpha):
+            # the face flux a_L u_low_side + a_R u_high_side
+            a_l, a_r = 0.5 * (c + alpha), 0.5 * (c - alpha)
+            blocks = (c * self.vol - a_l * np.outer(self.r, self.winv_r)
+                      + a_r * np.outer(self.l, self.winv_l),
+                      a_l * np.outer(self.r, self.winv_l),
+                      -a_r * np.outer(self.l, self.winv_r),
+                      a_l * self.winv_l, -a_r * self.winv_r)
+            self._llf_memo = ((c, alpha), blocks)
+        return blocks
 
 
 def _repeat(count, block, last=None):
@@ -219,9 +249,33 @@ def _convection_lines(u, flux, alpha, low, high, mats):
             + fhat[:-1] * mats.winv_l)
 
 
+def _linear_lines(u, c, alpha, low, high, mats):
+    """_convection_lines for the linear flux c u: the LLF operator is
+    block tridiagonal over the cells, so on the (n B, p) rows it is three
+    products with mats.llf_blocks(c, alpha) plus the outside states'
+    rows."""
+    m0, m_low, m_high, b_low, b_high = mats.llf_blocks(c, alpha)
+    count = u.shape[1]
+    rows = u.reshape(-1, u.shape[2])
+    out = rows @ m0
+    out[count:] += rows[:-count] @ m_low
+    out[:-count] += rows[count:] @ m_high
+    out[:count] += np.outer(low, b_low)
+    out[-count:] += np.outer(high, b_high)
+    return out.reshape(u.shape)
+
+
 def llf_alpha(problem, u, bdata):
     """Global Lax-Friedrichs bound: max |f_a'| over all nodal and boundary
-    states, taken over the axes a that carry a flux (0 when none does)."""
+    states, taken over the axes a that carry a flux (0 when none does).
+
+    When every flux is linear (no problem.speeds entry is None) the bound
+    is max |c_a|, read off the speeds without touching u or bdata: f_a'
+    is c_a at every state, so the value is the one the scan would give.
+    """
+    speeds = problem.speeds
+    if None not in speeds:
+        return max(abs(s) for s in speeds)
     states = np.concatenate([np.ravel(u)] + [np.ravel(pair)
                                              for pair in bdata])
     return max((float(np.abs(fp(states)).max())
@@ -244,7 +298,8 @@ def explicit_rhs(u, t, bdata, problem, mesh, basis, coords=None,
 
     Each axis with a flux runs the 1D LLF operator on every grid line
     along it, with that axis's face data as the outside states, the lines
-    laid out as the module docstring says.  coords (mesh.node_coords) and
+    laid out as the module docstring says; a number flux runs the linear
+    kernel.  coords (mesh.node_coords) and
     axes (one LineMatrices per mesh axis, such as Diffusion.axes) are
     built from the mesh when not given.
     """
@@ -255,16 +310,18 @@ def explicit_rhs(u, t, bdata, problem, mesh, basis, coords=None,
     u = np.asarray(u, dtype=float)
     dim = len(mesh.axes)
     terms = []
-    for a, (ax, mats, (f, _, _), (low, high)) in enumerate(
-            zip(mesh.axes, axes, problem.fluxes, bdata)):
+    for a, (ax, mats, (f, _, _), c, (low, high)) in enumerate(
+            zip(mesh.axes, axes, problem.fluxes, problem.speeds, bdata)):
         if f is None:
             continue
         if not terms:  # the first axis with a flux
             alpha = llf_alpha(problem, u, bdata)
         front, back = _line_order(a, dim)
         lines = u.transpose(front)
-        conv = _convection_lines(lines.reshape(ax.n, -1, basis.p), f, alpha,
-                                 np.ravel(low), np.ravel(high), mats)
+        kernel, flux = ((_convection_lines, f) if c is None
+                        else (_linear_lines, c))
+        conv = kernel(lines.reshape(ax.n, -1, basis.p), flux, alpha,
+                      np.ravel(low), np.ravel(high), mats)
         terms.append(conv.reshape(lines.shape).transpose(back))
     if problem.h is not None:
         terms.append(problem.h(u, *coords, t))

@@ -63,8 +63,6 @@ class ProblemSpec:
         self.p_grad = tuple(kw.pop('p_grad', [None] * dim))
         self.exact = kw.pop('exact', None)
         self.u0 = kw.pop('u0', None)
-        if self.u0 is None and self.exact is not None:
-            self.u0 = lambda *x: self.exact(*x, 0.0)
         self.omega = kw.pop('omega', self.exact)
         self.omega_t = kw.pop('omega_t', None)
         self.omega_tt = kw.pop('omega_tt', None)
@@ -78,17 +76,45 @@ class ProblemSpec:
             if f is not None and fp is None:
                 raise ValueError("ProblemSpec %r: axis %d has a flux f but "
                                  "no derivative f'" % (name, a))
-        if self.p is not None and self.h is not None:
+        if self.p is not None and self._h is not None:
             raise ValueError("ProblemSpec %r: give the source as p (h = p*u) "
                              "or as h, not both" % name)
         if isinstance(self.p, numbers.Real):
             if any(self.p_grad):
                 raise ValueError("ProblemSpec %r: a number p takes no p_grad"
                                  % name)
-            self.p = q = float(self.p)
-            self.h = lambda u, *xt: q * u
-        elif self.p is not None:
-            self.h = lambda u, *xt: self.p(*xt) * u
+            self.p = float(self.p)
+
+    # u0 and h fall back on exact and p when not given, read off the spec
+    # they are called through: a copy given another exact or p calls its own
+    @property
+    def u0(self):
+        """u0 as given, else exact at t = 0 (None without either)."""
+        if self._u0 is None and self.exact is not None:
+            return self._exact_at_0
+        return self._u0
+
+    @u0.setter
+    def u0(self, value):
+        self._u0 = value
+
+    def _exact_at_0(self, *x):
+        return self.exact(*x, 0.0)
+
+    @property
+    def h(self):
+        """h as given, else p * u (None without either)."""
+        if self._h is None and self.p is not None:
+            return self._p_times_u
+        return self._h
+
+    @h.setter
+    def h(self, value):
+        self._h = value
+
+    def _p_times_u(self, u, *xt):
+        p = self.p
+        return (p(*xt) if callable(p) else p) * u
 
     @property
     def dim(self):

@@ -7,11 +7,12 @@ exact for all the integrands involved (degree <= 2k+1), so assembled and
 brute-force results must agree to roundoff.  The block assembly of the
 axis operators is also held bitwise to a cell-by-cell lil assembly
 (cell_loop_operator), the explicit RHS to the per-axis einsum kernel it
-replaced (einsum_explicit_rhs) and the boundary vector to the dense
-product with each axis's whole Gb.  The solver never applies L to a
-field or forms q, so the tests do (diffusion_apply, diffusion_gradient),
-and they keep the LLF flux formula (lax_friedrichs) that the convective
-kernel inlines.
+replaced (einsum_explicit_rhs), the block-tridiagonal kernel of a
+linear flux to the general kernel run on the same flux as callables, and
+the boundary vector to the dense product with each axis's whole Gb.
+The solver never applies L to a field or forms q, so the tests do
+(diffusion_apply, diffusion_gradient), and they keep the LLF flux
+formula (lax_friedrichs) that the convective kernel inlines.
 """
 
 import copy
@@ -24,9 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldgimex.mesh import build_mesh
-from ldgimex.operators import (Diffusion, LineMatrices, build_diffusion,
-                               explicit_rhs, llf_alpha, norms)
-from ldgimex.problems import builtin_problem
+from ldgimex.operators import (Diffusion, LineMatrices, _convection_lines,
+                               _linear_lines, build_diffusion, explicit_rhs,
+                               llf_alpha, norms)
+from ldgimex.problems import _linear_flux, builtin_problem
 from ldgimex.quadrature import build_basis, interpolate
 
 XI20, W20 = np.polynomial.legendre.leggauss(20)
@@ -555,10 +557,12 @@ def einsum_explicit_rhs(u, t, bdata, problem, mesh, basis):
     return out
 
 
+_BURGERS = (lambda u: 0.5 * u * u, lambda u: u, lambda u: 1.0 + 0.0 * u)
+
+
 def _burgers_2d():
     prob = copy.copy(builtin_problem('heat2d'))
-    burgers = (lambda u: 0.5 * u * u, lambda u: u, lambda u: 1.0 + 0.0 * u)
-    prob.fluxes = (burgers, burgers)
+    prob.fluxes = (_BURGERS, _BURGERS)
     return prob
 
 
@@ -626,6 +630,128 @@ def test_boundary_vector_matches_the_dense_map(cells):
                 # products in another order: a few ulps of the terms
                 terms = _dense_gb(diff, bdata, part=np.abs)
                 assert np.all(np.abs(got - want) <= 4 * np.spacing(terms))
+
+
+# -- the linear-flux kernel against the general one ---------------------------
+
+def _callable_flux(c):
+    """The flux c u as callables with no .speed: explicit_rhs takes it
+    through _convection_lines and llf_alpha scans the states for it."""
+    return (lambda u: c * u, lambda u: c + 0.0 * u, lambda u: 0.0 * u)
+
+
+# (problem, cells, one speed per axis, None for burgers' flux)
+LINEAR_CASES = {
+    'heat1d': ('heat1d', 9, (-0.1,)),
+    'forward-1d': ('heat1d_o4', 6, (0.7,)),
+    'heat2d': ('heat2d', (5, 3), (-0.1, -0.1)),
+    'two-speeds-2d': ('heat2d', (4, 6), (0.3, -1.2)),
+    'mixed-2d': ('heat2d', (3, 5), (0.4, None)),
+}
+
+
+def _linear_and_callable(case):
+    """The case's problem with its linear fluxes as numbers and as
+    callables, and its cells."""
+    name, cells, speeds = LINEAR_CASES[case]
+    specs = []
+    for linear in (_linear_flux, _callable_flux):
+        prob = copy.copy(builtin_problem(name))
+        prob.fluxes = tuple(_BURGERS if c is None else linear(c)
+                            for c in speeds)
+        specs.append(prob)
+    return specs[0], specs[1], cells
+
+
+def _random_state(mesh, basis, diff, rng):
+    u = rng.standard_normal(diff.shape)
+    if mesh.dim == 1:
+        return u, (tuple(rng.standard_normal(2)),)
+    return u, tuple((rng.standard_normal((m, basis.p)),
+                     rng.standard_normal((m, basis.p)))
+                    for m in (mesh.m, mesh.n))
+
+
+@pytest.mark.parametrize("case", sorted(LINEAR_CASES))
+def test_linear_kernel_matches_the_general_kernel(case):
+    # the same fluxes, as numbers (the block-tridiagonal kernel) and as
+    # callables without .speed (_convection_lines)
+    linear, general, cells = _linear_and_callable(case)
+    assert linear.speeds[0] is not None and general.speeds[0] is None
+    basis = build_basis(linear.degree)
+    mesh = build_mesh(linear.bounds, cells)
+    diff = Diffusion(mesh, basis, linear.d_coef)
+    rng = np.random.default_rng(53)
+    for _ in range(3):
+        u, bdata = _random_state(mesh, basis, diff, rng)
+        want = explicit_rhs(u, 0.4, bdata, general, mesh, basis)
+        for axes in (None, diff.axes):
+            got = explicit_rhs(u, 0.4, bdata, linear, mesh, basis,
+                               axes=axes)
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= 1e-13, err
+
+
+@pytest.mark.parametrize("c,alpha", [(-0.4, 0.4), (0.4, 0.4), (-0.3, 1.7),
+                                     (0.9, 2.5), (0.0, 0.6)])
+def test_linear_lines_match_convection_lines(c, alpha):
+    # alpha > |c| as a mixed problem's other axis makes it; B = 4 lines
+    rng = np.random.default_rng(59)
+    for k, n in ((2, 1), (2, 7), (3, 5)):
+        mats = LineMatrices(build_basis(k), 0.3)
+        u = rng.standard_normal((n, 4, k + 1))
+        low, high = rng.standard_normal((2, 4))
+        want = _convection_lines(u, _callable_flux(c)[0], alpha, low, high,
+                                 mats)
+        got = _linear_lines(u, c, alpha, low, high, mats)
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-13, (k, n, err)
+
+
+@pytest.mark.parametrize("case", ['heat1d', 'heat2d', 'two-speeds-2d'])
+def test_constant_speed_alpha_reads_no_state(case):
+    # bitwise the scanned bound of the same fluxes as callables, and never
+    # reads u or the face data
+    linear, general, cells = _linear_and_callable(case)
+    basis = build_basis(linear.degree)
+    mesh = build_mesh(linear.bounds, cells)
+    u, bdata = _random_state(mesh, basis, Diffusion(mesh, basis, 1.0),
+                             np.random.default_rng(61))
+    scanned = llf_alpha(general, u, bdata)
+    assert llf_alpha(linear, u, bdata) == scanned
+    assert scanned == max(abs(c) for c in linear.speeds)
+    nan = np.full_like(u, np.nan)
+    assert llf_alpha(linear, nan, [(np.nan, np.nan)] * mesh.dim) == scanned
+
+
+def test_linear_blocks_are_memoized_for_one_bound_only():
+    linear, _, cells = _linear_and_callable('mixed-2d')
+    basis = build_basis(linear.degree)
+    mesh = build_mesh(linear.bounds, cells)
+    diff = Diffusion(mesh, basis, linear.d_coef)
+    mats = diff.axes[0]
+    rng = np.random.default_rng(67)
+    # a callable flux on the other axis moves alpha at every call
+    alphas = set()
+    for _ in range(40):
+        u, bdata = _random_state(mesh, basis, diff, rng)
+        explicit_rhs(u, 0.1, bdata, linear, mesh, basis, axes=diff.axes)
+        alpha = llf_alpha(linear, u, bdata)
+        alphas.add(alpha)
+        key, blocks = mats._llf_memo
+        assert key == (0.4, alpha) and len(blocks) == 5
+    assert len(alphas) == 40
+    assert diff.axes[1]._llf_memo == (None, None)     # its flux is callable
+    # a fixed bound builds the blocks once
+    heat = builtin_problem('heat2d')
+    heat_diff = Diffusion(mesh, basis, heat.d_coef)
+    built = []
+    for _ in range(3):
+        u, bdata = _random_state(mesh, basis, heat_diff, rng)
+        explicit_rhs(u, 0.1, bdata, heat, mesh, basis, axes=heat_diff.axes)
+        built.append([op._llf_memo[1] for op in heat_diff.axes])
+    assert all(b is first for later in built[1:]
+               for b, first in zip(later, built[0]))
 
 
 # -- norms --------------------------------------------------------------------

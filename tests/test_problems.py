@@ -113,6 +113,34 @@ def test_source_derives_from_p():
     np.testing.assert_array_equal(burg.h(u, x, 0.3), burg.p(x, 0.3) * u)
 
 
+@pytest.mark.parametrize("p", [0.0, lambda x, t: 0.0 * x])
+def test_a_copy_given_another_p_calls_its_own_source(p):
+    # h and u0 derive from p and exact when the spec is read, not when it
+    # is built: once they were closures over the original, and a copy of
+    # burgers1d with p = 0 still gave h(1.0, 0.3, 0.0) = 1.955
+    burg = builtin_problem('burgers1d')
+    other = copy.copy(burg)
+    other.p = p
+    assert other.h(1.0, 0.3, 0.0) == 0.0
+    assert burg.h(1.0, 0.3, 0.0) == burg.p(0.3, 0.0)
+    heat = builtin_problem('heat1d')        # a number p
+    other = copy.copy(heat)
+    other.p = p
+    assert other.h(1.0, 0.3, 0.0) == 0.0 and heat.h(1.0, 0.3, 0.0) == 1.0
+
+
+def test_a_copy_given_another_exact_starts_from_it():
+    burg = builtin_problem('burgers1d')
+    other = copy.copy(burg)
+    other.exact = lambda x, t: 0.0 * x
+    assert other.u0(0.3) == 0.0
+    assert burg.u0(0.3) == np.sin(0.3)
+    given = copy.copy(burg)                 # a given u0 stays
+    given.u0 = lambda x: 2.0 + 0.0 * x
+    given.exact = None
+    assert given.u0(0.3) == 2.0
+
+
 def test_a_source_given_as_both_p_and_h_is_refused():
     # explicit_rhs reads h while the treatment reads p: given both, they
     # could disagree without a sign (burgers1d with h = 2 p u ran, naive
