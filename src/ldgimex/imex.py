@@ -27,13 +27,15 @@ node along y) and south/north arrays of shape (n, p) indexed by (cell i,
 node along x).  NaiveBoundary samples omega at the stage times; the
 treatment module's controller serves the corrected stage values.
 
-Sparse LU factors of (I - a_ii tau L) are cached per diagonal entry for
-the current step size only: a fixed step size factors each distinct a_ii
-once, and a new step size (the shortened final step) drops the old
-factors before factoring its own.  On a 1D mesh the banded matrix is
-factored with SuperLU's defaults; on a 2D mesh, whose Kronecker-sum
-matrix is structurally symmetric, with a minimum-degree ordering of
-A^T + A and threshold pivoting that prefers the diagonal (see _solver).
+Factors of (I - a_ii tau L) are cached per diagonal entry for the current
+step size only: a fixed step size factors each distinct a_ii once, and a
+new step size (the shortened final step) drops the old factors before
+factoring its own.  Every factor is one SuperLU factorization with its
+defaults: on a 1D mesh of the banded stage matrix itself, on a 2D mesh,
+L = Lx (+) Ly, of the block diagonal the stage matrix becomes in the
+eigenbasis of Ly (AxisOperator.eigenbasis), one banded block
+I - c (Lx + lam_j I) per eigenvalue; its solves map into that eigenbasis
+and back (EigenbasisFactor).
 """
 
 import math
@@ -283,10 +285,22 @@ class NaiveBoundary:
         pass
 
 
-# SuperLU options for meshes with more than one axis (see _solver).
-_SYMMETRIC_ORDERING = {'permc_spec': 'MMD_AT_PLUS_A',
-                       'diag_pivot_thresh': 0.1,
-                       'options': {'SymmetricMode': True}}
+class EigenbasisFactor:
+    """A 2D stage factor: solves (I - c L) u = r for L = Lx (+) Ly.
+
+    lu factors I - c kronsum(Lx, diag(lam)), block j being the banded
+    I - c (Lx + lam_j I), and Ly = vec diag(lam) vinv.  With the flat r
+    shaped R (x dofs, y dofs), row j of vinv R^T is block j's right-hand
+    side; lu turns these rows into W, and U = (vec W)^T.
+    """
+
+    def __init__(self, lu, vec, vinv):
+        self._lu, self._vec, self._vinv = lu, vec, vinv
+
+    def solve(self, r):
+        ny = len(self._vec)
+        w = self._lu.solve((self._vinv @ r.reshape(-1, ny).T).ravel())
+        return (self._vec @ w.reshape(ny, -1)).T.ravel()
 
 
 class ImexIntegrator:
@@ -307,21 +321,32 @@ class ImexIntegrator:
         self._lcsc = self.diffusion.L.tocsc()
         self._lu = {}
         self._lu_tau = None
+        self._eigen = None
         self.factorizations = 0
 
     def _solver(self, coef):
         lu = self._lu.get(coef)
         if lu is None:
-            # The 2D matrix is a Kronecker sum of 1D operators: a symmetric
-            # minimum-degree ordering cuts its L+U fill from 5.18M to 3.00M
-            # for heat2d at N = 40 (one thread: factor 0.42 -> 0.24 s,
-            # solve 10.4 -> 5.5 ms).  1D keeps SuperLU's defaults: its
-            # banded factors barely fill (5274 against nnz(A) = 4302 for
-            # heat1d at N = 160), solves take about 95 us either way, and
-            # another pivot order moves the errors at the roundoff floor
-            # (heat1d_o4 L2 at N = 160 and T = 1 by -14%).
-            order = _SYMMETRIC_ORDERING if len(self.mesh.axes) > 1 else {}
-            lu = spla.splu((self._eye - coef * self._lcsc).tocsc(), **order)
+            # 1D factors the banded stage matrix, 2D the block diagonal of
+            # its y-eigenbasis (EigenbasisFactor), whose banded blocks fill
+            # about 10 L+U entries per dof at any N, where a sparse LU of
+            # the 2D matrix itself fills over 100 per dof from N = 12 on.
+            # Both use SuperLU's defaults: another pivot order moves the 1D
+            # errors at the roundoff floor (heat1d_o4 L2 at N = 160, T = 1
+            # by -14%).
+            axes = self.diffusion.axes
+            if len(axes) == 1:
+                lu = spla.splu((self._eye - coef * self._lcsc).tocsc())
+            else:
+                if self._eigen is None:
+                    # once per mesh, on its first factorization
+                    lam, vec, vinv = axes[1].eigenbasis()
+                    self._eigen = (sp.kronsum(axes[0].L, sp.diags(lam)),
+                                   vec, vinv)
+                shifted, vec, vinv = self._eigen
+                lu = EigenbasisFactor(
+                    spla.splu((self._eye - coef * shifted).tocsc()),
+                    vec, vinv)
             self._lu[coef] = lu
             self.factorizations += 1
         return lu

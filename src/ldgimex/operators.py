@@ -162,6 +162,22 @@ class AxisOperator(LineMatrices):
         self.L = (d_coef * (Ddiv @ self.K) + P).tocsr()
         self.Gb = d_coef * (Ddiv @ self.Kb) + Pb
 
+    def eigenbasis(self):
+        """(lam, vec, vinv): L = vec diag(lam) vinv, lam real, ascending.
+
+        L is self-adjoint in the mass inner product: with the diagonal
+        mass M = 1/winv per cell, M L = -d (M K)^T M^-1 (M K) + M P, since
+        S + S^T = rr - ll on the Gauss nodes.  So M^1/2 L M^-1/2 is
+        symmetric up to roundoff; the eigh of its symmetric part gives lam
+        and orthonormal Q, and vec = M^-1/2 Q, vinv = Q^T M^1/2, with
+        cond(vec) = sqrt(w_max / w_min) whatever n is.
+        """
+        cells = self.L.shape[0] // len(self.winv)
+        s = np.sqrt(np.tile(1.0 / self.winv, cells))     # M^1/2
+        a = self.L.toarray() * (s[:, None] / s)
+        lam, q = np.linalg.eigh(0.5 * (a + a.T))
+        return lam, q / s[:, None], q.T * s
+
 
 def _inverse(perm):
     return tuple(sorted(range(len(perm)), key=perm.__getitem__))

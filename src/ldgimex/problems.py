@@ -35,8 +35,9 @@ class ProblemSpec:
         omega, omega_t, omega_tt: boundary trace and its time derivatives,
             functions of (*coords, t); omega defaults to exact.
 
-    speeds (read-only, read off fluxes) holds per axis the f' of a flux
-    given as a number, 0.0 without a flux and None for a callable one.
+    speeds (read-only, read off fluxes whenever they are set) holds per
+    axis the f' of a flux given as a number, 0.0 without a flux and None
+    for a callable one.
     The boundary treatment uses them in place of f' and f'' when none is
     None; its fourth-order closure needs them and a number p.
 
@@ -55,10 +56,7 @@ class ProblemSpec:
         self.degree = int(degree)
         self.tableau = tableau
         dim = len(self.bounds)
-        self.fluxes = tuple(
-            _linear_flux(float(entry)) if isinstance(entry, numbers.Real)
-            else tuple(entry)
-            for entry in kw.pop('fluxes', [(None, None, None)] * dim))
+        self.fluxes = kw.pop('fluxes', [(None, None, None)] * dim)
         self.p = kw.pop('p', None)
         self.p_grad = tuple(kw.pop('p_grad', [None] * dim))
         self.exact = kw.pop('exact', None)
@@ -122,10 +120,24 @@ class ProblemSpec:
         return len(self.bounds)
 
     @property
+    def fluxes(self):
+        """Per axis (f, f', f''); a number c given is expanded to c u."""
+        return self._fluxes
+
+    @fluxes.setter
+    def fluxes(self, value):
+        # speeds are worked out here, once per assignment: explicit_rhs
+        # reads them at every call
+        self._fluxes = tuple(
+            _linear_flux(float(entry)) if isinstance(entry, numbers.Real)
+            else tuple(entry) for entry in value)
+        self._speeds = tuple(0.0 if f is None else getattr(fp, 'speed', None)
+                             for f, fp, _ in self._fluxes)
+
+    @property
     def speeds(self):
         """f' per axis: c for a flux c, 0.0 for none, None if callable."""
-        return tuple(0.0 if f is None else getattr(fp, 'speed', None)
-                     for f, fp, _ in self.fluxes)
+        return self._speeds
 
 
 def _linear_flux(c):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ldgimex import imex
@@ -185,8 +186,10 @@ def _record_splu(monkeypatch, keywords=True):
 
     Returns the list that collects (matrix, factor) per call and the list
     that collects the relative residual of every solve with those
-    factors.  With keywords=False every keyword argument is dropped, so
-    the factor is SuperLU's default one.
+    factors: in 2D against the eigenbasis matrix handed to splu, not the
+    stage matrix (see _record_stage_residuals).  With keywords=False
+    every keyword argument is dropped, so the factor is SuperLU's default
+    one.
     """
     made = []
     residuals = []
@@ -198,6 +201,21 @@ def _record_splu(monkeypatch, keywords=True):
 
     monkeypatch.setattr(imex.spla, 'splu', splu)
     return made, residuals
+
+
+def _record_stage_residuals(monkeypatch):
+    """Route every stage factor through a recorder of its solves'
+    relative residuals against the true stage matrix I - c L."""
+    residuals = []
+    solver = ImexIntegrator._solver
+
+    def recording(self, coef):
+        L = self.diffusion.L
+        stage = sp.identity(L.shape[0]) - coef * L
+        return _Residuals(stage, solver(self, coef), residuals)
+
+    monkeypatch.setattr(ImexIntegrator, '_solver', recording)
+    return residuals
 
 
 def test_implicit_stage_residual_is_small(monkeypatch):
@@ -212,7 +230,7 @@ def test_implicit_stage_residual_is_small(monkeypatch):
 def test_a_reused_integrator_solves_like_a_fresh_one(monkeypatch):
     # a coarse call leaves other factors behind; the next call must solve
     # with its own step size's factors, as a fresh integrator does
-    _, residuals = _record_splu(monkeypatch)
+    residuals = _record_stage_residuals(monkeypatch)
     prob = builtin_problem('heat2d')
     basis = build_basis(prob.degree)
     mesh = build_mesh(prob.bounds, (6, 6))
@@ -249,29 +267,62 @@ def test_single_lu_factorization_per_coefficient(monkeypatch):
         assert info['factorizations'] == 2 and len(made) == 4
 
 
-def test_2d_factors_fill_less_than_superlu_defaults(monkeypatch):
-    made, residuals = _record_splu(monkeypatch)
+def test_2d_factor_fill_is_banded(monkeypatch):
+    # the factors are those of one banded Lx block per y-eigenvalue: their
+    # L+U fill per dof tends to a constant from below (9.09, 9.52, 9.71
+    # and 9.85 at N = 6, 12, 20 and 40), where the global 2D LU grows
+    # with N (71 -> 106 per dof from N = 6 to 12 with a symmetric
+    # minimum-degree ordering, 146 at N = 20 with the defaults)
+    made, _ = _record_splu(monkeypatch)
+    residuals = _record_stage_residuals(monkeypatch)
     prob = builtin_problem('heat2d')
     basis = build_basis(prob.degree)
-    mesh = build_mesh(prob.bounds, (6, 6))
-    u0 = interpolate(lambda x, y: prob.exact(x, y, 0.0), mesh, basis)
+    per_dof = []
+    for n in (6, 12):
+        made.clear()
+        residuals.clear()
+        mesh = build_mesh(prob.bounds, (n, n))
+        u0 = interpolate(lambda x, y: prob.exact(x, y, 0.0), mesh, basis)
+        integ = ImexIntegrator(prob, mesh, basis)
+        tau = prob.cfl * mesh.dx
+        _, info = integ.integrate(u0, 0.0, 3.5 * tau, tau)
+        assert info['factorizations'] == len(made) == 2
+        ndof = integ.diffusion.L.shape[0]
+        per_dof.append(max(lu.L.nnz + lu.U.nnz for _, lu in made) / ndof)
+        # every stage solve satisfies the true stage equation
+        assert len(residuals) == 3 * info['steps']
+        assert 0.0 < max(residuals) <= 1e-12
+    assert max(per_dof) < 12.0
+    assert per_dof[1] <= 1.1 * per_dof[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_2d_stage_solve_matches_a_direct_sparse_solve(k):
+    # a non-square mesh with dx != dy: mixing up nx and ny, or a
+    # transpose, breaks the solve
+    prob = ProblemSpec('rect', ((0.0, 1.0), (-1.0, 2.0)), 0.3, 1.0, 0.2, k,
+                       exact=lambda x, y, t: np.sin(x) * np.cos(y) + t)
+    basis = build_basis(k)
+    mesh = build_mesh(prob.bounds, (5, 7))
+    assert mesh.dx != mesh.dy
     integ = ImexIntegrator(prob, mesh, basis)
-    tau = prob.cfl * mesh.x.dx
-    _, info = integ.integrate(u0, 0.0, 3.5 * tau, tau)
-    assert info['factorizations'] == len(made) == 2
-    assert len(residuals) == 3 * info['steps']
-    assert 0.0 < max(residuals) <= 1e-12
-    for a, lu in made:
-        default = SPLU(a)
-        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+    L = integ.diffusion.L
+    r = np.random.default_rng(k).standard_normal(L.shape[0])
+    for coef in (1e-3, 0.05):
+        got = integ._solver(coef).solve(r)
+        want = spla.spsolve((sp.identity(L.shape[0]) - coef * L).tocsc(), r)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("name", ["heat1d", "burgers1d", "heat1d_o4"])
-def test_1d_factors_are_superlu_defaults(monkeypatch, name):
+@pytest.mark.parametrize("name", ["heat1d", "burgers1d", "heat1d_o4",
+                                  "heat2d"])
+def test_factors_are_superlu_defaults(monkeypatch, name):
+    # bitwise equal with and without splu's keywords: no ordering or
+    # pivoting option is passed, in 1D or 2D
     prob = builtin_problem(name)
     basis = build_basis(prob.degree)
-    mesh = build_mesh(prob.bounds, 20)
-    u0 = interpolate(lambda x: prob.exact(x, 0.0), mesh, basis)
+    mesh = build_mesh(prob.bounds, 20 if prob.dim == 1 else (6, 6))
+    u0 = interpolate(lambda *x: prob.exact(*x, 0.0), mesh, basis)
     tau = prob.cfl * mesh.dx
     runs = []
     for keywords in (True, False):

@@ -431,6 +431,28 @@ def test_diffusion_2d_dissipative():
         assert rate <= 1e-10
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_axis_operators_are_self_adjoint_in_the_mass_product(k):
+    # the premise of the 2D stage solve: M L is symmetric, so each L has
+    # a real eigenbasis whose conditioning sqrt(w_max / w_min) does not
+    # depend on the cell count (the mesh is non-square with dx != dy)
+    basis = build_basis(k)
+    mesh = build_mesh(((0.0, 1.0), (-1.0, 2.0)), (5, 7))
+    w = basis.weights
+    for op, ax in zip(Diffusion(mesh, basis, 0.3).axes, mesh.axes):
+        L = op.L.toarray()
+        ML = np.tile(0.5 * ax.dx * w, ax.n)[:, None] * L
+        assert np.linalg.norm(ML - ML.T) <= 1e-13 * np.linalg.norm(ML)
+        lam, vec, vinv = op.eigenbasis()
+        assert lam.max() < 0.0
+        np.testing.assert_allclose(vinv @ vec, np.eye(len(lam)),
+                                   rtol=0, atol=1e-13)
+        assert (np.linalg.norm(vec * lam @ vinv - L)
+                <= 1e-13 * np.linalg.norm(L))
+        assert np.linalg.cond(vec) == pytest.approx(
+            np.sqrt(w.max() / w.min()), rel=1e-12)
+
+
 def test_build_diffusion_dispatch():
     basis = build_basis(2)
     prob1 = builtin_problem('heat1d')

@@ -96,11 +96,14 @@ def test_speeds_are_none_for_a_callable_flux():
 
 
 def test_replacing_the_fluxes_leaves_no_stale_speeds():
-    # speeds are read off the fluxes, not stored beside them
+    # speeds are worked out whenever the fluxes are set
     heat = copy.copy(builtin_problem('heat1d'))
     heat.fluxes = ((lambda u: -0.1 * u, lambda u: -0.1 + 0.0 * u,
                     lambda u: 0.0 * u),)
     assert heat.speeds == (None,)
+    heat.fluxes = [0.25]
+    assert heat.speeds == (0.25,) and heat.fluxes[0][0](2.0) == 0.5
+    assert builtin_problem('heat1d').speeds == (-0.1,)
 
 
 def test_source_derives_from_p():
@@ -183,9 +186,11 @@ def test_spec_reads_the_dimension_from_bounds():
     assert square.fluxes == ((None, None, None),) * 2
     assert square.p_grad == (None, None)
     heat = builtin_problem('heat2d')
-    assert heat.fluxes is heat.fluxes   # stored, not rebuilt per read
-    # the settable fields; speeds and dim are derived
-    assert len(vars(heat)) == 16
+    # stored, not rebuilt per read
+    assert heat.fluxes is heat.fluxes and heat.speeds is heat.speeds
+    # the settable fields; speeds (stored beside fluxes) and dim are
+    # derived
+    assert len(set(vars(heat)) - {'_speeds'}) == 16
 
 
 @pytest.mark.parametrize("name", ['heat1d', 'heat2d'])
