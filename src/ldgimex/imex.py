@@ -30,12 +30,10 @@ treatment module's controller serves the corrected stage values.
 Factors of (I - a_ii tau L) are cached per diagonal entry for the current
 step size only: a fixed step size factors each distinct a_ii once, and a
 new step size (the shortened final step) drops the old factors before
-factoring its own.  Every factor is one SuperLU factorization with its
-defaults: on a 1D mesh of the banded stage matrix itself, on a 2D mesh,
-L = Lx (+) Ly, of the block diagonal the stage matrix becomes in the
-eigenbasis of Ly (AxisOperator.eigenbasis), one banded block
-I - c (Lx + lam_j I) per eigenvalue; its solves map into that eigenbasis
-and back (EigenbasisFactor).
+factoring its own.  Every factor is one SuperLU factorization, with its
+defaults, of I - a_ii tau Diffusion.shifted, L in a basis where the stage
+matrix is banded block by block (in 2D the eigenbasis of Ly); a stage
+solve maps its right-hand side into that basis and its solution back.
 """
 
 import math
@@ -285,24 +283,6 @@ class NaiveBoundary:
         pass
 
 
-class EigenbasisFactor:
-    """A 2D stage factor: solves (I - c L) u = r for L = Lx (+) Ly.
-
-    lu factors I - c kronsum(Lx, diag(lam)), block j being the banded
-    I - c (Lx + lam_j I), and Ly = vec diag(lam) vinv.  With the flat r
-    shaped R (x dofs, y dofs), row j of vinv R^T is block j's right-hand
-    side; lu turns these rows into W, and U = (vec W)^T.
-    """
-
-    def __init__(self, lu, vec, vinv):
-        self._lu, self._vec, self._vinv = lu, vec, vinv
-
-    def solve(self, r):
-        ny = len(self._vec)
-        w = self._lu.solve((self._vinv @ r.reshape(-1, ny).T).ravel())
-        return (self._vec @ w.reshape(ny, -1)).T.ravel()
-
-
 class ImexIntegrator:
     """Drives the IMEX scheme for one problem/mesh/basis triple."""
 
@@ -316,37 +296,21 @@ class ImexIntegrator:
         self.controller = controller or NaiveBoundary(problem, mesh, basis,
                                                       self.tableau)
         self.coords = mesh.node_coords(basis)
-        ndof = self.diffusion.L.shape[0]
-        self._eye = sp.identity(ndof, format='csc')
-        self._lcsc = self.diffusion.L.tocsc()
+        self._eye = sp.identity(self.diffusion.shifted.shape[0], format='csc')
         self._lu = {}
         self._lu_tau = None
-        self._eigen = None
         self.factorizations = 0
 
     def _solver(self, coef):
+        """The factor of I - coef Diffusion.shifted, made on first use."""
         lu = self._lu.get(coef)
         if lu is None:
-            # 1D factors the banded stage matrix, 2D the block diagonal of
-            # its y-eigenbasis (EigenbasisFactor), whose banded blocks fill
-            # about 10 L+U entries per dof at any N, where a sparse LU of
-            # the 2D matrix itself fills over 100 per dof from N = 12 on.
-            # Both use SuperLU's defaults: another pivot order moves the 1D
-            # errors at the roundoff floor (heat1d_o4 L2 at N = 160, T = 1
-            # by -14%).
-            axes = self.diffusion.axes
-            if len(axes) == 1:
-                lu = spla.splu((self._eye - coef * self._lcsc).tocsc())
-            else:
-                if self._eigen is None:
-                    # once per mesh, on its first factorization
-                    lam, vec, vinv = axes[1].eigenbasis()
-                    self._eigen = (sp.kronsum(axes[0].L, sp.diags(lam)),
-                                   vec, vinv)
-                shifted, vec, vinv = self._eigen
-                lu = EigenbasisFactor(
-                    spla.splu((self._eye - coef * shifted).tocsc()),
-                    vec, vinv)
+            # shifted's banded blocks fill about 10 L+U entries per dof at
+            # any N, where a sparse LU of the 2D stage matrix fills over 100
+            # per dof from N = 12 on.  SuperLU's defaults: another pivot
+            # order moves the 1D errors at the roundoff floor (heat1d_o4 L2
+            # at N = 160, T = 1 by -14%).
+            lu = spla.splu((self._eye - coef * self.diffusion.shifted).tocsc())
             self._lu[coef] = lu
             self.factorizations += 1
         return lu
@@ -354,7 +318,7 @@ class ImexIntegrator:
     def _xi(self, u_field, t, bdata):
         return self.diffusion.flatten(explicit_rhs(
             u_field, t, bdata, self.problem, self.mesh, self.basis,
-            coords=self.coords, axes=self.diffusion.axes))
+            self.coords, self.diffusion.axes))
 
     def step(self, u, t, tau):
         """Advance one step of size tau from (u, t); returns the new field."""
@@ -382,14 +346,15 @@ class ImexIntegrator:
                 for j, cf in tab.im_rows[i]:
                     acc += (tau * cf) * psi[j]
                 if taii != 0.0:
-                    ui = self._solver(taii).solve(acc + taii * diff.gb(bd))
+                    rhs = diff.to_basis(acc + taii * diff.gb(bd))
+                    ui = diff.from_basis(self._solver(taii).solve(rhs))
                     psi[i] = (ui - acc) / taii
                 else:
                     ui = acc
                 ufield = diff.unflatten(ui)
                 ctrl.observe_stage(i, ufield)
             if psi[i] is None and tab.needs_psi[i]:
-                psi[i] = self._lcsc @ ui + diff.gb(bd)
+                psi[i] = diff.matvec(ui) + diff.gb(bd)
             xi[i] = self._xi(ufield, t + tab.c[i] * tau, bd)
 
         unew = uflat.copy()

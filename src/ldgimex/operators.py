@@ -191,6 +191,13 @@ class Diffusion:
     Kronecker sum, in 1D the axis's L itself; g_b adds each axis's Gb
     applied to its face data along every grid line.  flatten/unflatten
     map fields to and from the flat dof order that L acts on.
+
+    L is kept as shifted, L in a basis where every stage matrix I - c L
+    is banded block by block, with the maps into and out of that basis
+    (to_basis, from_basis; matvec forms L v through them): in 1D the
+    axis's L and the identity, in 2D kronsum(Lx, diag(lam)) for Ly = vec
+    diag(lam) vinv (AxisOperator.eigenbasis), a flat v shaped V (x dofs,
+    y dofs) mapping to the rows of vinv V^T.
     """
 
     def __init__(self, mesh, basis, d_coef):
@@ -202,8 +209,11 @@ class Diffusion:
         widths = [ax.dx for ax in axes][::-1]
         self.axes = tuple(AxisOperator(ax.n, ax.dx, basis, d_coef, 1.0 / w)
                           for ax, w in zip(axes, widths))
-        # kronsum(A, B) runs A's index fastest: fold from the last axis
-        self.L = reduce(sp.kronsum, [op.L for op in self.axes[::-1]]).tocsr()
+        if dim == 1:
+            self.shifted, self._vec, self._vinv = self.axes[0].L, None, None
+        else:
+            lam, self._vec, self._vinv = self.axes[1].eigenbasis()
+            self.shifted = sp.kronsum(self.axes[0].L, sp.diags(lam))
         self.shape = tuple(ax.n for ax in axes) + (p,) * dim
         self._order = tuple(i for a in range(dim) for i in (a, a + dim))
         self._unorder = _inverse(self._order)
@@ -226,6 +236,22 @@ class Diffusion:
 
     def unflatten(self, v):
         return v.reshape(self._split).transpose(self._unorder)
+
+    def to_basis(self, v):
+        """The flat v in the basis of shifted."""
+        if self._vinv is None:
+            return v
+        return (self._vinv @ v.reshape(-1, len(self._vinv)).T).ravel()
+
+    def from_basis(self, w):
+        """The flat w of the basis of shifted in the flat dof order."""
+        if self._vec is None:
+            return w
+        return (self._vec @ w.reshape(len(self._vec), -1)).T.ravel()
+
+    def matvec(self, v):
+        """L v for the flat v."""
+        return self.from_basis(self.shifted @ self.to_basis(v))
 
     def gb(self, bdata):
         """Boundary vector in the flat order: each axis's Gb @ [low; high]
@@ -308,21 +334,15 @@ def _line_order(axis, dim):
     return front, _inverse(front)
 
 
-def explicit_rhs(u, t, bdata, problem, mesh, basis, coords=None,
-                 axes=None):
+def explicit_rhs(u, t, bdata, problem, mesh, basis, coords, axes):
     """The xi part of the semidiscretization: -div F(u) + h(u, x, t).
 
     Each axis with a flux runs the 1D LLF operator on every grid line
     along it, with that axis's face data as the outside states, the lines
     laid out as the module docstring says; a number flux runs the linear
-    kernel.  coords (mesh.node_coords) and
-    axes (one LineMatrices per mesh axis, such as Diffusion.axes) are
-    built from the mesh when not given.
+    kernel.  coords are the node coordinates (mesh.node_coords) and axes
+    one LineMatrices per mesh axis, such as Diffusion.axes.
     """
-    if coords is None:
-        coords = mesh.node_coords(basis)
-    if axes is None:
-        axes = [LineMatrices(basis, ax.dx) for ax in mesh.axes]
     u = np.asarray(u, dtype=float)
     dim = len(mesh.axes)
     terms = []

@@ -13,6 +13,7 @@ from ldgimex.operators import explicit_rhs
 from ldgimex.problems import ProblemSpec, builtin_problem
 from ldgimex.quadrature import build_basis, interpolate
 from ldgimex.treatment import treated_boundary
+from test_operators import global_L, mesh_explicit_rhs
 
 TOL = 1e-12
 SPLU = spla.splu        # the real factorization, kept from monkeypatching
@@ -143,12 +144,12 @@ def test_scalar_ode_convergence_order(name, lam, mu, T, floor):
 
 # -- the PDE integrator ---------------------------------------------------------
 
-def _heat_setup(n=8, tableau=None):
-    prob = builtin_problem('heat1d')
+def _heat_setup(n=8, tableau=None, name='heat1d'):
+    prob = builtin_problem(name)
     basis = build_basis(prob.degree)
     mesh = build_mesh(prob.bounds, n)
     integ = ImexIntegrator(prob, mesh, basis, tableau=tableau)
-    u0 = interpolate(lambda x: prob.exact(x, 0.0), mesh, basis)
+    u0 = interpolate(lambda *x: prob.exact(*x, 0.0), mesh, basis)
     return prob, mesh, basis, integ, u0
 
 
@@ -169,15 +170,18 @@ def test_constant_state_is_a_fixed_point():
 
 class _Residuals:
     """A factor of the matrix a whose solves record their relative
-    residual |rhs - a x| / |rhs|."""
+    residual |r - a u| / |r|, r and u the right-hand side and solution
+    mapped by back (the identity unless given)."""
 
-    def __init__(self, a, lu, residuals):
+    def __init__(self, a, lu, residuals, back=lambda v: v):
         self._a, self._lu, self._residuals = a, lu, residuals
+        self._back = back
 
     def solve(self, rhs):
         x = self._lu.solve(rhs)
-        self._residuals.append(np.linalg.norm(rhs - self._a @ x)
-                               / np.linalg.norm(rhs))
+        r, u = self._back(rhs), self._back(x)
+        self._residuals.append(np.linalg.norm(r - self._a @ u)
+                               / np.linalg.norm(r))
         return x
 
 
@@ -205,14 +209,17 @@ def _record_splu(monkeypatch, keywords=True):
 
 def _record_stage_residuals(monkeypatch):
     """Route every stage factor through a recorder of its solves'
-    relative residuals against the true stage matrix I - c L."""
+    relative residuals against the true stage matrix I - c L: a factor
+    solves in the basis of Diffusion.shifted, and the recorder maps its
+    right-hand side and solution back (Diffusion.from_basis)."""
     residuals = []
     solver = ImexIntegrator._solver
 
     def recording(self, coef):
-        L = self.diffusion.L
+        L = global_L(self.diffusion)
         stage = sp.identity(L.shape[0]) - coef * L
-        return _Residuals(stage, solver(self, coef), residuals)
+        return _Residuals(stage, solver(self, coef), residuals,
+                          self.diffusion.from_basis)
 
     monkeypatch.setattr(ImexIntegrator, '_solver', recording)
     return residuals
@@ -287,7 +294,7 @@ def test_2d_factor_fill_is_banded(monkeypatch):
         tau = prob.cfl * mesh.dx
         _, info = integ.integrate(u0, 0.0, 3.5 * tau, tau)
         assert info['factorizations'] == len(made) == 2
-        ndof = integ.diffusion.L.shape[0]
+        ndof = integ.diffusion.shifted.shape[0]
         per_dof.append(max(lu.L.nnz + lu.U.nnz for _, lu in made) / ndof)
         # every stage solve satisfies the true stage equation
         assert len(residuals) == 3 * info['steps']
@@ -297,21 +304,30 @@ def test_2d_factor_fill_is_banded(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_2d_stage_solve_matches_a_direct_sparse_solve(k):
-    # a non-square mesh with dx != dy: mixing up nx and ny, or a
-    # transpose, breaks the solve
-    prob = ProblemSpec('rect', ((0.0, 1.0), (-1.0, 2.0)), 0.3, 1.0, 0.2, k,
-                       exact=lambda x, y, t: np.sin(x) * np.cos(y) + t)
+def test_stage_solve_matches_a_direct_sparse_solve(k):
+    # a factor solves in the basis of Diffusion.shifted; mapped in and
+    # out it solves the stage equation.  In 2D on a non-square mesh with
+    # dx != dy: mixing up nx and ny, or a transpose, breaks the solve
     basis = build_basis(k)
-    mesh = build_mesh(prob.bounds, (5, 7))
-    assert mesh.dx != mesh.dy
-    integ = ImexIntegrator(prob, mesh, basis)
-    L = integ.diffusion.L
-    r = np.random.default_rng(k).standard_normal(L.shape[0])
-    for coef in (1e-3, 0.05):
-        got = integ._solver(coef).solve(r)
-        want = spla.spsolve((sp.identity(L.shape[0]) - coef * L).tocsc(), r)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    rng = np.random.default_rng(k)
+    for prob, cells in (
+            (ProblemSpec('line', (0.0, 1.0), 0.3, 1.0, 0.2, k,
+                         exact=lambda x, t: np.sin(x) + t), 5),
+            (ProblemSpec('rect', ((0.0, 1.0), (-1.0, 2.0)), 0.3, 1.0, 0.2,
+                         k, exact=lambda x, y, t: np.sin(x) * np.cos(y) + t),
+             (5, 7))):
+        mesh = build_mesh(prob.bounds, cells)
+        assert mesh.dim == 1 or mesh.dx != mesh.dy
+        integ = ImexIntegrator(prob, mesh, basis)
+        diff = integ.diffusion
+        L = global_L(diff)
+        r = rng.standard_normal(L.shape[0])
+        for coef in (1e-3, 0.05):
+            got = diff.from_basis(integ._solver(coef).solve(
+                diff.to_basis(r)))
+            stage = (sp.identity(L.shape[0]) - coef * L).tocsc()
+            want = spla.spsolve(stage, r)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("name", ["heat1d", "burgers1d", "heat1d_o4",
@@ -492,7 +508,7 @@ def test_zero_diffusion_reduces_to_explicit_tableau(monkeypatch):
     xi = [rate for _, _, rate in calls]
     # the implicit tendencies L u + g_b are exactly zero
     diff = integ.diffusion
-    assert abs(diff.L).max() == 0.0
+    assert abs(global_L(diff)).max() == 0.0
     for _, bdata, _ in calls:
         assert np.max(np.abs(diff.gb(bdata))) == 0.0
     # each rate was taken at its stage field
@@ -512,7 +528,7 @@ def test_zero_diffusion_reduces_to_explicit_tableau(monkeypatch):
             want += (tau * tab.b_ex[i]) * xi[i]
     np.testing.assert_allclose(out, want, atol=1e-13, rtol=0)
     # and the first rate is the plain convective RHS
-    rhs0 = explicit_rhs(u0, 0.0, calls[0][1], prob, mesh, basis)
+    rhs0 = mesh_explicit_rhs(u0, 0.0, calls[0][1], prob, mesh, basis)
     np.testing.assert_allclose(xi[0], rhs0, atol=0, rtol=0)
 
 
@@ -526,44 +542,48 @@ def test_recorded_stage_count_matches_tableau(monkeypatch):
         assert len(calls) == s
 
 
-class _CountingMatrix:
-    """A sparse matrix that counts its products with vectors."""
-
-    def __init__(self, mat):
-        self.mat, self.products = mat, 0
-
-    def __matmul__(self, v):
-        self.products += 1
-        return self.mat @ v
-
-    def __rmul__(self, c):
-        return c * self.mat
-
-
 @pytest.mark.parametrize("name,products", [('ark3', 0), ('ark4', 1)])
 def test_psi_comes_from_the_stage_equation(monkeypatch, name, products):
     # a stage with a_ii != 0 reads psi^i from its solve; only ARK4's first
-    # stage (a_00 = 0, its psi used later) forms L u + g_b
-    prob, mesh, basis, integ, u0 = _heat_setup(
-        10, tableau=builtin_tableau(name))
-    integ._lcsc = counting = _CountingMatrix(integ._lcsc)
-    tau = prob.cfl * mesh.dx
-    out, stages, calls = _observed_step(monkeypatch, integ, u0, 0.3, tau)
-    assert counting.products == products
-    tab, diff = integ.tableau, integ.diffusion
-    fields = [diff.flatten(u) for u, _, _ in calls]
-    xi = [diff.flatten(rate) for _, _, rate in calls]
-    direct = [diff.L @ u + diff.gb(bdata)
-              for u, (_, bdata, _) in zip(fields, calls)]
-    # the tendencies that the observed stage fields imply
-    psi = [direct[0]]
-    for i in range(1, tab.stages):
-        acc = fields[0] + tau * sum(tab.a_ex[i, j] * xi[j]
-                                    + tab.a_im[i, j] * psi[j]
-                                    for j in range(i))
-        psi.append((fields[i] - acc) / (tau * tab.a_im[i, i]))
-        err = np.max(np.abs(psi[i] - direct[i])) / np.max(np.abs(direct[i]))
-        assert err <= 1e-12, (i, err)
-    want = fields[0] + tau * sum(tab.b_ex[i] * xi[i] + tab.b_im[i] * psi[i]
-                                 for i in range(tab.stages))
-    np.testing.assert_allclose(diff.flatten(out), want, atol=1e-14, rtol=0)
+    # stage (a_00 = 0, its psi used later) forms L u + g_b, in 2D through
+    # the eigenbasis of Ly
+    for cells, problem in ((10, 'heat1d'), ((6, 6), 'heat2d')):
+        prob, mesh, basis, integ, u0 = _heat_setup(
+            cells, builtin_tableau(name), problem)
+        diff = integ.diffusion
+        made = []
+        matvec = diff.matvec
+
+        def recording(v):
+            made.append(matvec(v))
+            return made[-1]
+
+        monkeypatch.setattr(diff, 'matvec', recording)
+        tau = prob.cfl * mesh.dx
+        out, stages, calls = _observed_step(monkeypatch, integ, u0, 0.3, tau)
+        assert len(made) == products, prob.name
+        tab, L = integ.tableau, global_L(diff)
+        fields = [diff.flatten(u) for u, _, _ in calls]
+        xi = [diff.flatten(rate) for _, _, rate in calls]
+        direct = [L @ u + diff.gb(bdata)
+                  for u, (_, bdata, _) in zip(fields, calls)]
+        psi = [direct[0]]
+        if made:
+            psi[0] = made[0] + diff.gb(calls[0][1])
+            err = (np.max(np.abs(psi[0] - direct[0]))
+                   / np.max(np.abs(direct[0])))
+            assert err <= 1e-12, (prob.name, err)
+        # the tendencies that the observed stage fields imply
+        for i in range(1, tab.stages):
+            acc = fields[0] + tau * sum(tab.a_ex[i, j] * xi[j]
+                                        + tab.a_im[i, j] * psi[j]
+                                        for j in range(i))
+            psi.append((fields[i] - acc) / (tau * tab.a_im[i, i]))
+            err = (np.max(np.abs(psi[i] - direct[i]))
+                   / np.max(np.abs(direct[i])))
+            assert err <= 1e-12, (prob.name, i, err)
+        want = fields[0] + tau * sum(tab.b_ex[i] * xi[i]
+                                     + tab.b_im[i] * psi[i]
+                                     for i in range(tab.stages))
+        np.testing.assert_allclose(diff.flatten(out), want, atol=1e-14,
+                                   rtol=0)

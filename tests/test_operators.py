@@ -10,9 +10,12 @@ axis operators is also held bitwise to a cell-by-cell lil assembly
 replaced (einsum_explicit_rhs), the block-tridiagonal kernel of a
 linear flux to the general kernel run on the same flux as callables, and
 the boundary vector to the dense product with each axis's whole Gb.
-The solver never applies L to a field or forms q, so the tests do
-(diffusion_apply, diffusion_gradient), and they keep the LLF flux
-formula (lax_friedrichs) that the convective kernel inlines.
+The solver holds L only in the basis of its stage solves
+(Diffusion.shifted) and never forms q, so the tests build the global L
+(global_L) and apply it (diffusion_apply, diffusion_gradient); they
+build explicit_rhs's coordinates and line matrices from the mesh
+(mesh_explicit_rhs), and keep the LLF flux formula (lax_friedrichs)
+that the convective kernel inlines.
 """
 
 import copy
@@ -246,9 +249,10 @@ def test_axis_operators_equal_the_cell_loop_bitwise(k, n, d):
         for name in ('Kb', 'Gb'):
             assert np.array_equal(getattr(op, name), want[name]), name
         refs.append(want['L'])
-    assert_same_csr(one.L, refs[0])
-    # kronsum runs its first argument's index fastest: y, then x
-    assert_same_csr(two.L, reduce(sp.kronsum, [refs[2], refs[1]]).tocsr())
+    assert_same_csr(one.shifted, refs[0])
+    # two.axes[1].L is bitwise the cell loop's Ly: so are its eigenvalues
+    lam = two.axes[1].eigenbasis()[0]
+    assert_same_csr(two.shifted, sp.kronsum(refs[1], sp.diags(lam)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -259,15 +263,44 @@ def test_diffusion_matrix_has_no_stored_zeros_and_sorted_indices(k):
     for mesh in (build_mesh((-1.0, 1.0), 9),
                  build_mesh(((-1.0, 1.0), (-1.0, 1.0)), (4, 3))):
         diff = Diffusion(mesh, basis, 1.3)
-        assert_canonical(diff.L)
+        assert_canonical(diff.shifted)
         for op in diff.axes:
             assert_canonical(op.K)
             assert_canonical(op.L)
 
 
+def global_L(diff):
+    """The L of a Diffusion in its flat dof order: the Kronecker sum of
+    its axes' L, in 1D the axis's L itself."""
+    # kronsum(A, B) runs A's index fastest: fold from the last axis
+    return reduce(sp.kronsum, [op.L for op in diff.axes[::-1]]).tocsr()
+
+
 def diffusion_apply(diff, u, bdata):
     """The full diffusive RHS L u + g_b of a Diffusion, as a field."""
-    return diff.unflatten(diff.L @ diff.flatten(u) + diff.gb(bdata))
+    return diff.unflatten(global_L(diff) @ diff.flatten(u) + diff.gb(bdata))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_matvec_is_the_global_product(k):
+    # through the eigenbasis of Ly in 2D, on a non-square mesh with
+    # dx != dy; in 1D the maps are the identity and the product is L's
+    # own, bitwise, in CSR or CSC
+    basis = build_basis(k)
+    rng = np.random.default_rng(k)
+    for mesh in (build_mesh((0.0, 1.0), 5),
+                 build_mesh(((0.0, 1.0), (-1.0, 2.0)), (5, 7))):
+        diff = Diffusion(mesh, basis, 0.3)
+        L = global_L(diff)
+        v = rng.standard_normal(L.shape[0])
+        got = diff.matvec(v)
+        if mesh.dim == 1:
+            assert diff.to_basis(v) is v and diff.from_basis(v) is v
+            assert np.array_equal(got, L @ v)
+            assert np.array_equal(got, L.tocsc() @ v)
+        else:
+            want = L @ v
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def diffusion_gradient(diff, u, bdata):
@@ -465,6 +498,15 @@ def test_build_diffusion_dispatch():
 
 # -- convective RHS vs brute force -------------------------------------------
 
+def mesh_explicit_rhs(u, t, bdata, problem, mesh, basis, axes=None):
+    """explicit_rhs with the node coordinates, and unless given the line
+    matrices (one LineMatrices per axis), built from the mesh."""
+    if axes is None:
+        axes = [LineMatrices(basis, ax.dx) for ax in mesh.axes]
+    return explicit_rhs(u, t, bdata, problem, mesh, basis,
+                        mesh.node_coords(basis), axes)
+
+
 def test_explicit_rhs_linear_flux_matches_oracle():
     prob = builtin_problem('heat1d')        # f = -0.1 u, p = D - 1 = 1
     basis = build_basis(prob.degree)
@@ -474,7 +516,7 @@ def test_explicit_rhs_linear_flux_matches_oracle():
     omw, ome = rng.standard_normal(2)
     bdata = ((omw, ome),)
     t = 0.7
-    got = explicit_rhs(u, t, bdata, prob, mesh, basis)
+    got = mesh_explicit_rhs(u, t, bdata, prob, mesh, basis)
     alpha = llf_alpha(prob, u, bdata)
     want = convection_oracle(u, omw, ome, prob.fluxes[0][0], alpha, mesh,
                              basis)
@@ -491,7 +533,7 @@ def test_explicit_rhs_nonlinear_flux_matches_oracle():
     omw, ome = rng.standard_normal(2)
     bdata = ((omw, ome),)
     t = 1.2
-    got = explicit_rhs(u, t, bdata, prob, mesh, basis)
+    got = mesh_explicit_rhs(u, t, bdata, prob, mesh, basis)
     alpha = llf_alpha(prob, u, bdata)
     want = convection_oracle(u, omw, ome, prob.fluxes[0][0], alpha, mesh,
                              basis)
@@ -508,7 +550,7 @@ def test_explicit_rhs_constant_state_is_silent():
     c = 0.37
     u = np.full((5, basis.p), c)
     bdata = ((c, c),)
-    got = explicit_rhs(u, 0.5, bdata, prob, mesh, basis)
+    got = mesh_explicit_rhs(u, 0.5, bdata, prob, mesh, basis)
     want = prob.p(*mesh.node_coords(basis), 0.5) * c   # only the source acts
     np.testing.assert_allclose(got, want, atol=1e-13, rtol=0)
 
@@ -524,7 +566,7 @@ def test_explicit_rhs_2d_matches_dimension_split_oracle():
              (rng.standard_normal((n, p)), rng.standard_normal((n, p))))
     (west, east), (south, north) = bdata
     t = 0.3
-    got = explicit_rhs(u, t, bdata, prob, mesh, basis)
+    got = mesh_explicit_rhs(u, t, bdata, prob, mesh, basis)
     alpha = llf_alpha(prob, u, bdata)
     want = np.zeros_like(u)
     # x-direction: each (j, m2) line is a 1D convection problem
@@ -610,7 +652,7 @@ def test_explicit_rhs_matches_the_einsum_kernel(make, cells):
                   rng.standard_normal((mesh.n, basis.p))))
     want = einsum_explicit_rhs(u, 0.4, bdata, prob, mesh, basis)
     for axes in (None, diff.axes):
-        got = explicit_rhs(u, 0.4, bdata, prob, mesh, basis, axes=axes)
+        got = mesh_explicit_rhs(u, 0.4, bdata, prob, mesh, basis, axes=axes)
         assert got.shape == want.shape
         err = np.max(np.abs(got - want)) / np.max(np.abs(want))
         assert err <= 1e-14, err
@@ -706,10 +748,10 @@ def test_linear_kernel_matches_the_general_kernel(case):
     rng = np.random.default_rng(53)
     for _ in range(3):
         u, bdata = _random_state(mesh, basis, diff, rng)
-        want = explicit_rhs(u, 0.4, bdata, general, mesh, basis)
+        want = mesh_explicit_rhs(u, 0.4, bdata, general, mesh, basis)
         for axes in (None, diff.axes):
-            got = explicit_rhs(u, 0.4, bdata, linear, mesh, basis,
-                               axes=axes)
+            got = mesh_explicit_rhs(u, 0.4, bdata, linear, mesh, basis,
+                                    axes=axes)
             err = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert err <= 1e-13, err
 
@@ -757,7 +799,7 @@ def test_linear_blocks_are_memoized_for_one_bound_only():
     alphas = set()
     for _ in range(40):
         u, bdata = _random_state(mesh, basis, diff, rng)
-        explicit_rhs(u, 0.1, bdata, linear, mesh, basis, axes=diff.axes)
+        mesh_explicit_rhs(u, 0.1, bdata, linear, mesh, basis, axes=diff.axes)
         alpha = llf_alpha(linear, u, bdata)
         alphas.add(alpha)
         key, blocks = mats._llf_memo
@@ -770,7 +812,8 @@ def test_linear_blocks_are_memoized_for_one_bound_only():
     built = []
     for _ in range(3):
         u, bdata = _random_state(mesh, basis, heat_diff, rng)
-        explicit_rhs(u, 0.1, bdata, heat, mesh, basis, axes=heat_diff.axes)
+        mesh_explicit_rhs(u, 0.1, bdata, heat, mesh, basis,
+                          axes=heat_diff.axes)
         built.append([op._llf_memo[1] for op in heat_diff.axes])
     assert all(b is first for later in built[1:]
                for b, first in zip(later, built[0]))

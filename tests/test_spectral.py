@@ -46,7 +46,7 @@ def amplification_matrix(dim, C, D, n, cfl, bc):
     diff = integ.diffusion
     tau = cfl * integ.mesh.min_width
     cols = [diff.flatten(integ.step(diff.unflatten(e), 0.0, tau))
-            for e in np.eye(diff.L.shape[0])]
+            for e in np.eye(diff.shifted.shape[0])]
     return np.array(cols).T
 
 
