@@ -32,8 +32,9 @@ step size only: a fixed step size factors each distinct a_ii once, and a
 new step size (the shortened final step) drops the old factors before
 factoring its own.  Every factor is one SuperLU factorization, with its
 defaults, of I - a_ii tau Diffusion.shifted, L in a basis where the stage
-matrix is banded block by block (in 2D the eigenbasis of Ly); a stage
-solve maps its right-hand side into that basis and its solution back.
+matrix is banded (in 2D the eigenbasis of both axes, where it is
+diagonal); a stage solve maps its right-hand side into that basis and its
+solution back.
 """
 
 import math
@@ -305,9 +306,9 @@ class ImexIntegrator:
         """The factor of I - coef Diffusion.shifted, made on first use."""
         lu = self._lu.get(coef)
         if lu is None:
-            # shifted's banded blocks fill about 10 L+U entries per dof at
-            # any N, where a sparse LU of the 2D stage matrix fills over 100
-            # per dof from N = 12 on.  SuperLU's defaults: another pivot
+            # in 2D shifted is diagonal, 2 L+U entries per dof at any N,
+            # where a sparse LU of the 2D stage matrix fills over 100 per
+            # dof from N = 12 on.  SuperLU's defaults: another pivot
             # order moves the 1D errors at the roundoff floor (heat1d_o4 L2
             # at N = 160, T = 1 by -14%).
             lu = spla.splu((self._eye - coef * self.diffusion.shifted).tocsc())

@@ -193,11 +193,12 @@ class Diffusion:
     map fields to and from the flat dof order that L acts on.
 
     L is kept as shifted, L in a basis where every stage matrix I - c L
-    is banded block by block, with the maps into and out of that basis
-    (to_basis, from_basis; matvec forms L v through them): in 1D the
-    axis's L and the identity, in 2D kronsum(Lx, diag(lam)) for Ly = vec
-    diag(lam) vinv (AxisOperator.eigenbasis), a flat v shaped V (x dofs,
-    y dofs) mapping to the rows of vinv V^T.
+    is banded, with the maps into and out of that basis (to_basis,
+    from_basis; matvec forms L v through them): in 1D the axis's L and the
+    identity; in 2D the diagonal lam_x (+) lam_y, for each axis's L = vec
+    diag(lam) vinv (AxisOperator.eigenbasis), with a flat v shaped V (x
+    dofs, y dofs) mapping to W = vinv_x V vinv_y^T and back by V = vec_x W
+    vec_y^T, x slowest in both orders.
     """
 
     def __init__(self, mesh, basis, d_coef):
@@ -212,8 +213,9 @@ class Diffusion:
         if dim == 1:
             self.shifted, self._vec, self._vinv = self.axes[0].L, None, None
         else:
-            lam, self._vec, self._vinv = self.axes[1].eigenbasis()
-            self.shifted = sp.kronsum(self.axes[0].L, sp.diags(lam))
+            (lx, vx, ix), (ly, vy, iy) = (op.eigenbasis() for op in self.axes)
+            self.shifted = sp.diags((lx[:, None] + ly).ravel(), format='csr')
+            self._vec, self._vinv = (vx, vy.T), (ix, iy.T)
         self.shape = tuple(ax.n for ax in axes) + (p,) * dim
         self._order = tuple(i for a in range(dim) for i in (a, a + dim))
         self._unorder = _inverse(self._order)
@@ -241,13 +243,15 @@ class Diffusion:
         """The flat v in the basis of shifted."""
         if self._vinv is None:
             return v
-        return (self._vinv @ v.reshape(-1, len(self._vinv)).T).ravel()
+        vinv_x, vinv_yt = self._vinv
+        return (vinv_x @ v.reshape(len(vinv_x), -1) @ vinv_yt).ravel()
 
     def from_basis(self, w):
         """The flat w of the basis of shifted in the flat dof order."""
         if self._vec is None:
             return w
-        return (self._vec @ w.reshape(len(self._vec), -1)).T.ravel()
+        vec_x, vec_yt = self._vec
+        return (vec_x @ w.reshape(len(vec_x), -1) @ vec_yt).ravel()
 
     def matvec(self, v):
         """L v for the flat v."""

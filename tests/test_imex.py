@@ -190,7 +190,7 @@ def _record_splu(monkeypatch, keywords=True):
 
     Returns the list that collects (matrix, factor) per call and the list
     that collects the relative residual of every solve with those
-    factors: in 2D against the eigenbasis matrix handed to splu, not the
+    factors: in 2D against the diagonal matrix handed to splu, not the
     stage matrix (see _record_stage_residuals).  With keywords=False
     every keyword argument is dropped, so the factor is SuperLU's default
     one.
@@ -274,17 +274,16 @@ def test_single_lu_factorization_per_coefficient(monkeypatch):
         assert info['factorizations'] == 2 and len(made) == 4
 
 
-def test_2d_factor_fill_is_banded(monkeypatch):
-    # the factors are those of one banded Lx block per y-eigenvalue: their
-    # L+U fill per dof tends to a constant from below (9.09, 9.52, 9.71
-    # and 9.85 at N = 6, 12, 20 and 40), where the global 2D LU grows
-    # with N (71 -> 106 per dof from N = 6 to 12 with a symmetric
-    # minimum-degree ordering, 146 at N = 20 with the defaults)
+def test_2d_factors_are_diagonal(monkeypatch):
+    # in the eigenbasis of both axes every 2D stage matrix is diagonal:
+    # its factor stores one L and one U entry per dof at any N, where the
+    # global 2D LU grows with N (71 -> 106 per dof from N = 6 to 12 with
+    # a symmetric minimum-degree ordering, 146 at N = 20 with the
+    # defaults) and one banded Lx block per y-eigenvalue kept about 10
     made, _ = _record_splu(monkeypatch)
     residuals = _record_stage_residuals(monkeypatch)
     prob = builtin_problem('heat2d')
     basis = build_basis(prob.degree)
-    per_dof = []
     for n in (6, 12):
         made.clear()
         residuals.clear()
@@ -294,13 +293,12 @@ def test_2d_factor_fill_is_banded(monkeypatch):
         tau = prob.cfl * mesh.dx
         _, info = integ.integrate(u0, 0.0, 3.5 * tau, tau)
         assert info['factorizations'] == len(made) == 2
-        ndof = integ.diffusion.shifted.shape[0]
-        per_dof.append(max(lu.L.nnz + lu.U.nnz for _, lu in made) / ndof)
+        ndof = (n * basis.p) ** 2
+        for _, lu in made:
+            assert lu.L.nnz + lu.U.nnz == 2 * ndof
         # every stage solve satisfies the true stage equation
         assert len(residuals) == 3 * info['steps']
         assert 0.0 < max(residuals) <= 1e-12
-    assert max(per_dof) < 12.0
-    assert per_dof[1] <= 1.1 * per_dof[0]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -546,7 +544,7 @@ def test_recorded_stage_count_matches_tableau(monkeypatch):
 def test_psi_comes_from_the_stage_equation(monkeypatch, name, products):
     # a stage with a_ii != 0 reads psi^i from its solve; only ARK4's first
     # stage (a_00 = 0, its psi used later) forms L u + g_b, in 2D through
-    # the eigenbasis of Ly
+    # the eigenbases of Lx and Ly
     for cells, problem in ((10, 'heat1d'), ((6, 6), 'heat2d')):
         prob, mesh, basis, integ, u0 = _heat_setup(
             cells, builtin_tableau(name), problem)

@@ -250,9 +250,11 @@ def test_axis_operators_equal_the_cell_loop_bitwise(k, n, d):
             assert np.array_equal(getattr(op, name), want[name]), name
         refs.append(want['L'])
     assert_same_csr(one.shifted, refs[0])
-    # two.axes[1].L is bitwise the cell loop's Ly: so are its eigenvalues
-    lam = two.axes[1].eigenbasis()[0]
-    assert_same_csr(two.shifted, sp.kronsum(refs[1], sp.diags(lam)))
+    # two.axes hold bitwise the cell loop's Lx and Ly: so are their
+    # eigenvalues, and 2D shifted is the diagonal of their sum, x slowest
+    lx, ly = (op.eigenbasis()[0] for op in two.axes)
+    assert_same_csr(two.shifted,
+                    sp.diags((lx[:, None] + ly).ravel(), format='csr'))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -283,8 +285,8 @@ def diffusion_apply(diff, u, bdata):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_matvec_is_the_global_product(k):
-    # through the eigenbasis of Ly in 2D, on a non-square mesh with
-    # dx != dy; in 1D the maps are the identity and the product is L's
+    # through the eigenbases of Lx and Ly in 2D, on a non-square mesh
+    # with dx != dy; in 1D the maps are the identity and the product is L's
     # own, bitwise, in CSR or CSC
     basis = build_basis(k)
     rng = np.random.default_rng(k)
@@ -301,6 +303,32 @@ def test_matvec_is_the_global_product(k):
         else:
             want = L @ v
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_2d_basis_maps_invert_each_other_and_diagonalize_L(k):
+    # on a non-square mesh with dx != dy: the two maps undo each other, in
+    # the basis every dof is an eigenvector of L (shifted stores one entry
+    # a row, on the diagonal), and from_basis carries each to its own
+    # eigenvector of the global L
+    basis = build_basis(k)
+    rng = np.random.default_rng(k)
+    mesh = build_mesh(((0.0, 1.0), (-1.0, 2.0)), (5, 7))
+    assert mesh.dx != mesh.dy
+    diff = Diffusion(mesh, basis, 0.3)
+    L = global_L(diff)
+    ndof = L.shape[0]
+    v = rng.standard_normal(ndof)
+    back = diff.from_basis(diff.to_basis(v))
+    assert np.linalg.norm(back - v) <= 1e-13 * np.linalg.norm(v)
+    shifted = diff.shifted
+    assert shifted.shape == (ndof, ndof)
+    assert np.array_equal(shifted.indptr, np.arange(ndof + 1))
+    assert np.array_equal(shifted.indices, np.arange(ndof))
+    w = rng.standard_normal(ndof)
+    want = diff.from_basis(shifted @ w)
+    got = L @ diff.from_basis(w)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def diffusion_gradient(diff, u, bdata):
