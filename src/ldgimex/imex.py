@@ -20,12 +20,18 @@ naive pointwise samples.  A controller has four methods:
     stage_data(i)             stage i's boundary data, i = 0, 1, ... in order
     observe_stage(i, u_i)     every solved stage field u_i, i >= 1
 
-Boundary data is one (low, high) pair of face values per mesh axis:
-((west, east),) in 1D, with Python floats, and ((west, east), (south,
-north)) in 2D, with west/east arrays of shape (m, p) indexed by (cell j,
-node along y) and south/north arrays of shape (n, p) indexed by (cell i,
-node along x).  NaiveBoundary samples omega at the stage times; the
-treatment module's controller serves the corrected stage values.
+Every stage field a controller sees, and every step-start field after
+the first, is a Diffusion.unflatten view of a flat vector, which
+Diffusion.flatten returns without a copy; so is every field explicit_rhs
+returns.  Boundary data is one (low, high) pair of face values per mesh
+axis: ((west, east),) in 1D, with Python floats, and ((west, east),
+(south, north)) in 2D, with west/east arrays of shape (m, p) indexed by
+(cell j, node along y) and south/north arrays of shape (n, p) indexed by
+(cell i, node along x).  Both controllers sample through a
+BoundarySampler, per point set: each 1D endpoint, or all the 2D faces'
+points at once, split back into the per-side arrays as views.
+NaiveBoundary samples omega at the stage times; the treatment module's
+controller serves the corrected stage values.
 
 Factors of (I - a_ii tau L) are cached per diagonal entry for the current
 step size only: a fixed step size factors each distinct a_ii once, and a
@@ -185,13 +191,16 @@ class BoundarySampler:
 
     fns holds the (key, function) pairs its controller samples, functions
     of (coordinates..., t), at the stage times t + c_i*tau, or at the step
-    start only under the key 'omega_tt'.  step(t, tau) returns one dict
-    per side mapping each key to its samples indexed by stage (omega_tt:
-    index 0): lists of Python floats at 1D endpoints, arrays shaped like
-    the face's points in 2D.  sides and points list the side names and
-    their coordinates
-    (see boundary_points on the meshes); coords holds all sides' points
-    in that order, one flat array per axis.
+    start only under the key 'omega_tt'.  The points are sampled as point
+    sets: each 1D endpoint is one, and the points of all four 2D faces
+    form one, in the order of coords.  step(t, tau) returns one dict per
+    point set mapping each key to its samples indexed by stage (omega_tt:
+    index 0): lists of Python floats at a 1D endpoint, arrays over the
+    points in 2D.  split(values) turns one value per point set into one
+    per side, shaped like that side's points (views in 2D).  sides and
+    points list the side names and their coordinates (see boundary_points
+    on the meshes); coords holds all sides' points in that order, one flat
+    array per axis.
     """
 
     def __init__(self, mesh, basis, c, fns):
@@ -199,8 +208,10 @@ class BoundarySampler:
         self.sides = tuple(points)
         self.points = tuple(points.values())
         self._floats = mesh.dim == 1
-        self._shapes = [np.shape(pt[0]) for pt in self.points]
-        self._ends = np.cumsum([int(np.prod(s)) for s in self._shapes])
+        self.point_sets = len(self.sides) if self._floats else 1
+        shapes = [np.shape(pt[0]) for pt in self.points]
+        ends = np.cumsum([int(np.prod(s)) for s in shapes]).tolist()
+        self._pieces = list(zip([0] + ends[:-1], ends, shapes))
         self.coords = [np.concatenate([np.ravel(pt[k]) for pt in self.points])
                        for k in range(mesh.dim)]
         self._c = np.asarray(c, dtype=float)
@@ -220,18 +231,19 @@ class BoundarySampler:
             out[key] = v.transpose(0, 2, 1).tolist() if self._floats else v
         return out
 
-    def _split(self, samples, m):
-        """One {key: per-stage samples} dict per side for step m."""
+    def _sets(self, samples, m):
+        """One {key: per-stage samples} dict per point set for step m."""
         if self._floats:
             return [{key: v[m][k] for key, v in samples.items()}
-                    for k in range(len(self.sides))]
-        out = [{} for _ in self.sides]
-        for key, v in samples.items():
-            lo = 0
-            for side, hi, shape in zip(out, self._ends, self._shapes):
-                side[key] = v[m, :, lo:hi].reshape((-1,) + shape)
-                lo = hi
-        return out
+                    for k in range(self.point_sets)]
+        return [{key: v[m] for key, v in samples.items()}]
+
+    def split(self, values):
+        """Per-side values from one value per point set."""
+        if self._floats:
+            return values
+        flat, = values
+        return [flat[lo:hi].reshape(shape) for lo, hi, shape in self._pieces]
 
     def prepare(self, t0, tau, nsteps):
         """Sample every trace for a fixed-step schedule in one pass.
@@ -245,16 +257,16 @@ class BoundarySampler:
             return
         samples = self._sample(t0 + tau * np.arange(nsteps), tau)
         self._pre = (t0, tau, nsteps,
-                     [self._split(samples, m) for m in range(nsteps)])
+                     [self._sets(samples, m) for m in range(nsteps)])
 
     def step(self, t, tau):
-        """Per-side samples for the step of size tau starting at t."""
+        """Per-point-set samples for the step of size tau starting at t."""
         pre = self._pre
         if pre is not None and tau == pre[1]:
             m = int(round((t - pre[0]) / tau))
             if 0 <= m < pre[2] and pre[0] + m * tau == t:
                 return pre[3][m]
-        return self._split(self._sample(np.array([t]), tau), 0)
+        return self._sets(self._sample(np.array([t]), tau), 0)
 
 
 def axis_pairs(sides):
@@ -275,10 +287,10 @@ class NaiveBoundary:
         self.sampler.prepare(t0, tau, nsteps)
 
     def begin_step(self, u, t, tau):
-        self._omega = [side['omega'] for side in self.sampler.step(t, tau)]
+        self._omega = [traces['omega'] for traces in self.sampler.step(t, tau)]
 
     def stage_data(self, i):
-        return axis_pairs([om[i] for om in self._omega])
+        return axis_pairs(self.sampler.split([om[i] for om in self._omega]))
 
     def observe_stage(self, i, u_stage):
         pass
@@ -296,8 +308,10 @@ class ImexIntegrator:
         self.diffusion = build_diffusion(mesh, basis, problem)
         self.controller = controller or NaiveBoundary(problem, mesh, basis,
                                                       self.tableau)
-        self.coords = mesh.node_coords(basis)
-        self._eye = sp.identity(self.diffusion.shifted.shape[0], format='csc')
+        # laid out in the flat dof order, as the stage fields are, so the
+        # source's elementwise products run over matching layouts
+        self.coords = tuple(self.diffusion.unflatten(self.diffusion.flatten(x))
+                            for x in mesh.node_coords(basis))
         self._lu = {}
         self._lu_tau = None
         self.factorizations = 0
@@ -311,7 +325,9 @@ class ImexIntegrator:
             # dof from N = 12 on.  SuperLU's defaults: another pivot
             # order moves the 1D errors at the roundoff floor (heat1d_o4 L2
             # at N = 160, T = 1 by -14%).
-            lu = spla.splu((self._eye - coef * self.diffusion.shifted).tocsc())
+            shifted = self.diffusion.shifted
+            eye = sp.identity(shifted.shape[0], format='csc')
+            lu = spla.splu((eye - coef * shifted).tocsc())
             self._lu[coef] = lu
             self.factorizations += 1
         return lu

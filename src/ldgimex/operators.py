@@ -15,23 +15,28 @@ order the dofs (cell, node) per axis, x slowest.
 Each mesh axis gets one AxisOperator: its reference line matrices, which
 the convective operator reads too, and its diffusion matrices, assembled
 from stacked block diagonals without a loop over cells.  The convective
-operator lays the field out along an axis as (cells, transverse lines,
-nodes), a transverse line ordered as the axis's face data: its volume
-term is then one product flux(u) (winv S)^T and its face traces one
-[r; l] u^T, for 1D and 2D meshes alike.
+operator works in the flat dof order, on the integrator's own buffers,
+and accumulates every axis term and the source in place into one output
+buffer laid out the same way.  Along an axis that is the last in the
+flat order (the only one in 1D, y in 2D) the field is (transverse lines,
+cells, nodes) with the node index last, so the p x p blocks of its line
+operator apply from the right to nodal values laid out as rows; along x
+in 2D it is (cells, nodes, transverse lines), and they apply from the
+left.  A transverse line is ordered as the axis's face data in both.
+The general kernel of a callable flux takes (lines, cells, nodes) only,
+so along 2D x it reads a transposed view.
 
 A flux given as a number c (problem.speeds) is linear, and so is its LLF
-operator: block tridiagonal over the cells, three products of the rows
-with p x p blocks (LineMatrices.llf_blocks) plus the outside states'
-rows, with no flux call and no face-state vector.  When every flux is
-linear the LLF bound is max |c| over the axes, read off the speeds
-without scanning the states, so the blocks are built once per run; a
-callable flux on another axis moves the bound, and with it the blocks,
-at every call.
+operator: block tridiagonal over the cells, three products with p x p
+blocks (LineMatrices.llf_blocks) plus the outside states' rows, with no
+flux call and no face-state vector.  When every flux is linear the LLF
+bound is max |c| over the axes, read off the speeds without scanning the
+states, so the blocks are built once per run; a callable flux on another
+axis moves the bound, and with it the blocks, at every call.
 """
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -217,8 +222,7 @@ class Diffusion:
             self.shifted = sp.diags((lx[:, None] + ly).ravel(), format='csr')
             self._vec, self._vinv = (vx, vy.T), (ix, iy.T)
         self.shape = tuple(ax.n for ax in axes) + (p,) * dim
-        self._order = tuple(i for a in range(dim) for i in (a, a + dim))
-        self._unorder = _inverse(self._order)
+        self._order, self._unorder = flat_order(dim)
         self._split = tuple(s for ax in axes for s in (ax.n, p))
         fronts = [(a,) + tuple(b for b in range(dim) if b != a)
                   for a in range(dim)]
@@ -275,40 +279,60 @@ def build_diffusion(mesh, basis, problem):
     return Diffusion(mesh, basis, problem.d_coef)
 
 
-def _convection_lines(u, flux, alpha, low, high, mats):
-    """Convective weak-form RHS of -d/dx F(u), shaped like u, for the
-    (n, B, p) nodal values u of n cells on B lines, with outside states
-    low and high, each (B,), the vectorized flux, the Lax-Friedrichs bound
-    alpha and the axis's LineMatrices mats."""
-    n, count, p = u.shape
+def _convection_lines(u, flux, alpha, low, high, mats, out, first):
+    """Convective weak-form RHS of -d/dx F(u) for the (B, n, p) nodal
+    values u of n cells on each of B lines, with outside states low and
+    high, each (B,), the vectorized flux, the Lax-Friedrichs bound alpha
+    and the axis's LineMatrices mats; added into out, shaped like u
+    (written when first)."""
+    count, n, p = u.shape
     rows = u.reshape(-1, p)
-    vol = flux(rows) @ mats.vol
-    # the face states [low, r.u, l.u, high]: faces 0..n see the first
-    # half on their low side, the second half on their high side
-    states = np.concatenate((low, (mats.traces @ rows.T).ravel(), high))
+    vol = (flux(rows) @ mats.vol).reshape(u.shape)
+    # the face states [low, r.u, l.u, high], face by face over the lines:
+    # faces 0..n see the first half on their low side, the second half on
+    # their high side
+    traces = (mats.traces @ rows.T).reshape(2, count, n).transpose(0, 2, 1)
+    states = np.concatenate((low, traces[0].ravel(), traces[1].ravel(),
+                             high))
     fs = flux(states)
     half = (n + 1) * count
     fhat = (0.5 * (fs[:half] + fs[half:])
             - (0.5 * alpha) * (states[half:] - states[:half]))
-    fhat = fhat.reshape(n + 1, count, 1)
-    return (vol.reshape(u.shape) - fhat[1:] * mats.winv_r
-            + fhat[:-1] * mats.winv_l)
+    fhat = fhat.reshape(n + 1, count).T[:, :, None]
+    if first:
+        np.subtract(vol, fhat[:, 1:] * mats.winv_r, out=out)
+        out += fhat[:, :-1] * mats.winv_l
+    else:
+        out += vol - fhat[:, 1:] * mats.winv_r + fhat[:, :-1] * mats.winv_l
 
 
-def _linear_lines(u, c, alpha, low, high, mats):
-    """_convection_lines for the linear flux c u: the LLF operator is
-    block tridiagonal over the cells, so on the (n B, p) rows it is three
-    products with mats.llf_blocks(c, alpha) plus the outside states'
-    rows."""
+def _linear_lines(u, c, alpha, low, high, mats, out, first, nodes_last):
+    """_convection_lines for the linear flux c u, on (B, n, p) lines when
+    nodes_last and on (n, p, B) ones otherwise: the LLF operator is block
+    tridiagonal over the cells, so it is three products with the p x p
+    blocks of mats.llf_blocks(c, alpha), applied from the right to nodal
+    values laid out as rows and from the left to values laid out as
+    columns, plus the outside states' rows."""
     m0, m_low, m_high, b_low, b_high = mats.llf_blocks(c, alpha)
-    count = u.shape[1]
-    rows = u.reshape(-1, u.shape[2])
-    out = rows @ m0
-    out[count:] += rows[:-count] @ m_low
-    out[:-count] += rows[count:] @ m_high
-    out[:count] += np.outer(low, b_low)
-    out[-count:] += np.outer(high, b_high)
-    return out.reshape(u.shape)
+    if nodes_last:
+        rows, dest = u.reshape(-1, u.shape[2]), out.reshape(-1, u.shape[2])
+        if first:
+            np.matmul(rows, m0, out=dest)
+        else:
+            dest += rows @ m0
+        out[:, 1:] += u[:, :-1] @ m_low
+        out[:, :-1] += u[:, 1:] @ m_high
+        out[:, 0] += low[:, None] * b_low
+        out[:, -1] += high[:, None] * b_high
+        return
+    if first:
+        np.matmul(m0.T, u, out=out)
+    else:
+        out += m0.T @ u
+    out[1:] += m_low.T @ u[:-1]
+    out[:-1] += m_high.T @ u[1:]
+    out[0] += b_low[:, None] * low
+    out[-1] += b_high[:, None] * high
 
 
 def llf_alpha(problem, u, bdata):
@@ -330,42 +354,65 @@ def llf_alpha(problem, u, bdata):
 
 
 @lru_cache(maxsize=None)
-def _line_order(axis, dim):
-    """Field index order (axis's cell, transverse indices, axis's node),
-    and its inverse."""
-    front = ((axis,) + tuple(i for i in range(2 * dim) if i % dim != axis)
-             + (axis + dim,))
-    return front, _inverse(front)
+def flat_order(dim):
+    """Field index order of the flat dof order, (cell, node) per axis with
+    x slowest, and its inverse."""
+    order = tuple(i for a in range(dim) for i in (a, a + dim))
+    return order, _inverse(order)
 
 
 def explicit_rhs(u, t, bdata, problem, mesh, basis, coords, axes):
     """The xi part of the semidiscretization: -div F(u) + h(u, x, t).
 
     Each axis with a flux runs the 1D LLF operator on every grid line
-    along it, with that axis's face data as the outside states, the lines
-    laid out as the module docstring says; a number flux runs the linear
-    kernel.  coords are the node coordinates (mesh.node_coords) and axes
-    one LineMatrices per mesh axis, such as Diffusion.axes.
+    along it, with that axis's face data as the outside states; a number
+    flux runs the linear kernel.  coords are the node coordinates
+    (mesh.node_coords) and axes one LineMatrices per mesh axis, such as
+    Diffusion.axes.  Every axis term and the source accumulate in place
+    into one buffer in the flat dof order; the result is a field-shaped
+    view of it, so Diffusion.flatten of the result copies nothing.  A
+    field that is a view of a flat vector (Diffusion.unflatten) is read
+    in place, any other is copied into the flat order first.
     """
     u = np.asarray(u, dtype=float)
-    dim = len(mesh.axes)
-    terms = []
+    order, unorder = flat_order(len(mesh.axes))
+    v = np.ascontiguousarray(u.transpose(order))
+    out = np.empty_like(v)
+    first = True
+    p = basis.p
     for a, (ax, mats, (f, _, _), c, (low, high)) in enumerate(
             zip(mesh.axes, axes, problem.fluxes, problem.speeds, bdata)):
         if f is None:
             continue
-        if not terms:  # the first axis with a flux
-            alpha = llf_alpha(problem, u, bdata)
-        front, back = _line_order(a, dim)
-        lines = u.transpose(front)
-        kernel, flux = ((_convection_lines, f) if c is None
-                        else (_linear_lines, c))
-        conv = kernel(lines.reshape(ax.n, -1, basis.p), flux, alpha,
-                      np.ravel(low), np.ravel(high), mats)
-        terms.append(conv.reshape(lines.shape).transpose(back))
+        if first:
+            alpha = llf_alpha(problem, v, bdata)
+        # the axis's lines in the flat order: (lines, cells, nodes) when
+        # no axis follows it (1D, 2D y), else (cells, nodes, lines)
+        lines_before = math.prod(v.shape[:2 * a])
+        nodes_last = lines_before * ax.n * p == v.size
+        shape = ((lines_before, ax.n, p) if nodes_last
+                 else (ax.n, p, v.size // (ax.n * p)))
+        lines, dest = v.reshape(shape), out.reshape(shape)
+        low, high = np.ravel(low), np.ravel(high)
+        if c is not None:
+            _linear_lines(lines, c, alpha, low, high, mats, dest, first,
+                          nodes_last)
+        elif nodes_last:
+            _convection_lines(lines, f, alpha, low, high, mats, dest, first)
+        else:
+            _convection_lines(lines.transpose(2, 0, 1), f, alpha, low, high,
+                              mats, dest.transpose(2, 0, 1), first)
+        first = False
+    field = out.transpose(unorder)
     if problem.h is not None:
-        terms.append(problem.h(u, *coords, t))
-    return reduce(np.add, terms) if terms else np.zeros_like(u)
+        source = problem.h(u, *coords, t)
+        if first:
+            field[...] = source
+        else:
+            field += source
+    elif first:
+        out.fill(0.0)
+    return field
 
 
 def norms(u, exact, mesh, basis, t):

@@ -19,16 +19,20 @@ whose diffusive closure psi_a = d*sum_b u_bba comes from recovered third
 derivatives.
 
 One recursion serves every boundary: StageCorrector runs it on one point
-set, a 1D endpoint (one gradient component, Python floats) or a 2D face
-(two components, numpy arrays over the face's quadrature points).
-Its arithmetic is plain + and *, so the same code handles both; a 1D
-endpoint is a face without tangential terms.  The traces it consumes come
-from the BoundarySampler that the naive controller uses as well.  The
-derivatives come from a recovery, whose recover(field) returns exactly the
-tuple the recursion reads: (grad, hess, grad_lap), the gradient, Hessian
-and gradient of the Laplacian (psi's gradient over d), floats u_x, u_xx,
-u_xxx at an endpoint and stacked over the axes (x, y) on a face, then at
-fourth order the closure's (u_xxx, u_xxxx, u_xxxxx).
+set, a 1D endpoint (one gradient component, Python floats) or the points
+of all four faces of a 2D mesh at once (two components, numpy arrays over
+those points).  Its arithmetic is plain + and *, so the same code handles
+both; a 1D endpoint is a face without tangential terms.  The traces it
+consumes come from the BoundarySampler that the naive controller uses as
+well, sampled per point set.  The derivatives come from a recovery, whose
+recover(field) returns exactly the tuple the recursion reads: (grad,
+hess, grad_lap), the gradient, Hessian and gradient of the Laplacian
+(psi's gradient over d), floats u_x, u_xx, u_xxx at an endpoint and
+stacked over the axes (x, y) on the faces, then at fourth order the
+closure's (u_xxx, u_xxxx, u_xxxxx).  A 1D endpoint's recovery is a few
+unrolled float sums over its three nearest cells (EdgeDerivatives1D); the
+2D recovery is data, one linear map from the flat dof vector to every
+face point, built from per-axis 1D stencil weights (FaceDerivatives2D).
 
 Two variants are provided.  The default, 'stagewise', re-recovers the
 second derivatives and psi from every freshly solved stage field so Taylor
@@ -42,12 +46,14 @@ linear convection and constant source factor p.
 from operator import itemgetter, methodcaller, mul
 
 import numpy as np
+import scipy.sparse as sp
 
 from .imex import BoundarySampler, axis_pairs
+from .operators import flat_order
 from .problems import boundary_data_check
 
 __all__ = [
-    'ALGORITHMS', 'VARIANTS', 'EdgeDerivatives1D', 'EdgeDerivatives2D',
+    'ALGORITHMS', 'VARIANTS', 'EdgeDerivatives1D', 'FaceDerivatives2D',
     'StageCorrector', 'TreatedBoundary', 'resolve_variant',
     'treated_boundary',
 ]
@@ -157,112 +163,179 @@ class EdgeDerivatives1D:
                 (v0 - 2.0 * v1 + v2) / self._dx2)
 
 
-def _tang_first(z, dt):
-    """d/dt along axis 0 of per-cell samples one cell width apart.
+# the rows of the 2D recovery's output at a face point: u_x, u_y, u_xx,
+# u_xy, u_yy, then grad(lap u) = (u_xxx + u_yyx, u_xxy + u_yyy); _HESS
+# picks the Hessian out of them
+_QUANTITIES = 7
+_HESS = [[2, 3], [3, 4]]
+# a face's rows in its own (normal n, tangent t) order -- u_n, u_t, u_nn,
+# u_nt, u_tt, (grad lap)_n, (grad lap)_t -- land on these rows when y is
+# the normal
+_Y_NORMAL = [1, 0, 4, 3, 2, 6, 5]
+# the normal weights N over the three cell layers next to a face, counted
+# inward: (weights per layer, derivative order along n of each layer's
+# polynomial at its near edge, further power of 1/dn).  They take the
+# boundary cell's u, u_n and u_nn at the face, the one-sided second
+# difference of the layers' u_n samples, one cell width apart, and the
+# one-sided difference (-3, 4, -1)/(2 dn) of their u and of their u_n.
+_NORMAL_ROWS = (
+    ((1.0, 0.0, 0.0), 0, 0),
+    ((1.0, 0.0, 0.0), 1, 0),
+    ((1.0, 0.0, 0.0), 2, 0),
+    ((1.0, -2.0, 1.0), 1, 2),
+    ((-1.5, 2.0, -0.5), 0, 1),
+    ((-1.5, 2.0, -0.5), 1, 1),
+)
+_ODD = np.array([False, True, False, True, True, False])   # in n
+# the tangential maps T, over a point's window of three cells (its cell
+# and the neighbors, shifted inward at the end cells), for the first cell,
+# an interior one and the last: the cell's own value, the first
+# difference (times dt; centered, one-sided 3-point at the ends) and the
+# second difference (times dt^2; one-sided at the ends) of per-cell
+# samples, so that the index of each is its difference order
+_WINDOWS = np.array([
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    [[-1.5, 2.0, -0.5], [-0.5, 0.0, 0.5], [0.5, -2.0, 1.5]],
+    [[1.0, -2.0, 1.0], [1.0, -2.0, 1.0], [1.0, -2.0, 1.0]],
+])
+# the terms N V T^T of a face's rows: (row, normal row, tangential map,
+# derivative order along t of each cell's polynomial at its nodes)
+_TERMS = (
+    (0, 1, 0, 0),       # u_n
+    (1, 0, 0, 1),       # u_t
+    (2, 2, 0, 0),       # u_nn
+    (3, 1, 0, 1),       # u_nt
+    (4, 0, 0, 2),       # u_tt
+    (5, 3, 0, 0),       # u_nnn
+    (5, 4, 1, 1),       # u_ttn
+    (6, 5, 1, 0),       # u_nnt
+    (6, 0, 2, 1),       # u_ttt
+)
 
-    Centered where a neighbor exists on both sides, one-sided 3-point at
-    the first and last cells (second-order either way).
-    """
-    out = np.empty_like(z)
-    out[1:-1] = (z[2:] - z[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * z[0] + 4.0 * z[1] - z[2]) / (2.0 * dt)
-    out[-1] = (3.0 * z[-1] - 4.0 * z[-2] + z[-3]) / (2.0 * dt)
-    return out
+
+def _normal_weights(basis, dn):
+    """The rows of N for a face normal to an axis of cell width dn, over
+    the layers' dofs counted inward from the face."""
+    d1 = basis.diff_matrix
+    left = basis.phi_left
+    edges = (np.array([left, left @ d1, left @ d1 @ d1])
+             * (2.0 / dn) ** np.arange(3)[:, None])
+    return np.array([np.multiply.outer(layers, edges[order]).ravel()
+                     / dn ** power for layers, order, power in _NORMAL_ROWS])
 
 
-def _tang_second(z, dt):
-    """d2/dt2 along axis 0; one-sided second difference at the ends."""
-    out = np.empty_like(z)
-    out[1:-1] = (z[2:] - 2.0 * z[1:-1] + z[:-2]) / dt ** 2
-    out[0] = (z[0] - 2.0 * z[1] + z[2]) / dt ** 2
-    out[-1] = (z[-1] - 2.0 * z[-2] + z[-3]) / dt ** 2
-    return out
+def _tangential_weights(basis, widths):
+    """The tangential factor on the faces normal to x and to y, shaped
+    (normal axis, cell class, point node, row, normal row, window cell,
+    tangential node), for the first, interior and last cell classes
+    along the face."""
+    p = basis.p
+    d1 = basis.diff_matrix
+    nodes = np.array([np.eye(p), d1, d1 @ d1])
+    row, normal, tangential, node = (np.array(c) for c in zip(*_TERMS))
+    # each term on the reference cells, (term, class, q, window cell, node)
+    unit = (_WINDOWS[tangential][:, :, None, :, None]
+            * nodes[node][:, None, :, None, :])
+    select = np.zeros((2, _QUANTITIES, len(_NORMAL_ROWS), len(_TERMS)))
+    for axis, rows in enumerate((row, np.take(_Y_NORMAL, row))):
+        dt = widths[1 - axis]
+        select[axis, rows, normal, np.arange(len(_TERMS))] = (
+            (2.0 / dt) ** node / dt ** tangential)
+    weights = (select.reshape(-1, len(_TERMS))
+               @ unit.reshape(len(_TERMS), -1))
+    return np.ascontiguousarray(weights.reshape(
+        (2, _QUANTITIES, len(_NORMAL_ROWS), 3, p, 3, p)).transpose(
+            0, 3, 4, 1, 2, 5, 6))
 
 
-class EdgeDerivatives2D:
-    """Derivative recovery at every quadrature point of one 2D face.
+class FaceDerivatives2D:
+    """Derivative recovery at every quadrature point of the four faces of
+    a 2D mesh, as one precomputed linear map of the flat dof vector.
 
     recover(field) returns grad = [u_x, u_y], hess = [[u_xx, u_xy], [u_xy,
-    u_yy]] and grad_lap = [u_xxx + u_yyx, u_xxy + u_yyy], each entry of
-    shape (cells along the face, p).  They are built in face-local
-    (normal, tangent) order, n = inward normal axis, with a sign sg = -1 on
-    odd normal-derivative counts on east/north faces, where the normal axis
-    was reversed; south/north faces then reverse the axis order once.
-    Third derivatives use the 1D one-sided rule along the normal, a second
-    difference of neighboring-cell tangent-derivative samples along the
-    tangent, and composed one-sided normal / centered tangential first
-    differences of u_n (resp. u_t) samples for the mixed u_nnt and u_ttn.
-    All samples sit one cell width apart and are evaluated from each
-    cell's own polynomial at its matching near edge / node line.
+    u_yy]] and grad_lap = [u_xxx + u_yyx, u_xxy + u_yyy], each entry an
+    array over the faces' points in the order of BoundarySampler.coords
+    (west, east, south, north).  It reads the field in the flat dof order
+    (Diffusion.flatten), which copies nothing for the integrator's fields.
+
+    The map is built once, from per-axis 1D stencil weights.  On a face
+    with inward normal n and tangent t, each quantity is a sum of terms
+    N V T^T: V the field on the three cell layers next to the face
+    (normal dofs by tangential dofs), N a row of normal weights over
+    those layers (_NORMAL_ROWS) and T a map from the tangential dofs to
+    the face points (_WINDOWS and each cell's own node derivatives).  The
+    map is kept in these two factors: per face the six normal rows as one
+    small dense matrix, applied to V in place, and one sparse matrix
+    taking every face's N V to all faces' points, with a fifth of the
+    entries of the whole map (12.9k against 61k at N = 40).  On the
+    east and north faces the layers count down from the axis's end and
+    the rows odd in n change sign.  Needs k = 2 and >= 3 cells per
+    direction.
     """
 
-    def __init__(self, mesh, basis, face):
-        if face not in ('west', 'east', 'south', 'north'):
-            raise ValueError("face must be west/east/south/north, got %r"
-                             % (face,))
+    def __init__(self, mesh, basis):
         if basis.k != 2:
             raise ValueError("2D recovery supports degree k = 2, got k = %d"
                              % basis.k)
         if mesh.x.n < 3 or mesh.y.n < 3:
             raise ValueError("face recovery needs >= 3 cells per direction")
-        self.normal_axis = 'x' if face in ('west', 'east') else 'y'
-        self.flip = face in ('east', 'north')
-        dn, dt = mesh.x.dx, mesh.y.dx
-        if self.normal_axis == 'y':
-            dn, dt = dt, dn
-        self.dn, self.dt = dn, dt
-        jn = 2.0 / dn
-        jt = 2.0 / dt
-        e0 = _basis_row(basis, -1.0, 0)
-        e1 = _basis_row(basis, -1.0, 1) * jn
-        e2 = _basis_row(basis, -1.0, 2) * jn ** 2
-        eye = np.eye(basis.p)
-        dt1 = np.asarray(basis.derivative_values(eye, basis.nodes, 1),
-                         dtype=float) * jt
-        dt2 = np.asarray(basis.derivative_values(eye, basis.nodes, 2),
-                         dtype=float) * jt ** 2
-        # one (p*p, 5p) matrix mapping a cell's (normal, tangent) nodal
-        # values to the face-point samples d_n, d_t, d_nn, d_tt, d_nt
-        self._maps = np.hstack([np.kron(e[:, None], d) for e, d in
-                                ((e1, eye), (e0, dt1), (e2, eye),
-                                 (e0, dt2), (e1, dt1))])
-
-    def _oriented(self, field):
-        """View of the field with the normal axis first and boundary low."""
-        f = field
-        if self.normal_axis == 'y':
-            f = f.transpose(1, 0, 3, 2)
-        if self.flip:
-            f = f[::-1, :, ::-1, :]
-        return f
+        p = basis.p
+        cells = (mesh.x.n, mesh.y.n)
+        widths = (mesh.x.dx, mesh.y.dx)
+        self._shape = (cells[0] * p, cells[1] * p)
+        sign = np.where(_ODD, -1.0, 1.0)[:, None]
+        self._normal = []
+        for dn in widths:
+            normal = _normal_weights(basis, dn)
+            self._normal += [normal, sign * normal[:, ::-1]]
+        # N V of each face, (normal row, tangential dof), one after another
+        rows = len(_NORMAL_ROWS)
+        sizes = [rows * self._shape[tangent] for tangent in (1, 1, 0, 0)]
+        ends = np.cumsum(sizes).tolist()
+        self._spans = list(zip([0] + ends[:-1], ends))
+        weights = _tangential_weights(basis, widths)
+        entries = np.nonzero(weights)
+        axes, classes, q, row, normal_row, window, node = entries
+        vals = weights[entries]
+        # one cell's entries of each (normal axis, class) are a segment,
+        # in the order of its rows (q, row), with row_lengths entries each
+        segment = axes * 3 + classes
+        bounds = np.searchsorted(segment, np.arange(7)).tolist()
+        row_lengths = np.bincount(
+            segment * (p * _QUANTITIES) + q * _QUANTITIES + row,
+            minlength=6 * p * _QUANTITIES).reshape(6, -1)
+        # per normal axis, the cells of a face: the first, the interior
+        # ones, the last, each with the first cell of its window
+        starts = [(np.array([0]), np.arange(m - 2), np.array([m - 3]))
+                  for m in cells[::-1]]
+        data, indices, lengths = [], [], []
+        for face, (lo_col, _) in enumerate(self._spans):
+            axis = face // 2
+            tangent_dofs = self._shape[1 - axis]
+            cols = lo_col + normal_row * tangent_dofs + window * p + node
+            for i, start in enumerate(starts[axis]):
+                lo, hi = bounds[3 * axis + i], bounds[3 * axis + i + 1]
+                data.append(np.tile(vals[lo:hi], len(start)))
+                indices.append(((start * p)[:, None] + cols[lo:hi]).ravel())
+                lengths.append(np.tile(row_lengths[3 * axis + i],
+                                       len(start)))
+        lengths = np.concatenate(lengths)
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int32)
+        np.cumsum(lengths, out=indptr[1:])
+        self._tangential = sp.csr_matrix(
+            (np.concatenate(data), np.concatenate(indices).astype(np.int32),
+             indptr), shape=(len(lengths), ends[-1]))
 
     def recover(self, field):
-        """The face's (grad, hess, grad_lap) (see the class docstring)."""
-        f = self._oriented(field)
-        dn, dt = self.dn, self.dt
-        cells, p = f.shape[1], f.shape[2]
-        # the first three cell layers, one row of nodal values per cell
-        rows = f[:3].reshape(3 * cells, p * p)
-        m = self._maps
-        xy = (rows @ m[:, :2 * p]).reshape(3, cells, 2 * p)
-        x, y = xy[..., :p], xy[..., p:]             # u_n, u_t per layer
-        second = rows[:cells] @ m[:, 2 * p:]        # boundary layer only
-        u_nn, u_tt, u_nt = second[:, :p], second[:, p:2 * p], second[:, 2 * p:]
-        u_nnn = (x[0] - 2.0 * x[1] + x[2]) / dn ** 2
-        u_ttt = _tang_second(y[0], dt)
-        # one-sided normal difference of u_n and u_t, then one tangential
-        # difference of both (the two differences commute)
-        mixed = _tang_first((-3.0 * xy[0] + 4.0 * xy[1] - xy[2])
-                            / (2.0 * dn), dt)
-        u_nnt, u_ttn = mixed[:, :p], mixed[:, p:]
-        sg = -1.0 if self.flip else 1.0
-        u_nt = sg * u_nt
-        grad = np.array([sg * x[0], y[0]])
-        hess = np.array([[u_nn, u_nt], [u_nt, u_tt]])
-        grad_lap = np.array([sg * (u_nnn + u_ttn), u_nnt + u_ttt])
-        if self.normal_axis == 'y':
-            return grad[::-1], hess[::-1, ::-1], grad_lap[::-1]
-        return grad, hess, grad_lap
+        """The faces' (grad, hess, grad_lap) (see the class docstring)."""
+        v = field.transpose(flat_order(2)[0]).reshape(self._shape)
+        k = self._normal[0].shape[1]
+        layers = (v[:k], v[-k:], v[:, :k].T, v[:, -k:].T)
+        nv = np.empty(self._spans[-1][1])
+        for normal, layer, (lo, hi) in zip(self._normal, layers, self._spans):
+            np.matmul(normal, layer, out=nv[lo:hi].reshape(len(normal), -1))
+        y = (self._tangential @ nv).reshape(-1, _QUANTITIES).T
+        return y[:2], y[_HESS], y[5:]
 
 
 def _check_problem_fields(problem, scheme_order):
@@ -313,19 +386,19 @@ class StageCorrector:
     """Runs the stage recursion at one boundary point set.
 
     The problem's axis count is the number of gradient components: 1 at
-    a 1D endpoint, where every value is a Python float, and 2 along a 2D
-    face, where values are arrays over the face's points and vectors over
-    the axes (gradient, psi) are stacked on a leading axis.  Only
-    contracting those vectors over the axes differs between the two; the
-    recursion itself is plain + and *, with no tangential terms left at a
-    1D endpoint.  Drive it with begin(rec, tau, traces), then
-    stage_value(i) for i = 0, 1, ... in order, and observe(i, rec) with
-    the tuple recovered from each solved interior stage field (stagewise
-    variant).  rec is (grad, hess, grad_lap), the gradient, Hessian and
-    gradient of the Laplacian in this layout, followed at order 4 by the
-    closure's (u_xxx, u_xxxx, u_xxxxx).  traces maps sampler keys to this
-    point set's per-stage samples (see BoundarySampler), with the gradient
-    of p under ('p_grad', axis).
+    a 1D endpoint, where every value is a Python float, and 2 on the
+    points of all four 2D faces, where values are arrays over the points
+    and vectors over the axes (gradient, psi) are stacked on a leading
+    axis.  Only contracting those vectors over the axes differs between
+    the two; the recursion itself is plain + and *, with no tangential
+    terms left at a 1D endpoint.  Drive it with begin(rec, tau, traces),
+    then stage_value(i) for i = 0, 1, ... in order, and observe(i, rec)
+    with the tuple recovered from each solved interior stage field
+    (stagewise variant).  rec is (grad, hess, grad_lap), the gradient,
+    Hessian and gradient of the Laplacian in this layout, followed at
+    order 4 by the closure's (u_xxx, u_xxxx, u_xxxxx).  traces maps
+    sampler keys to this point set's per-stage samples (see
+    BoundarySampler), with the gradient of p under ('p_grad', axis).
     """
 
     def __init__(self, problem, tableau, scheme_order, variant):
@@ -516,12 +589,14 @@ class StageCorrector:
 class TreatedBoundary:
     """Boundary controller serving corrected stage values on every side.
 
-    One StageCorrector per side -- the two endpoints in 1D, the four faces
-    in 2D -- fed by one BoundarySampler and the side's recovery stencil.
-    Plugs into the integrator in place of the naive omega sampler.  Set
-    .trace to a list to collect (stage, side, point, naive, treated) rows,
-    one per boundary point; point holds one coordinate per axis, (x,) in
-    1D and (x, y) in 2D, as boundary_points gives them.
+    One StageCorrector per point set of its BoundarySampler, fed by the
+    sampler's traces there and by one recovery: the two 1D endpoints, one
+    EdgeDerivatives1D each, or all points of the four 2D faces at once,
+    with one FaceDerivatives2D.  Plugs into the integrator in place of the
+    naive omega sampler.  Set .trace to a list to collect (stage, side,
+    point, naive, treated) rows, one per boundary point; point holds one
+    coordinate per axis, (x,) in 1D and (x, y) in 2D, as boundary_points
+    gives them.
     """
 
     def __init__(self, problem, mesh, basis, tableau, variant='stagewise'):
@@ -533,8 +608,6 @@ class TreatedBoundary:
                 raise ValueError("boundary treatment supports k = 2 or 3, "
                                  "got k = %d" % basis.k)
             order = basis.k + 1
-            recovery = lambda side: EdgeDerivatives1D(mesh, basis, side,
-                                                      order)
         else:
             if variant != 'stagewise':
                 raise ValueError("2D treatment supports the stagewise "
@@ -543,7 +616,6 @@ class TreatedBoundary:
                 raise ValueError("2D treatment supports k = 2, got k = %d"
                                  % basis.k)
             order = 3
-            recovery = lambda side: EdgeDerivatives2D(mesh, basis, side)
         fns = [('omega', problem.omega), ('omega_t', problem.omega_t)]
         if order == 4:
             fns.append(('omega_tt', problem.omega_tt))
@@ -554,11 +626,15 @@ class TreatedBoundary:
         self.anchored = variant == 'anchored'
         self.sampler = BoundarySampler(mesh, basis, tableau.c, fns)
         self.correctors = [StageCorrector(problem, tableau, order, variant)
-                           for _ in self.sampler.sides]
+                           for _ in range(self.sampler.point_sets)]
         # a wrong derivative field silently costs order: check them all,
         # once the correctors have checked that the fields they need exist
         boundary_data_check(problem, self.sampler.coords)
-        self.recovery = [recovery(side) for side in self.sampler.sides]
+        if mesh.dim == 1:
+            self.recovery = [EdgeDerivatives1D(mesh, basis, side, order)
+                             for side in self.sampler.sides]
+        else:
+            self.recovery = [FaceDerivatives2D(mesh, basis)]
         self.trace = None
         self._traces = None
 
@@ -572,18 +648,19 @@ class TreatedBoundary:
             corr.begin(rec.recover(u), tau, traces)
 
     def stage_data(self, i):
-        vals = list(map(methodcaller('stage_value', i), self.correctors))
+        vals = self.sampler.split(
+            list(map(methodcaller('stage_value', i), self.correctors)))
         if self.trace is not None:
             self._record(i, vals)
         return axis_pairs(vals)
 
     def _record(self, i, vals):
-        for side, pts, traces, val in zip(self.sampler.sides,
-                                          self.sampler.points, self._traces,
-                                          vals):
-            for *point, nv, tv in zip(*map(np.ravel, pts),
-                                      np.ravel(traces['omega'][i]),
-                                      np.ravel(val)):
+        naive = self.sampler.split([traces['omega'][i]
+                                    for traces in self._traces])
+        for side, pts, nvs, tvs in zip(self.sampler.sides,
+                                       self.sampler.points, naive, vals):
+            for *point, nv, tv in zip(*map(np.ravel, pts), np.ravel(nvs),
+                                      np.ravel(tvs)):
                 self.trace.append((i, side, tuple(map(float, point)),
                                    float(nv), float(tv)))
 

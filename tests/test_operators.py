@@ -27,6 +27,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldgimex import imex
+from ldgimex.imex import ImexIntegrator
 from ldgimex.mesh import build_mesh
 from ldgimex.operators import (Diffusion, LineMatrices, _convection_lines,
                                _linear_lines, build_diffusion, explicit_rhs,
@@ -686,6 +688,121 @@ def test_explicit_rhs_matches_the_einsum_kernel(make, cells):
         assert err <= 1e-14, err
 
 
+def _parent_convection_lines(u, flux, alpha, low, high, mats):
+    """The general kernel on (n, B, p) lines, as explicit_rhs ran it
+    before its terms accumulated into one buffer in the flat order."""
+    n, count, p = u.shape
+    rows = u.reshape(-1, p)
+    vol = flux(rows) @ mats.vol
+    states = np.concatenate((low, (mats.traces @ rows.T).ravel(), high))
+    fs = flux(states)
+    half = (n + 1) * count
+    fhat = (0.5 * (fs[:half] + fs[half:])
+            - (0.5 * alpha) * (states[half:] - states[:half]))
+    fhat = fhat.reshape(n + 1, count, 1)
+    return (vol.reshape(u.shape) - fhat[1:] * mats.winv_r
+            + fhat[:-1] * mats.winv_l)
+
+
+def _parent_linear_lines(u, c, alpha, low, high, mats):
+    """The linear kernel on (n, B, p) lines, as explicit_rhs ran it then."""
+    m0, m_low, m_high, b_low, b_high = mats.llf_blocks(c, alpha)
+    count = u.shape[1]
+    rows = u.reshape(-1, u.shape[2])
+    out = rows @ m0
+    out[count:] += rows[:-count] @ m_low
+    out[:-count] += rows[count:] @ m_high
+    out[:count] += np.outer(low, b_low)
+    out[-count:] += np.outer(high, b_high)
+    return out.reshape(u.shape)
+
+
+def parent_explicit_rhs(u, t, bdata, problem, mesh, basis, coords, axes):
+    """explicit_rhs before its one output buffer: each axis's term on a
+    transposed copy of its lines, the terms and the source summed by
+    reduce."""
+    u = np.asarray(u, dtype=float)
+    dim = len(mesh.axes)
+    terms = []
+    for a, (ax, mats, (f, _, _), c, (low, high)) in enumerate(
+            zip(mesh.axes, axes, problem.fluxes, problem.speeds, bdata)):
+        if f is None:
+            continue
+        if not terms:
+            alpha = llf_alpha(problem, u, bdata)
+        front = ((a,) + tuple(i for i in range(2 * dim) if i % dim != a)
+                 + (a + dim,))
+        lines = u.transpose(front)
+        kernel, flux = ((_parent_convection_lines, f) if c is None
+                        else (_parent_linear_lines, c))
+        conv = kernel(lines.reshape(ax.n, -1, basis.p), flux, alpha,
+                      np.ravel(low), np.ravel(high), mats)
+        terms.append(conv.reshape(lines.shape).transpose(np.argsort(front)))
+    if problem.h is not None:
+        terms.append(problem.h(u, *coords, t))
+    return reduce(np.add, terms) if terms else np.zeros_like(u)
+
+
+@pytest.mark.parametrize("name", ['heat1d', 'burgers1d', 'heat1d_o4'])
+def test_explicit_rhs_1d_is_bitwise_the_reduce_kernel(name):
+    # in 1D the buffer is the field itself: writing each term into it
+    # changes no bit of the result
+    prob = builtin_problem(name)
+    basis = build_basis(prob.degree)
+    rng = np.random.default_rng(71)
+    for cells in (3, 40, 160):
+        mesh = build_mesh(prob.bounds, cells)
+        diff = Diffusion(mesh, basis, prob.d_coef)
+        coords = mesh.node_coords(basis)
+        fields = [interpolate(lambda x: prob.exact(x, 0.3), mesh, basis)]
+        fields += list(rng.standard_normal((3,) + diff.shape))
+        for u in fields:
+            bdata = (tuple(rng.standard_normal(2).tolist()),)
+            got = explicit_rhs(u, 0.3, bdata, prob, mesh, basis, coords,
+                               diff.axes)
+            want = parent_explicit_rhs(u, 0.3, bdata, prob, mesh, basis,
+                                       coords, diff.axes)
+            assert np.array_equal(got, want), (name, cells)
+
+
+@pytest.mark.parametrize("make,cells", [
+    (lambda: builtin_problem('heat1d'), 9),
+    (lambda: builtin_problem('burgers1d'), 7),
+    (lambda: builtin_problem('heat2d'), (5, 3)),
+    (_burgers_2d, (3, 6)),
+], ids=['linear-1d', 'burgers-1d', 'linear-2d', 'burgers-2d'])
+def test_explicit_rhs_reads_both_layouts_into_the_flat_buffer(
+        monkeypatch, make, cells):
+    # a C-ordered field and the integrator's unflatten view of a flat
+    # vector give equal results, and the integrator's flat xi is the very
+    # buffer explicit_rhs filled, with no copy in between
+    prob = make()
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, cells)
+    integ = ImexIntegrator(prob, mesh, basis)
+    diff = integ.diffusion
+    rng = np.random.default_rng(73)
+    view = diff.unflatten(rng.standard_normal(diff.shifted.shape[0]))
+    field = np.array(view, order='C')
+    _, bdata = _random_state(mesh, basis, diff, rng)
+    args = (0.4, bdata, prob, mesh, basis, integ.coords, diff.axes)
+    got = explicit_rhs(view, *args)
+    assert np.array_equal(got, explicit_rhs(field, *args))
+    np.testing.assert_allclose(got, einsum_explicit_rhs(
+        field, 0.4, bdata, prob, mesh, basis), rtol=0,
+        atol=1e-13 * np.max(np.abs(got)))
+    filled = []
+
+    def recording(*call):
+        filled.append(explicit_rhs(*call))
+        return filled[-1]
+
+    monkeypatch.setattr(imex, 'explicit_rhs', recording)
+    xi = integ._xi(view, 0.4, bdata)
+    assert np.shares_memory(xi, filled[0])
+    assert np.array_equal(xi, diff.flatten(got))
+
+
 def _dense_gb(diff, bdata, part=np.asarray):
     """Each axis's whole part(Gb) @ part([low; high]) along every grid
     line, summed (part=np.abs gives the magnitude of the terms)."""
@@ -787,17 +904,34 @@ def test_linear_kernel_matches_the_general_kernel(case):
 @pytest.mark.parametrize("c,alpha", [(-0.4, 0.4), (0.4, 0.4), (-0.3, 1.7),
                                      (0.9, 2.5), (0.0, 0.6)])
 def test_linear_lines_match_convection_lines(c, alpha):
-    # alpha > |c| as a mixed problem's other axis makes it; B = 4 lines
+    # alpha > |c| as a mixed problem's other axis makes it; B = 4 lines,
+    # laid out as (B, n, p) rows and as (n, p, B) columns, written into a
+    # buffer and added into one
     rng = np.random.default_rng(59)
     for k, n in ((2, 1), (2, 7), (3, 5)):
         mats = LineMatrices(build_basis(k), 0.3)
-        u = rng.standard_normal((n, 4, k + 1))
+        u = rng.standard_normal((4, n, k + 1))
         low, high = rng.standard_normal((2, 4))
-        want = _convection_lines(u, _callable_flux(c)[0], alpha, low, high,
-                                 mats)
-        got = _linear_lines(u, c, alpha, low, high, mats)
-        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
-        assert err <= 1e-13, (k, n, err)
+        want = np.empty_like(u)
+        _convection_lines(u, _callable_flux(c)[0], alpha, low, high, mats,
+                          want, True)
+        base = rng.standard_normal(u.shape)
+        for nodes_last in (True, False):
+            lines = u if nodes_last else np.ascontiguousarray(
+                u.transpose(1, 2, 0))
+            for first, start in ((True, np.empty_like(lines)),
+                                 (False, base if nodes_last else
+                                  np.ascontiguousarray(
+                                      base.transpose(1, 2, 0)))):
+                out = start.copy()
+                _linear_lines(lines, c, alpha, low, high, mats, out, first,
+                              nodes_last)
+                if not first:
+                    out -= start
+                if not nodes_last:
+                    out = out.transpose(2, 0, 1)
+                err = np.max(np.abs(out - want)) / np.max(np.abs(want))
+                assert err <= 1e-13, (k, n, nodes_last, first, err)
 
 
 @pytest.mark.parametrize("case", ['heat1d', 'heat2d', 'two-speeds-2d'])

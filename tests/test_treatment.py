@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import stage_closed_forms as cf
+from face_reference import PerFaceDerivatives2D, PerFaceTreatedBoundary
+from test_harness import _burgers2d
 from ldgimex.harness import RunConfig, solve_level
 from ldgimex.imex import ImexIntegrator, builtin_tableau
 from ldgimex.mesh import build_mesh
 from ldgimex.problems import ProblemSpec, builtin_problem
 from ldgimex.quadrature import build_basis, interpolate
-from ldgimex.treatment import (EdgeDerivatives1D, EdgeDerivatives2D,
+from ldgimex.treatment import (EdgeDerivatives1D, FaceDerivatives2D,
                                StageCorrector, treated_boundary)
 
 ARK3 = builtin_tableau('ark3')
@@ -73,44 +75,72 @@ def test_order_4_third_derivatives_converge_at_their_orders():
     assert 1.8 < fd < 2.3 and 0.8 < own < 1.2, (fd, own)
 
 
-_POLY_CASES = [
-    ("x2y", lambda x, y: x * x * y,
-     lambda x, y: ([2 * x * y, x * x], [[2 * y, 2 * x], [2 * x, 0]], [0, 2])),
-    ("x+y", lambda x, y: x + y,
-     lambda x, y: ([1, 1], [[0, 0], [0, 0]], [0, 0])),
-    ("xy2", lambda x, y: x * y * y,
-     lambda x, y: ([y * y, 2 * x * y], [[0, 2 * y], [2 * y, 2 * x]], [2, 0])),
-]
+def _monomial(a, b):
+    """x^a y^b and its partial derivatives d^(i+j)/dx^i dy^j."""
+    def deriv(i, j):
+        def f(x, y):
+            if i > a or j > b:
+                return 0.0 * x
+            cx = np.prod(np.arange(a - i + 1, a + 1))
+            cy = np.prod(np.arange(b - j + 1, b + 1))
+            return cx * cy * x ** (a - i) * y ** (b - j)
+        return f
+    return deriv
 
 
-def _stacked(entries, shape):
-    """A nested list of scalars and arrays as one array over the points."""
-    if isinstance(entries, list):
-        return np.array([_stacked(e, shape) for e in entries])
-    return np.broadcast_to(np.asarray(entries, float), shape)
+def _sum(*parts):
+    def deriv(i, j):
+        return lambda x, y: sum(part(i, j)(x, y) for part in parts)
+    return deriv
 
 
-@pytest.mark.parametrize("name,f,derivs", _POLY_CASES,
-                         ids=[c[0] for c in _POLY_CASES])
+# every monomial x^a y^b of Q2, the cell space at k = 2, and one sum
+_POLY_CASES = {name: _monomial(a, b) for name, (a, b) in {
+    '1': (0, 0), 'x': (1, 0), 'x2': (2, 0), 'y': (0, 1), 'xy': (1, 1),
+    'x2y': (2, 1), 'y2': (0, 2), 'xy2': (1, 2), 'x2y2': (2, 2)}.items()}
+_POLY_CASES['x+y'] = _sum(_monomial(1, 0), _monomial(0, 1))
+
+
+def _by_face(mesh, basis, values):
+    """Per-face views of arrays over the faces' points, whose last axis
+    runs over all faces' points in the order of mesh.boundary_points."""
+    out, lo = {}, 0
+    for face, (xs, _) in mesh.boundary_points(basis).items():
+        hi = lo + xs.size
+        out[face] = values[..., lo:hi].reshape(values.shape[:-1] + xs.shape)
+        lo = hi
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_POLY_CASES))
 @pytest.mark.parametrize("face", ["west", "east", "south", "north"])
-def test_face_recovery_exact_on_low_polynomials(face, name, f, derivs):
+def test_face_recovery_exact_on_low_polynomials(face, name):
     # grad = [u_x, u_y], hess = [[u_xx, u_xy], [u_xy, u_yy]] and
-    # grad_lap = [u_xxx + u_yyx, u_xxy + u_yyy] at every face point
+    # grad_lap = [u_xxx + u_yyx, u_xxy + u_yyy] at every face point, exact
+    # on every polynomial of the cell space Q2, where all the stencils are
+    # exact: on a non-square mesh with dx != dy, and on 3 x 3 cells
+    d = _POLY_CASES[name]
     basis = build_basis(2)
-    mesh = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), (6, 5))
-    X, Y = mesh.node_coords(basis)
-    got = EdgeDerivatives2D(mesh, basis, face).recover(f(X, Y))
-    xs, ys = mesh.boundary_points(basis)[face]
-    for key, g, w in zip(('grad', 'hess', 'grad_lap'), got, derivs(xs, ys)):
-        want = _stacked(w, xs.shape)
-        assert g.shape == want.shape, (face, key)
-        assert np.max(np.abs(g - want)) < 1e-9, (face, key)
+    for cells in ((5, 7), (3, 3)):
+        mesh = build_mesh(((-1.0, 2.0), (0.0, 1.0)), cells)
+        X, Y = mesh.node_coords(basis)
+        got = FaceDerivatives2D(mesh, basis).recover(d(0, 0)(X, Y))
+        xs, ys = mesh.boundary_points(basis)[face]
+        want = (np.array([d(1, 0)(xs, ys), d(0, 1)(xs, ys)]),
+                np.array([[d(2, 0)(xs, ys), d(1, 1)(xs, ys)],
+                          [d(1, 1)(xs, ys), d(0, 2)(xs, ys)]]),
+                np.array([d(3, 0)(xs, ys) + d(1, 2)(xs, ys),
+                          d(2, 1)(xs, ys) + d(0, 3)(xs, ys)]))
+        for key, g, w in zip(('grad', 'hess', 'grad_lap'), got, want):
+            g = _by_face(mesh, basis, g)[face]
+            assert g.shape == w.shape, (cells, key)
+            assert np.max(np.abs(g - w)) < 1e-9, (cells, key)
 
 
 def _face_reference(mesh, basis, face, field):
     """Face derivatives by one einsum per term, stacked over (x, y)."""
-    r = EdgeDerivatives2D(mesh, basis, face)
-    f = r._oriented(field)
+    r = PerFaceDerivatives2D(mesh, basis, face)
+    f = r.oriented(field)
     dn, dt = r.dn, r.dt
     eye = np.eye(basis.p)
     e0 = np.ravel(basis.values(eye, -1.0))
@@ -144,21 +174,23 @@ def _face_reference(mesh, basis, face, field):
          'u_xy': sg * local['nt'], 'u_' + 3 * n: sg * local['nnn'],
          'u_' + 3 * t: local['ttt'], 'u_' + 2 * n + t: local['nnt'],
          'u_' + 2 * t + n: sg * local['ttn']}
-    want = (np.array([u['u_x'], u['u_y']]),
+    return (np.array([u['u_x'], u['u_y']]),
             np.array([[u['u_xx'], u['u_xy']], [u['u_xy'], u['u_yy']]]),
             np.array([u['u_xxx'] + u['u_yyx'], u['u_xxy'] + u['u_yyy']]))
-    return r, want
 
 
 @pytest.mark.parametrize("face", ["west", "east", "south", "north"])
 def test_face_recovery_matches_per_term_einsums(face):
+    # the map's every term on a random field, against one einsum per term
+    # of the per-face recovery it replaced
     basis = build_basis(2)
     mesh = build_mesh(((-1.0, 1.0), (-0.5, 1.0)), (7, 5))
     field = np.random.default_rng(3).standard_normal((7, 5, 3, 3))
-    rec, want = _face_reference(mesh, basis, face, field)
-    got = rec.recover(field)
+    want = _face_reference(mesh, basis, face, field)
+    got = FaceDerivatives2D(mesh, basis).recover(field)
     assert len(got) == 3
     for key, g, w in zip(('grad', 'hess', 'grad_lap'), got, want):
+        g = _by_face(mesh, basis, g)[face]
         assert g.shape == w.shape, (face, key)
         assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), (face, key)
 
@@ -190,6 +222,60 @@ def test_treated_heat1d_o4_runs_on_three_and_four_cells():
                                           T=0.5), n)['errors'][1]
               for mode in ('naive', 'treated')}
         assert l2['treated'] < l2['naive'] < 2e-5, (n, l2)
+
+
+class _Compared:
+    """Serves ctrl's stage data, driving ref with the same fields and
+    recording the largest relative gap of ref's stage values to ctrl's,
+    per side."""
+
+    def __init__(self, ctrl, ref):
+        self.ctrl, self.ref = ctrl, ref
+        self.worst = 0.0
+        self.compared = 0
+
+    def prepare(self, t0, tau, nsteps):
+        self.ctrl.prepare(t0, tau, nsteps)
+        self.ref.prepare(t0, tau, nsteps)
+
+    def begin_step(self, u, t, tau):
+        self.ctrl.begin_step(u, t, tau)
+        self.ref.begin_step(u, t, tau)
+
+    def stage_data(self, i):
+        got = self.ctrl.stage_data(i)
+        for pair, ref_pair in zip(got, self.ref.stage_data(i), strict=True):
+            for g, w in zip(pair, ref_pair, strict=True):
+                assert g.shape == w.shape
+                gap = np.max(np.abs(g - w)) / np.max(np.abs(w))
+                self.worst = max(self.worst, gap)
+                self.compared += 1
+        return got
+
+    def observe_stage(self, i, u_stage):
+        self.ctrl.observe_stage(i, u_stage)
+        self.ref.observe_stage(i, u_stage)
+
+
+@pytest.mark.parametrize("name,cells,T", [
+    ('heat2d', (10, 7), 0.3),
+    ('burgers2d', (8, 8), 0.2),
+    ('heat2d', (4, 3), 0.2),
+])
+def test_face_controller_matches_the_per_face_path(name, cells, T):
+    # one map and one corrector over all face points serve the stage
+    # values of one recovery and one corrector per face, to 1e-12 relative
+    prob = _burgers2d() if name == 'burgers2d' else builtin_problem(name)
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, cells)
+    tab = builtin_tableau(prob.tableau)
+    ctrl = _Compared(treated_boundary(prob, mesh, basis, tab),
+                     PerFaceTreatedBoundary(prob, mesh, basis, tab))
+    integ = ImexIntegrator(prob, mesh, basis, tableau=tab, controller=ctrl)
+    u0 = interpolate(lambda x, y: prob.exact(x, y, 0.0), mesh, basis)
+    _, info = integ.integrate(u0, 0.0, T, prob.cfl * mesh.min_width)
+    assert ctrl.compared == 4 * tab.stages * info['steps']
+    assert ctrl.worst <= 1e-12, ctrl.worst
 
 
 # -- hand-expanded stage values as oracles --------------------------------------
