@@ -252,8 +252,8 @@ def error_localization(u, reference, mesh):
     naive mode shows a large ratio and the treated mode a small one.
     """
     err = np.abs(np.asarray(u) - np.asarray(reference))
-    dim = len(mesh.axes)
-    cell_err = err.max(axis=tuple(range(dim, 2 * dim)))
+    # a field is (cells, nodes) per axis: the node axes are the odd ones
+    cell_err = err.max(axis=tuple(range(1, err.ndim, 2)))
     masks = [(ax.centers() >= ax.a + 0.1 * (ax.b - ax.a))
              & (ax.centers() <= ax.b - 0.1 * (ax.b - ax.a))
              for ax in mesh.axes]
@@ -269,8 +269,13 @@ _PROFILE_HEADERS = {1: "cell,node,x,value,error",
 
 
 def _profile_csv(u, reference, mesh, basis):
-    err = np.abs(np.asarray(u) - np.asarray(reference))
-    coords = mesh.node_coords(basis)
+    """One row per node, by (cell per axis..., node per axis...): the
+    fields' (cell, node) per axis order is permuted into it here only."""
+    dim = len(mesh.axes)
+    order = (*range(0, 2 * dim, 2), *range(1, 2 * dim, 2))
+    err = np.abs(np.asarray(u) - np.asarray(reference)).transpose(order)
+    u = np.asarray(u).transpose(order)
+    coords = [c.transpose(order) for c in mesh.node_coords(basis)]
     lines = [_PROFILE_HEADERS[len(coords)]]
     for idx in np.ndindex(u.shape):
         lines.append(','.join([str(i) for i in idx]

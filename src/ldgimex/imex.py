@@ -20,18 +20,19 @@ naive pointwise samples.  A controller has four methods:
     stage_data(i)             stage i's boundary data, i = 0, 1, ... in order
     observe_stage(i, u_i)     every solved stage field u_i, i >= 1
 
-Every stage field a controller sees, and every step-start field after
-the first, is a Diffusion.unflatten view of a flat vector, which
-Diffusion.flatten returns without a copy; so is every field explicit_rhs
-returns.  Boundary data is one (low, high) pair of face values per mesh
-axis: ((west, east),) in 1D, with Python floats, and ((west, east),
-(south, north)) in 2D, with west/east arrays of shape (m, p) indexed by
-(cell j, node along y) and south/north arrays of shape (n, p) indexed by
-(cell i, node along x).  Both controllers sample through a
-BoundarySampler, per point set: each 1D endpoint, or all the 2D faces'
-points at once, split back into the per-side arrays as views.
-NaiveBoundary samples omega at the stage times; the treatment module's
-controller serves the corrected stage values.
+A field is its flat dof vector reshaped to Diffusion.shape, (cells,
+nodes) per axis: every stage field a controller sees, every step-start
+field after the first and every field explicit_rhs returns is a view of
+a flat vector, whose reshape(-1) copies nothing.  Boundary data is one
+(low, high) pair of face values per mesh axis: ((west, east),) in 1D,
+with Python floats, and ((west, east), (south, north)) in 2D, with
+west/east arrays of shape (m, p) indexed by (cell j, node along y) and
+south/north arrays of shape (n, p) indexed by (cell i, node along x).
+Both controllers sample through a BoundarySampler, per point set: each
+1D endpoint, or all the 2D faces' points at once, split back into the
+per-side arrays as views.  NaiveBoundary samples omega at the stage
+times; the treatment module's controller serves the corrected stage
+values.
 
 Factors of (I - a_ii tau L) are cached per diagonal entry for the current
 step size only: a fixed step size factors each distinct a_ii once, and a
@@ -308,10 +309,7 @@ class ImexIntegrator:
         self.diffusion = build_diffusion(mesh, basis, problem)
         self.controller = controller or NaiveBoundary(problem, mesh, basis,
                                                       self.tableau)
-        # laid out in the flat dof order, as the stage fields are, so the
-        # source's elementwise products run over matching layouts
-        self.coords = tuple(self.diffusion.unflatten(self.diffusion.flatten(x))
-                            for x in mesh.node_coords(basis))
+        self.coords = mesh.node_coords(basis)
         self._lu = {}
         self._lu_tau = None
         self.factorizations = 0
@@ -333,9 +331,9 @@ class ImexIntegrator:
         return lu
 
     def _xi(self, u_field, t, bdata):
-        return self.diffusion.flatten(explicit_rhs(
-            u_field, t, bdata, self.problem, self.mesh, self.basis,
-            self.coords, self.diffusion.axes))
+        return explicit_rhs(u_field, t, bdata, self.problem, self.mesh,
+                            self.basis, self.coords,
+                            self.diffusion.axes).reshape(-1)
 
     def step(self, u, t, tau):
         """Advance one step of size tau from (u, t); returns the new field."""
@@ -346,7 +344,7 @@ class ImexIntegrator:
             # once the shortened final step begins
             self._lu.clear()
             self._lu_tau = tau
-        uflat = diff.flatten(u)
+        uflat = u.reshape(-1)
         ctrl = self.controller
         ctrl.begin_step(u, t, tau)
         xi = [None] * tab.stages
@@ -368,7 +366,7 @@ class ImexIntegrator:
                     psi[i] = (ui - acc) / taii
                 else:
                     ui = acc
-                ufield = diff.unflatten(ui)
+                ufield = ui.reshape(diff.shape)
                 ctrl.observe_stage(i, ufield)
             if psi[i] is None and tab.needs_psi[i]:
                 psi[i] = diff.matvec(ui) + diff.gb(bd)
@@ -379,7 +377,7 @@ class ImexIntegrator:
             unew += (tau * cf) * xi[i]
         for i, cf in tab.im_weights:
             unew += (tau * cf) * psi[i]
-        return diff.unflatten(unew)
+        return unew.reshape(diff.shape)
 
     def integrate(self, u0, t0, t_end, tau):
         """Step from t0 to t_end, shortening the last step to land exactly.

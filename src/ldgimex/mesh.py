@@ -20,9 +20,6 @@ class Mesh1D:
         self.min_width = self.dx
         self.axes = (self,)
 
-    def breaks(self):
-        return self.a + self.dx * np.arange(self.n + 1)
-
     def centers(self):
         return self.a + self.dx * (np.arange(self.n) + 0.5)
 
@@ -60,12 +57,13 @@ class Mesh2D:
         self.axes = (self.x, self.y)
 
     def node_coords(self, basis):
-        """Physical node coordinates (X, Y), each of shape (n, m, p, p)."""
+        """Physical node coordinates (X, Y), each shaped (n, p, m, p) like
+        a field: (cell, node) along x, then along y."""
         xn, = self.x.node_coords(basis)  # (n, p)
         yn, = self.y.node_coords(basis)  # (m, p)
-        shape = (self.n, self.m, basis.p, basis.p)
-        x = np.broadcast_to(xn[:, None, :, None], shape).copy()
-        y = np.broadcast_to(yn[None, :, None, :], shape).copy()
+        shape = (self.n, basis.p, self.m, basis.p)
+        x = np.broadcast_to(xn[:, :, None, None], shape).copy()
+        y = np.broadcast_to(yn[None, None], shape).copy()
         return x, y
 
     def boundary_points(self, basis):

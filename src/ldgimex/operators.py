@@ -9,22 +9,23 @@ primal trace u~ from the left/lower cell and the gradient trace q~ from the
 right/upper one.  At the low exterior face u~ is the Dirichlet datum; at
 the high one u~ is again the datum while q~ = q^- + s (u^- - omega) adds a
 penalty jump, s = 1/width of the other axis (of the axis itself in 1D).
-Fields are shaped (cells per axis..., nodes per axis...); flat vectors
-order the dofs (cell, node) per axis, x slowest.
+A field is shaped (cells, nodes) per axis, x slowest: (n, p) in 1D and
+(n, p, m, p) in 2D (Diffusion.shape).  That is the flat dof order the
+operators act on, so a field's reshape(-1) is its flat vector and a flat
+vector's reshape(Diffusion.shape) its field, both without a copy.
 
 Each mesh axis gets one AxisOperator: its reference line matrices, which
 the convective operator reads too, and its diffusion matrices, assembled
 from stacked block diagonals without a loop over cells.  The convective
-operator works in the flat dof order, on the integrator's own buffers,
-and accumulates every axis term and the source in place into one output
-buffer laid out the same way.  Along an axis that is the last in the
-flat order (the only one in 1D, y in 2D) the field is (transverse lines,
-cells, nodes) with the node index last, so the p x p blocks of its line
-operator apply from the right to nodal values laid out as rows; along x
-in 2D it is (cells, nodes, transverse lines), and they apply from the
-left.  A transverse line is ordered as the axis's face data in both.
-The general kernel of a callable flux takes (lines, cells, nodes) only,
-so along 2D x it reads a transposed view.
+operator reads the integrator's fields in place and accumulates every
+axis term and the source into one output field.  Along an axis that is
+the last in the flat order (the only one in 1D, y in 2D) the field is
+(transverse lines, cells, nodes) with the node index last, so the p x p
+blocks of its line operator apply from the right to nodal values laid
+out as rows; along x in 2D it is (cells, nodes, transverse lines), and
+they apply from the left.  A transverse line is ordered as the axis's
+face data in both.  The general kernel of a callable flux takes (lines,
+cells, nodes) only, so along 2D x it reads a transposed view.
 
 A flux given as a number c (problem.speeds) is linear, and so is its LLF
 operator: block tridiagonal over the cells, three products with p x p
@@ -36,7 +37,6 @@ axis moves the bound, and with it the blocks, at every call.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -184,18 +184,14 @@ class AxisOperator(LineMatrices):
         return lam, q / s[:, None], q.T * s
 
 
-def _inverse(perm):
-    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
-
-
 class Diffusion:
     """Diffusive operator RHS = L u + g_b(omega) on a 1D or 2D mesh.
 
     axes holds one AxisOperator per entry of mesh.axes, with penalty
     1/width of the other axis (of the axis itself in 1D).  L is their
     Kronecker sum, in 1D the axis's L itself; g_b adds each axis's Gb
-    applied to its face data along every grid line.  flatten/unflatten
-    map fields to and from the flat dof order that L acts on.
+    applied to its face data along every grid line.  shape is the field
+    shape, (cells, nodes) per axis: L acts on the flat vector of a field.
 
     L is kept as shifted, L in a basis where every stage matrix I - c L
     is banded, with the maps into and out of that basis (to_basis,
@@ -221,27 +217,24 @@ class Diffusion:
             (lx, vx, ix), (ly, vy, iy) = (op.eigenbasis() for op in self.axes)
             self.shifted = sp.diags((lx[:, None] + ly).ravel(), format='csr')
             self._vec, self._vinv = (vx, vy.T), (ix, iy.T)
-        self.shape = tuple(ax.n for ax in axes) + (p,) * dim
-        self._order, self._unorder = flat_order(dim)
-        self._split = tuple(s for ax in axes for s in (ax.n, p))
-        fronts = [(a,) + tuple(b for b in range(dim) if b != a)
-                  for a in range(dim)]
-        # per axis: the (cell, node) split of the flat order with that axis
-        # first, and Gb's nonzero cell blocks shaped to broadcast against
-        # the face data: low reaches cell 0 only, high (through Ddiv's
-        # upper blocks) cells n - 2 and n - 1, one column a row if n >= 3
-        ones = (1,) * (2 * dim - 2)
-        self._gb_blocks = [
-            (tuple(i for b in f for i in (2 * b, 2 * b + 1)),
-             op.Gb[:p, 0].reshape((p,) + ones), max(ax.n - 2, 0),
-             op.Gb[max(ax.n - 2, 0) * p:, 1].reshape((-1, p) + ones))
-            for f, ax, op in zip(fronts, axes, self.axes)]
-
-    def flatten(self, u):
-        return np.asarray(u, dtype=float).transpose(self._order).reshape(-1)
-
-    def unflatten(self, v):
-        return v.reshape(self._split).transpose(self._unorder)
+        self.shape = tuple(s for ax in axes for s in (ax.n, p))
+        # per axis: the field's index of its first cell along the axis and
+        # of its cells from n - 2 on, Gb's nonzero cell blocks shaped to
+        # broadcast there (low reaches cell 0 only, high, through Ddiv's
+        # upper blocks, cells n - 2 and n - 1, one column a row if n >= 3),
+        # and the shapes that broadcast the face data there: None along x,
+        # whose face data (floats in 1D) broadcast as they are
+        self._gb_blocks = []
+        for a, (ax, op) in enumerate(zip(axes, self.axes)):
+            before, after = self.shape[:2 * a], self.shape[2 * a + 2:]
+            lines, ones = (slice(None),) * len(before), (1,) * len(after)
+            first = max(ax.n - 2, 0)
+            self._gb_blocks.append((
+                lines + (0,), op.Gb[:p, 0].reshape((p,) + ones),
+                lines + (slice(first, None),),
+                op.Gb[first * p:, 1].reshape((-1, p) + ones),
+                (before + (1,) + after, before + (1, 1) + after) if a
+                else None))
 
     def to_basis(self, v):
         """The flat v in the basis of shifted."""
@@ -265,12 +258,13 @@ class Diffusion:
         """Boundary vector in the flat order: each axis's Gb @ [low; high]
         for the (low, high) face data pairs of bdata, one per axis, with
         only the cell blocks where Gb has nonzeros applied."""
-        g = np.zeros(self._split)
-        for (front, gb_low, first, gb_high), (low, high) in zip(
+        g = np.zeros(self.shape)
+        for (cell0, gb_low, cells, gb_high, faces), (low, high) in zip(
                 self._gb_blocks, bdata):
-            lines = g.transpose(front)      # (cells, nodes, transverse...)
-            lines[0] += gb_low * low
-            lines[first:] += gb_high * high
+            if faces is not None:
+                low, high = low.reshape(faces[0]), high.reshape(faces[1])
+            g[cell0] += gb_low * low
+            g[cells] += gb_high * high
         return g.reshape(-1)
 
 
@@ -353,14 +347,6 @@ def llf_alpha(problem, u, bdata):
                default=0.0)
 
 
-@lru_cache(maxsize=None)
-def flat_order(dim):
-    """Field index order of the flat dof order, (cell, node) per axis with
-    x slowest, and its inverse."""
-    order = tuple(i for a in range(dim) for i in (a, a + dim))
-    return order, _inverse(order)
-
-
 def explicit_rhs(u, t, bdata, problem, mesh, basis, coords, axes):
     """The xi part of the semidiscretization: -div F(u) + h(u, x, t).
 
@@ -369,15 +355,11 @@ def explicit_rhs(u, t, bdata, problem, mesh, basis, coords, axes):
     flux runs the linear kernel.  coords are the node coordinates
     (mesh.node_coords) and axes one LineMatrices per mesh axis, such as
     Diffusion.axes.  Every axis term and the source accumulate in place
-    into one buffer in the flat dof order; the result is a field-shaped
-    view of it, so Diffusion.flatten of the result copies nothing.  A
-    field that is a view of a flat vector (Diffusion.unflatten) is read
-    in place, any other is copied into the flat order first.
+    into one new C-ordered field, which is returned, so its reshape(-1)
+    is the flat xi without a copy.
     """
     u = np.asarray(u, dtype=float)
-    order, unorder = flat_order(len(mesh.axes))
-    v = np.ascontiguousarray(u.transpose(order))
-    out = np.empty_like(v)
+    out = np.empty(u.shape)
     first = True
     p = basis.p
     for a, (ax, mats, (f, _, _), c, (low, high)) in enumerate(
@@ -385,14 +367,14 @@ def explicit_rhs(u, t, bdata, problem, mesh, basis, coords, axes):
         if f is None:
             continue
         if first:
-            alpha = llf_alpha(problem, v, bdata)
-        # the axis's lines in the flat order: (lines, cells, nodes) when
-        # no axis follows it (1D, 2D y), else (cells, nodes, lines)
-        lines_before = math.prod(v.shape[:2 * a])
-        nodes_last = lines_before * ax.n * p == v.size
+            alpha = llf_alpha(problem, u, bdata)
+        # the axis's lines: (lines, cells, nodes) when no axis follows it
+        # (1D, 2D y), else (cells, nodes, lines)
+        lines_before = math.prod(u.shape[:2 * a])
+        nodes_last = lines_before * ax.n * p == u.size
         shape = ((lines_before, ax.n, p) if nodes_last
-                 else (ax.n, p, v.size // (ax.n * p)))
-        lines, dest = v.reshape(shape), out.reshape(shape)
+                 else (ax.n, p, u.size // (ax.n * p)))
+        lines, dest = u.reshape(shape), out.reshape(shape)
         low, high = np.ravel(low), np.ravel(high)
         if c is not None:
             _linear_lines(lines, c, alpha, low, high, mats, dest, first,
@@ -403,16 +385,15 @@ def explicit_rhs(u, t, bdata, problem, mesh, basis, coords, axes):
             _convection_lines(lines.transpose(2, 0, 1), f, alpha, low, high,
                               mats, dest.transpose(2, 0, 1), first)
         first = False
-    field = out.transpose(unorder)
     if problem.h is not None:
         source = problem.h(u, *coords, t)
         if first:
-            field[...] = source
+            out[...] = source
         else:
-            field += source
+            out += source
     elif first:
         out.fill(0.0)
-    return field
+    return out
 
 
 def norms(u, exact, mesh, basis, t):
@@ -423,10 +404,11 @@ def norms(u, exact, mesh, basis, t):
     """
     e = np.asarray(u, dtype=float) - exact(*mesh.node_coords(basis), t)
     # one weight vector and one half-width per axis: 'q,iq->' in 1D,
-    # 'q,r,ijqr->' in 2D
+    # 'q,r,iqjr->' in 2D
     dim = len(mesh.axes)
-    cells, nodes = 'ij'[:dim], 'qr'[:dim]
-    subscripts = ','.join(nodes) + ',' + cells + nodes + '->'
+    nodes = 'qr'[:dim]
+    subscripts = (','.join(nodes) + ','
+                  + ''.join(c + q for c, q in zip('ij', nodes)) + '->')
     weights = [basis.weights] * dim
     jac = math.prod(0.5 * ax.dx for ax in mesh.axes)
     l1 = jac * float(np.einsum(subscripts, *weights, np.abs(e)))

@@ -14,7 +14,8 @@ class ProblemSpec:
     data omega on the whole boundary.  Per-axis data holds one entry per
     axis, in axis order.  Every function of space takes one coordinate
     per axis, (*coords, t): (x, t) in 1D and (x, y, t) in 2D.  Fields and
-    coordinate arrays are shaped (cells per axis..., nodes per axis...).
+    coordinate arrays are shaped (cells, nodes) per axis: (n, p) in 1D,
+    (n, p, m, p) in 2D.
 
     Fields:
         bounds: one (a, b) pair per axis (a 1D (a, b) is one pair); the

@@ -136,6 +136,7 @@ def interpolate(f, mesh, basis):
         basis: NodalBasis shared by both directions.
 
     Returns:
-        Nodal coefficient array of shape (n, p) in 1D or (n, m, p, p) in 2D.
+        Nodal coefficient array of shape (n, p) in 1D or (n, p, m, p) in
+        2D, (cell, node) per axis: the flat dof vector reshaped.
     """
     return np.asarray(f(*mesh.node_coords(basis)), dtype=float)

@@ -43,8 +43,8 @@ class PerFaceDerivatives2D:
 
     recover(field) returns grad = [u_x, u_y], hess = [[u_xx, u_xy], [u_xy,
     u_yy]] and grad_lap = [u_xxx + u_yyx, u_xxy + u_yyy], each entry of
-    shape (cells along the face, p), for a field shaped (cells x, cells y,
-    nodes x, nodes y).  They are built in face-local (normal, tangent)
+    shape (cells along the face, p), for a field shaped (cells x, nodes x,
+    cells y, nodes y).  They are built in face-local (normal, tangent)
     order, with a sign sg = -1 on odd normal-derivative counts on
     east/north faces, where the normal axis was reversed.
     """
@@ -73,8 +73,9 @@ class PerFaceDerivatives2D:
                                  (e0, dt2), (e1, dt1))])
 
     def oriented(self, field):
-        """View of the field with the normal axis first and boundary low."""
-        f = np.asarray(field, dtype=float)
+        """View of the field as (cells n, cells t, nodes n, nodes t), with
+        the normal axis n first and the boundary low."""
+        f = np.asarray(field, dtype=float).transpose(0, 2, 1, 3)
         if self.normal_axis == 'y':
             f = f.transpose(1, 0, 3, 2)
         if self.flip:

@@ -5,12 +5,13 @@ import pytest
 
 from ldgimex.harness import (CONVERGENCE_HEADER, EFFICIENCY_HEADER,
                              ConvergenceReport, NumericFailure, RunConfig,
-                             efficiency_csv, error_localization,
+                             _controller, efficiency_csv, error_localization,
                              run_convergence, run_efficiency, run_single,
                              solve_level)
+from ldgimex.imex import ImexIntegrator
 from ldgimex.mesh import build_mesh
 from ldgimex.problems import ProblemSpec, builtin_problem, residual_check
-from ldgimex.quadrature import build_basis
+from ldgimex.quadrature import build_basis, interpolate
 
 
 def _quick(**kw):
@@ -162,6 +163,34 @@ def test_naive_runs_stall_near_second_order():
     report = run_convergence(RunConfig('heat1d', [20, 40, 80],
                                        bc_mode='naive'))
     assert report.orders('linf')[-1] <= 2.2, report.orders('linf')
+
+
+# The time order apart from space: heat1d on a fixed mesh of N = 40 cells
+# at T = 0.5, refining tau = T/m alone, against a treated run at m = 3200
+# on the same mesh.  Measured max-norm ratios naive/treated at m = 50,
+# 100, 200: 45.2, 62.4, 76.5; orders at m = 100 and 200: naive 2.06 and
+# 2.09, treated 2.53 and 2.39.  At fixed dx the treatment removes most of
+# the naive error, but not its order (ROADMAP item 12).
+def test_fixed_mesh_tau_ladder_treated_far_below_naive():
+    config = RunConfig('heat1d', [40], T=0.5)
+    prob = config.problem
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, 40)
+    u0 = interpolate(prob.u0, mesh, basis)
+
+    def run(mode, m):
+        integ = ImexIntegrator(prob, mesh, basis, tableau=config.tableau,
+                               controller=_controller(config, mesh, basis,
+                                                      mode))
+        u, info = integ.integrate(u0, 0.0, config.T, config.T / m)
+        assert info['steps'] == m
+        return u
+
+    reference = run('treated', 3200)
+    for m in (50, 100, 200):
+        naive, treated = (np.max(np.abs(run(mode, m) - reference))
+                          for mode in ('naive', 'treated'))
+        assert treated < naive / 30, (m, naive, treated)
 
 
 def _no_flux_2d():
@@ -326,7 +355,7 @@ def test_localization_ratio_1d():
 
 def test_localization_ratio_2d():
     mesh = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), (10, 10))
-    u = np.full((10, 10, 3, 3), 1e-3)
+    u = np.full((10, 3, 10, 3), 1e-3)      # (cell, node) per axis
     u[0, 0, 0, 0] = 1.0
     ref = np.zeros_like(u)
     assert error_localization(u, ref, mesh) == pytest.approx(1000.0)
@@ -405,14 +434,19 @@ def test_single_2d_profile(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "cell_i,cell_j,node1,node2,x,y,value,error"
     assert len(lines) == 1 + 4 * 4 * 3 * 3
-    # each row: its indices, the node coordinates there, and the field value
+    # rows run over (cell_i, cell_j, node1, node2); each holds its indices,
+    # the node coordinates there and the field value, the fields being
+    # (cell, node) per axis
     ref = solve_level(cfg, 4)
     x, y = ref['mesh'].node_coords(ref['basis'])
     u = ref['u']
+    assert u.shape == (4, 3, 4, 3)
     rows = [line.split(',') for line in lines[1:]]
-    assert [tuple(map(int, r[:4])) for r in rows] == list(np.ndindex(u.shape))
+    assert ([tuple(map(int, r[:4])) for r in rows]
+            == list(np.ndindex(4, 4, 3, 3)))
     for r in rows:
-        idx = tuple(map(int, r[:4]))
+        i, j, a, b = map(int, r[:4])
+        idx = (i, a, j, b)
         assert r[4:7] == ['%.10e' % v for v in (x[idx], y[idx], u[idx])]
 
 

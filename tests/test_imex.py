@@ -561,8 +561,8 @@ def test_psi_comes_from_the_stage_equation(monkeypatch, name, products):
         out, stages, calls = _observed_step(monkeypatch, integ, u0, 0.3, tau)
         assert len(made) == products, prob.name
         tab, L = integ.tableau, global_L(diff)
-        fields = [diff.flatten(u) for u, _, _ in calls]
-        xi = [diff.flatten(rate) for _, _, rate in calls]
+        fields = [u.reshape(-1) for u, _, _ in calls]
+        xi = [rate.reshape(-1) for _, _, rate in calls]
         direct = [L @ u + diff.gb(bdata)
                   for u, (_, bdata, _) in zip(fields, calls)]
         psi = [direct[0]]
@@ -583,5 +583,67 @@ def test_psi_comes_from_the_stage_equation(monkeypatch, name, products):
         want = fields[0] + tau * sum(tab.b_ex[i] * xi[i]
                                      + tab.b_im[i] * psi[i]
                                      for i in range(tab.stages))
-        np.testing.assert_allclose(diff.flatten(out), want, atol=1e-14,
+        np.testing.assert_allclose(out.reshape(-1), want, atol=1e-14,
                                    rtol=0)
+
+
+def _flat_view(field, shape):
+    """A field of the given shape that is a view of a flat vector."""
+    return (field.shape == shape and field.flags.c_contiguous
+            and np.shares_memory(field.reshape(-1), field))
+
+
+def test_fields_are_the_flat_vectors_reshaped(monkeypatch):
+    # one field layout, (cell, node) per axis: interpolate gives a
+    # C-ordered field of Diffusion.shape, every field a step hands the
+    # controller and explicit_rhs is a view of a flat vector with no copy
+    # into another order, and so is the field the step returns
+    prob = builtin_problem('heat2d')
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, (5, 7))
+    assert mesh.dx != mesh.dy
+    tab = builtin_tableau(prob.tableau)
+    integ = ImexIntegrator(prob, mesh, basis, tableau=tab,
+                           controller=treated_boundary(prob, mesh, basis,
+                                                       tab))
+    shape = integ.diffusion.shape
+    assert shape == (5, basis.p, 7, basis.p)
+    u0 = interpolate(lambda x, y: prob.exact(x, y, 0.0), mesh, basis)
+    assert _flat_view(u0, shape)
+    x, y = mesh.node_coords(basis)
+    assert np.array_equal(u0, prob.exact(x, y, 0.0))
+    ctrl = integ.controller
+    begun, observed = [], []
+    begin, observe = ctrl.begin_step, ctrl.observe_stage
+
+    def begin_step(u, t, tau):
+        begun.append(u)
+        begin(u, t, tau)
+
+    def observe_stage(i, u_stage):
+        observed.append(u_stage)
+        observe(i, u_stage)
+
+    monkeypatch.setattr(ctrl, 'begin_step', begin_step)
+    monkeypatch.setattr(ctrl, 'observe_stage', observe_stage)
+    read, filled = [], []
+
+    def rates(u, *args):
+        read.append(u)
+        filled.append(explicit_rhs(u, *args))
+        return filled[-1]
+
+    monkeypatch.setattr(imex, 'explicit_rhs', rates)
+    tau = prob.cfl * mesh.min_width
+    u1 = integ.step(u0, 0.0, tau)
+    u2 = integ.step(u1, tau, tau)
+    assert _flat_view(u1, shape) and _flat_view(u2, shape)
+    assert len(read) == 2 * tab.stages
+    # each step's stage 0 is its own input, the later stages the solves'
+    # flat vectors reshaped, read by explicit_rhs as the controller saw them
+    assert begun[0] is read[0] is u0 and begun[1] is read[tab.stages] is u1
+    later = [u for k, u in enumerate(read) if k % tab.stages]
+    assert len(observed) == len(later)
+    assert all(a is b for a, b in zip(observed, later))
+    for u in read + filled:
+        assert _flat_view(u, shape)

@@ -7,11 +7,16 @@ from ldgimex.mesh import Mesh1D, Mesh2D, build_mesh
 from ldgimex.quadrature import build_basis
 
 
+def breaks(mesh):
+    """The n + 1 cell boundaries of a Mesh1D."""
+    return mesh.a + mesh.dx * np.arange(mesh.n + 1)
+
+
 def test_mesh1d_geometry():
     mesh = Mesh1D(-1.0, 3.0, 8)
     assert mesh.dx == 0.5
     assert mesh.min_width == 0.5
-    np.testing.assert_allclose(mesh.breaks(), -1.0 + 0.5 * np.arange(9))
+    np.testing.assert_allclose(breaks(mesh), -1.0 + 0.5 * np.arange(9))
     np.testing.assert_allclose(mesh.centers(), -0.75 + 0.5 * np.arange(8))
 
 
@@ -20,9 +25,9 @@ def test_mesh1d_node_coords_cover_cells():
     basis = build_basis(2)
     xs, = mesh.node_coords(basis)
     assert xs.shape == (5, 3)
-    breaks = mesh.breaks()
+    edges = breaks(mesh)
     for i in range(5):
-        assert np.all(xs[i] > breaks[i]) and np.all(xs[i] < breaks[i + 1])
+        assert np.all(xs[i] > edges[i]) and np.all(xs[i] < edges[i + 1])
 
 
 def test_mesh1d_validation():
@@ -44,10 +49,15 @@ def test_mesh2d_node_coords_shapes():
     mesh = Mesh2D(0.0, 1.0, 0.0, 1.0, 3, 2)
     basis = build_basis(2)
     x, y = mesh.node_coords(basis)
-    assert x.shape == y.shape == (3, 2, 3, 3)
-    # x varies along axis 2 only, y along axis 3 only
-    assert np.allclose(np.diff(x, axis=3), 0)
-    assert np.allclose(np.diff(y, axis=2), 0)
+    assert x.shape == y.shape == (3, 3, 2, 3)
+    # (cell, node) along x, then along y: x varies along axes 0 and 1 only,
+    # y along axes 2 and 3 only
+    for axis in (2, 3):
+        assert np.allclose(np.diff(x, axis=axis), 0)
+    for axis in (0, 1):
+        assert np.allclose(np.diff(y, axis=axis), 0)
+    np.testing.assert_array_equal(x[:, :, 0, 0], mesh.x.node_coords(basis)[0])
+    np.testing.assert_array_equal(y[0, 0], mesh.y.node_coords(basis)[0])
 
 
 @pytest.mark.parametrize("mesh", [Mesh1D(-1.0, 1.0, 5),
@@ -57,7 +67,7 @@ def test_node_coords_give_one_field_shaped_array_per_axis(mesh):
     basis = build_basis(2)
     coords = mesh.node_coords(basis)
     assert isinstance(coords, tuple) and len(coords) == mesh.dim
-    shape = tuple(ax.n for ax in mesh.axes) + (basis.p,) * mesh.dim
+    shape = tuple(s for ax in mesh.axes for s in (ax.n, basis.p))
     assert all(c.shape == shape for c in coords)
 
 

@@ -282,7 +282,8 @@ def global_L(diff):
 
 def diffusion_apply(diff, u, bdata):
     """The full diffusive RHS L u + g_b of a Diffusion, as a field."""
-    return diff.unflatten(global_L(diff) @ diff.flatten(u) + diff.gb(bdata))
+    return (global_L(diff) @ np.reshape(u, -1)
+            + diff.gb(bdata)).reshape(diff.shape)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -339,14 +340,14 @@ def diffusion_gradient(diff, u, bdata):
     every grid line along it."""
     dim = len(diff.axes)
     grid = tuple(ax.n * diff.basis.p for ax in diff.mesh.axes)
-    field = diff.flatten(u).reshape(grid)
+    field = np.reshape(u, grid)
     out = []
     for a, (op, pair) in enumerate(zip(diff.axes, bdata)):
         front = (a,) + tuple(b for b in range(dim) if b != a)
         q = (op.K @ field.transpose(front).reshape(op.K.shape[0], -1)
              + op.Kb @ np.array(pair).reshape(2, -1))
         q = q.reshape([grid[b] for b in front]).transpose(np.argsort(front))
-        out.append(diff.unflatten(q))
+        out.append(q.reshape(diff.shape))
     return tuple(out)
 
 
@@ -459,7 +460,7 @@ def test_diffusion_2d_matches_dimension_split_oracle():
     mesh = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), (4, 3))
     rng = np.random.default_rng(24)
     n, m, p, d = mesh.n, mesh.m, basis.p, 1.3
-    u = rng.standard_normal((n, m, p, p))
+    u = rng.standard_normal((n, p, m, p))       # (cell, node) per axis
     bdata = ((rng.standard_normal((m, p)), rng.standard_normal((m, p))),
              (rng.standard_normal((n, p)), rng.standard_normal((n, p))))
     (west, east), (south, north) = bdata
@@ -467,13 +468,13 @@ def test_diffusion_2d_matches_dimension_split_oracle():
     want = np.zeros_like(u)
     for j in range(m):
         for q2 in range(p):
-            want[:, j, :, q2] += diffusion_oracle(
-                u[:, j, :, q2], west[j, q2], east[j, q2], mesh.x,
+            want[:, :, j, q2] += diffusion_oracle(
+                u[:, :, j, q2], west[j, q2], east[j, q2], mesh.x,
                 basis, d, penalty=1.0 / mesh.dy)
     for i in range(n):
         for q1 in range(p):
-            want[i, :, q1, :] += diffusion_oracle(
-                u[i, :, q1, :], south[i, q1], north[i, q1],
+            want[i, q1] += diffusion_oracle(
+                u[i, q1], south[i, q1], north[i, q1],
                 mesh.y, basis, d, penalty=1.0 / mesh.dx)
     np.testing.assert_allclose(got, want, atol=1e-9, rtol=0)
 
@@ -489,7 +490,7 @@ def test_diffusion_2d_dissipative():
             (np.zeros((4, 3)), np.zeros((4, 3))))
     for _ in range(20):
         u = rng.standard_normal(diff.shape)
-        rate = float(np.einsum('qr,ijqr,ijqr->', mass, u,
+        rate = float(np.einsum('qr,iqjr,iqjr->', mass, u,
                                diffusion_apply(diff, u, zero)))
         assert rate <= 1e-10
 
@@ -591,7 +592,7 @@ def test_explicit_rhs_2d_matches_dimension_split_oracle():
     mesh = build_mesh(prob.bounds, (4, 3))
     rng = np.random.default_rng(23)
     n, m, p = mesh.n, mesh.m, basis.p
-    u = rng.standard_normal((n, m, p, p))
+    u = rng.standard_normal((n, p, m, p))       # (cell, node) per axis
     bdata = ((rng.standard_normal((m, p)), rng.standard_normal((m, p))),
              (rng.standard_normal((n, p)), rng.standard_normal((n, p))))
     (west, east), (south, north) = bdata
@@ -599,17 +600,17 @@ def test_explicit_rhs_2d_matches_dimension_split_oracle():
     got = mesh_explicit_rhs(u, t, bdata, prob, mesh, basis)
     alpha = llf_alpha(prob, u, bdata)
     want = np.zeros_like(u)
-    # x-direction: each (j, m2) line is a 1D convection problem
+    # x-direction: each (j, q2) line is a 1D convection problem
     for j in range(m):
         for q2 in range(p):
-            line = u[:, j, :, q2]
-            want[:, j, :, q2] += convection_oracle(
+            line = u[:, :, j, q2]
+            want[:, :, j, q2] += convection_oracle(
                 line, west[j, q2], east[j, q2], prob.fluxes[0][0],
                 alpha, mesh.x, basis)
     for i in range(n):
         for q1 in range(p):
-            line = u[i, :, q1, :]
-            want[i, :, q1, :] += convection_oracle(
+            line = u[i, q1]
+            want[i, q1] += convection_oracle(
                 line, south[i, q1], north[i, q1], prob.fluxes[1][0],
                 alpha, mesh.y, basis)
     want += u                               # p = 2 D - 1 = 1
@@ -641,7 +642,8 @@ def einsum_explicit_rhs(u, t, bdata, problem, mesh, basis):
     out = problem.h(u, *mesh.node_coords(basis), t)
     for a, (ax, (f, _, _), (low, high)) in enumerate(
             zip(mesh.axes, problem.fluxes, bdata)):
-        own = (a, a + dim)
+        # the field is (cell, node) per axis: the axis's own are 2a, 2a + 1
+        own = (2 * a, 2 * a + 1)
         front = own + tuple(i for i in range(2 * dim) if i not in own)
         lines = u.transpose(front)
         conv = einsum_convection_lines(
@@ -730,8 +732,8 @@ def parent_explicit_rhs(u, t, bdata, problem, mesh, basis, coords, axes):
             continue
         if not terms:
             alpha = llf_alpha(problem, u, bdata)
-        front = ((a,) + tuple(i for i in range(2 * dim) if i % dim != a)
-                 + (a + dim,))
+        front = ((2 * a,) + tuple(i for i in range(2 * dim) if i // 2 != a)
+                 + (2 * a + 1,))
         lines = u.transpose(front)
         kernel, flux = ((_parent_convection_lines, f) if c is None
                         else (_parent_linear_lines, c))
@@ -773,23 +775,24 @@ def test_explicit_rhs_1d_is_bitwise_the_reduce_kernel(name):
 ], ids=['linear-1d', 'burgers-1d', 'linear-2d', 'burgers-2d'])
 def test_explicit_rhs_reads_both_layouts_into_the_flat_buffer(
         monkeypatch, make, cells):
-    # a C-ordered field and the integrator's unflatten view of a flat
-    # vector give equal results, and the integrator's flat xi is the very
-    # buffer explicit_rhs filled, with no copy in between
+    # the integrator's field, a view of a flat vector, and a copy of it in
+    # Fortran order give equal results, each a new C-ordered field; the
+    # integrator's flat xi is the very buffer explicit_rhs filled, with no
+    # copy in between
     prob = make()
     basis = build_basis(prob.degree)
     mesh = build_mesh(prob.bounds, cells)
     integ = ImexIntegrator(prob, mesh, basis)
     diff = integ.diffusion
     rng = np.random.default_rng(73)
-    view = diff.unflatten(rng.standard_normal(diff.shifted.shape[0]))
-    field = np.array(view, order='C')
+    view = rng.standard_normal(diff.shifted.shape[0]).reshape(diff.shape)
     _, bdata = _random_state(mesh, basis, diff, rng)
     args = (0.4, bdata, prob, mesh, basis, integ.coords, diff.axes)
     got = explicit_rhs(view, *args)
-    assert np.array_equal(got, explicit_rhs(field, *args))
+    assert got.shape == diff.shape and got.flags.c_contiguous
+    assert np.array_equal(got, explicit_rhs(np.asfortranarray(view), *args))
     np.testing.assert_allclose(got, einsum_explicit_rhs(
-        field, 0.4, bdata, prob, mesh, basis), rtol=0,
+        view, 0.4, bdata, prob, mesh, basis), rtol=0,
         atol=1e-13 * np.max(np.abs(got)))
     filled = []
 
@@ -800,7 +803,7 @@ def test_explicit_rhs_reads_both_layouts_into_the_flat_buffer(
     monkeypatch.setattr(imex, 'explicit_rhs', recording)
     xi = integ._xi(view, 0.4, bdata)
     assert np.shares_memory(xi, filled[0])
-    assert np.array_equal(xi, diff.flatten(got))
+    assert np.array_equal(xi, got.reshape(-1))
 
 
 def _dense_gb(diff, bdata, part=np.asarray):

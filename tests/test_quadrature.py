@@ -134,5 +134,5 @@ def test_interpolate_2d_hits_nodes():
     mesh = build_mesh(((-1.0, 1.0), (0.0, 2.0)), (3, 5))
     u = interpolate(lambda x, y: x * y, mesh, basis)
     x, y = mesh.node_coords(basis)
-    assert u.shape == (3, 5, 3, 3)
+    assert u.shape == (3, 3, 5, 3)
     np.testing.assert_allclose(u, x * y, atol=0, rtol=0)

@@ -185,7 +185,7 @@ def test_face_recovery_matches_per_term_einsums(face):
     # of the per-face recovery it replaced
     basis = build_basis(2)
     mesh = build_mesh(((-1.0, 1.0), (-0.5, 1.0)), (7, 5))
-    field = np.random.default_rng(3).standard_normal((7, 5, 3, 3))
+    field = np.random.default_rng(3).standard_normal((7, 3, 5, 3))
     want = _face_reference(mesh, basis, face, field)
     got = FaceDerivatives2D(mesh, basis).recover(field)
     assert len(got) == 3
