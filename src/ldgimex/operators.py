@@ -33,7 +33,10 @@ blocks (LineMatrices.llf_blocks) plus the outside states' rows, with no
 flux call and no face-state vector.  When every flux is linear the LLF
 bound is max |c| over the axes, read off the speeds without scanning the
 states, so the blocks are built once per run; a callable flux on another
-axis moves the bound, and with it the blocks, at every call.
+axis moves the bound, and with it the blocks, at every call.  At a bound
+alpha = |c|, as on every axis of every builtin problem, the LLF flux is
+the upwind flux: the block of the downwind neighbour and the outside
+state on the downwind side vanish, and the kernel skips them.
 """
 
 import math
@@ -69,7 +72,9 @@ class LineMatrices:
         alpha: (m0, m_low, m_high, b_low, b_high), m0 acting on a cell's
         own rows, m_low on those of the cell below, m_high on those of the
         cell above, b_low and b_high the rows the outside states low and
-        high add to the first and last cell.  Only the last (c, alpha) is
+        high add to the first and last cell.  m_low and b_low scale with
+        c + alpha, m_high and b_high with c - alpha, so at alpha = |c| (the
+        upwind flux) one pair is exactly zero.  Only the last (c, alpha) is
         kept: alpha changes every call when another axis's flux is not
         linear."""
         key, blocks = self._llf_memo
@@ -306,27 +311,54 @@ def _linear_lines(u, c, alpha, low, high, mats, out, first, nodes_last):
     tridiagonal over the cells, so it is three products with the p x p
     blocks of mats.llf_blocks(c, alpha), applied from the right to nodal
     values laid out as rows and from the left to values laid out as
-    columns, plus the outside states' rows."""
+    columns, plus the outside states' rows.
+
+    The cell below enters through c + alpha, the cell above through
+    c - alpha: when one of them is 0 (alpha = |c|, the upwind flux) its
+    neighbour block and outside-state row are exactly zero and are
+    skipped.  On rows, a neighbour block multiplies the row array shifted
+    by one row, into one buffer added to out in one pass; its rows that
+    pair the end of one line with the start of the next are set to -0.0,
+    which adds as the exact identity (x + -0.0 is x, signed zeros too),
+    so out is bitwise what the three full products give."""
     m0, m_low, m_high, b_low, b_high = mats.llf_blocks(c, alpha)
+    from_low, from_high = c + alpha != 0.0, c - alpha != 0.0
     if nodes_last:
-        rows, dest = u.reshape(-1, u.shape[2]), out.reshape(-1, u.shape[2])
+        n, p = u.shape[1:]
+        rows, dest = u.reshape(-1, p), out.reshape(-1, p)
         if first:
             np.matmul(rows, m0, out=dest)
         else:
             dest += rows @ m0
-        out[:, 1:] += u[:, :-1] @ m_low
-        out[:, :-1] += u[:, 1:] @ m_high
-        out[:, 0] += low[:, None] * b_low
-        out[:, -1] += high[:, None] * b_high
+        # shifted[i] is row i's product added into row i + 1 (from the
+        # cell below) or row i + 1's added into row i (from the cell
+        # above); rows n - 1, 2n - 1, ... span two lines
+        shifted = np.empty((len(rows) - 1, p))
+        if from_low:
+            np.matmul(rows[:-1], m_low, out=shifted)
+            shifted[n - 1::n] = -0.0
+            dest[1:] += shifted
+        if from_high:
+            np.matmul(rows[1:], m_high, out=shifted)
+            shifted[n - 1::n] = -0.0
+            dest[:-1] += shifted
+        if from_low:
+            out[:, 0] += low[:, None] * b_low
+        if from_high:
+            out[:, -1] += high[:, None] * b_high
         return
     if first:
         np.matmul(m0.T, u, out=out)
     else:
         out += m0.T @ u
-    out[1:] += m_low.T @ u[:-1]
-    out[:-1] += m_high.T @ u[1:]
-    out[0] += b_low[:, None] * low
-    out[-1] += b_high[:, None] * high
+    if from_low:
+        out[1:] += m_low.T @ u[:-1]
+    if from_high:
+        out[:-1] += m_high.T @ u[1:]
+    if from_low:
+        out[0] += b_low[:, None] * low
+    if from_high:
+        out[-1] += b_high[:, None] * high
 
 
 def llf_alpha(problem, u, bdata):

@@ -137,6 +137,12 @@ def interpolate(f, mesh, basis):
 
     Returns:
         Nodal coefficient array of shape (n, p) in 1D or (n, p, m, p) in
-        2D, (cell, node) per axis: the flat dof vector reshaped.
+        2D, (cell, node) per axis: the flat dof vector reshaped.  A value
+        that does not vary with every coordinate, a constant say, is
+        broadcast to that shape.
     """
-    return np.asarray(f(*mesh.node_coords(basis)), dtype=float)
+    coords = mesh.node_coords(basis)
+    values = np.asarray(f(*coords), dtype=float)
+    if values.shape != coords[0].shape:
+        values = np.broadcast_to(values, coords[0].shape).copy()
+    return values

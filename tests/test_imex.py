@@ -1,5 +1,7 @@
 """Tableau identities, IMEX stepping mechanics, and degenerate limits."""
 
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -647,3 +649,23 @@ def test_fields_are_the_flat_vectors_reshaped(monkeypatch):
     assert all(a is b for a, b in zip(observed, later))
     for u in read + filled:
         assert _flat_view(u, shape)
+
+
+@pytest.mark.parametrize("name,cells", [('heat1d', 8), ('heat2d', (4, 3))],
+                         ids=['1d', '2d'])
+def test_one_step_from_a_constant_u0(name, cells):
+    # interpolate broadcasts a u0 that returns a scalar to the field shape,
+    # so the step runs as from the same constant given as a field
+    prob = copy.copy(builtin_problem(name))
+    prob.u0 = lambda *x: 0.5
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, cells)
+    integ = ImexIntegrator(prob, mesh, basis)
+    shape = integ.diffusion.shape
+    u0 = interpolate(prob.u0, mesh, basis)
+    assert _flat_view(u0, shape) and u0.flags.writeable
+    assert np.all(u0 == 0.5)
+    tau = prob.cfl * mesh.min_width
+    u1 = integ.step(u0, 0.0, tau)
+    assert np.all(np.isfinite(u1))
+    assert np.array_equal(u1, integ.step(np.full(shape, 0.5), 0.0, tau))

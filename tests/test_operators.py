@@ -937,6 +937,93 @@ def test_linear_lines_match_convection_lines(c, alpha):
                 assert err <= 1e-13, (k, n, nodes_last, first, err)
 
 
+def _three_block_lines(u, c, alpha, low, high, mats, out, first, nodes_last):
+    """_linear_lines as it was before it skipped the zero blocks: all three
+    products and both outside-state rows, the neighbour products on the
+    lines' strided cell slices."""
+    m0, m_low, m_high, b_low, b_high = mats.llf_blocks(c, alpha)
+    if nodes_last:
+        rows, dest = u.reshape(-1, u.shape[2]), out.reshape(-1, u.shape[2])
+        if first:
+            np.matmul(rows, m0, out=dest)
+        else:
+            dest += rows @ m0
+        out[:, 1:] += u[:, :-1] @ m_low
+        out[:, :-1] += u[:, 1:] @ m_high
+        out[:, 0] += low[:, None] * b_low
+        out[:, -1] += high[:, None] * b_high
+        return
+    if first:
+        np.matmul(m0.T, u, out=out)
+    else:
+        out += m0.T @ u
+    out[1:] += m_low.T @ u[:-1]
+    out[:-1] += m_high.T @ u[1:]
+    out[0] += b_low[:, None] * low
+    out[-1] += b_high[:, None] * high
+
+
+def _kernel_cases(rng):
+    """(mats, lines, low, high, base, nodes_last) for n = 1, 2 and 7 cells
+    of B = 5 lines at k = 2 and 3, in both layouts: (B, n, p) with
+    nodes_last and (n, p, B) without; base is a random start for the
+    added-into mode."""
+    for k, n in ((2, 1), (2, 2), (2, 7), (3, 1), (3, 2), (3, 7)):
+        mats = LineMatrices(build_basis(k), 0.3)
+        u = rng.standard_normal((5, n, k + 1))
+        base = rng.standard_normal(u.shape)
+        low, high = rng.standard_normal((2, 5))
+        for nodes_last in (True, False):
+            lay = ((lambda a: a) if nodes_last else
+                   (lambda a: np.ascontiguousarray(a.transpose(1, 2, 0))))
+            yield mats, lay(u), low, high, lay(base), nodes_last
+
+
+@pytest.mark.parametrize("c,alpha", [(-0.4, 0.4), (0.4, 0.4), (-0.3, 1.7),
+                                     (0.0, 0.0)])
+def test_linear_lines_are_bitwise_the_three_block_kernel(c, alpha):
+    # upwind either way, two-sided, and no flux at all.  One case is not
+    # bitwise: with p = 4 nodes and n = 2 cells the old kernel's neighbour
+    # products run on stacked one-row slices, which numpy sums in another
+    # order than the GEMM of any other n (1 ulp); the new kernel runs that
+    # GEMM at every n (and alpha = 0 skips both)
+    for mats, lines, low, high, base, nodes_last in _kernel_cases(
+            np.random.default_rng(83)):
+        one_row_slices = nodes_last and lines.shape[1:] == (2, 4)
+        for first in (True, False):
+            got, want = base.copy(), base.copy()
+            _linear_lines(lines, c, alpha, low, high, mats, got, first,
+                          nodes_last)
+            _three_block_lines(lines, c, alpha, low, high, mats, want,
+                               first, nodes_last)
+            if one_row_slices and alpha > 0.0:
+                assert np.max(np.abs(got - want)) <= (
+                    8 * np.finfo(float).eps * np.max(np.abs(want)))
+            else:
+                assert np.array_equal(got, want), (lines.shape, nodes_last,
+                                                   first)
+
+
+@pytest.mark.parametrize("c", [-0.4, 0.4])
+def test_linear_lines_skip_the_upwind_zero_blocks(monkeypatch, c):
+    # at alpha = |c| the block and outside-state row of the downwind
+    # neighbour are zero; poisoned with NaN they must not be read
+    for mats, lines, low, high, base, nodes_last in _kernel_cases(
+            np.random.default_rng(89)):
+        blocks = list(LineMatrices.llf_blocks(mats, c, abs(c)))
+        # m_low and b_low against the flow when c < 0, else m_high, b_high
+        zero = (1, 3) if c < 0 else (2, 4)
+        for i in zero:
+            assert not np.any(blocks[i])
+            blocks[i] = np.full_like(blocks[i], np.nan)
+        monkeypatch.setattr(mats, 'llf_blocks', lambda *_: tuple(blocks))
+        for first in (True, False):
+            out = base.copy()
+            _linear_lines(lines, c, abs(c), low, high, mats, out, first,
+                          nodes_last)
+            assert np.all(np.isfinite(out)), (lines.shape, nodes_last, first)
+
+
 @pytest.mark.parametrize("case", ['heat1d', 'heat2d', 'two-speeds-2d'])
 def test_constant_speed_alpha_reads_no_state(case):
     # bitwise the scanned bound of the same fluxes as callables, and never
