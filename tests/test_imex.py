@@ -1,6 +1,7 @@
 """Tableau identities, IMEX stepping mechanics, and degenerate limits."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,26 +370,74 @@ def test_no_spurious_partial_step_from_roundoff():
     assert info['steps'] == 3
 
 
-def test_prepared_boundary_schedule_matches_per_step_sampling():
+def test_prepared_boundary_schedule_matches_per_step_sampling(monkeypatch):
     # t_end is off the step grid, so the shortened last step samples
-    # per step in both runs
+    # per step in both runs.  At the default block cap the 10 full steps
+    # are one block; patched to 2 or 3 steps' samples, they span several
+    # (the last one partial at 3), and each block is one omega call.
+    # t0 = 0.1 puts block starts where t0 + tau*first + tau*j rounds
+    # differently from t0 + tau*(first + j), the grid integrate() steps
+    # along
+    t0 = 0.1
+    default = imex._BLOCK_SAMPLES
     for name, cells in (('heat1d', 6), ('heat2d', (4, 3))):
         prob = builtin_problem(name)
         basis = build_basis(prob.degree)
         mesh = build_mesh(prob.bounds, cells)
         tab = builtin_tableau(prob.tableau)
-        u0 = interpolate(prob.u0, mesh, basis)
-        for build in (NaiveBoundary, treated_boundary):
-            out = []
-            for prepared in (True, False):
-                ctrl = build(prob, mesh, basis, tab)
-                if not prepared:
-                    # a no-op prepare leaves every step to sample itself
-                    ctrl.prepare = lambda t0, tau, nsteps: None
-                integ = ImexIntegrator(prob, mesh, basis, tableau=tab,
-                                       controller=ctrl)
-                out.append(integ.integrate(u0, 0.0, 0.53, 0.05)[0])
-            assert np.array_equal(out[0], out[1]), (name, build)
+        u0 = interpolate(lambda *x: prob.exact(*x, t0), mesh, basis)
+        points = sum(np.size(pt[0])
+                     for pt in mesh.boundary_points(basis).values())
+        omega, calls = prob.omega, []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return omega(*args)
+
+        prob.omega = counted
+        for block_steps, blocks in ((None, 1), (2, 5), (3, 4)):
+            monkeypatch.setattr(imex, '_BLOCK_SAMPLES', default if
+                                block_steps is None else
+                                block_steps * tab.stages * points)
+            for build in (NaiveBoundary, treated_boundary):
+                out, ncalls = [], []
+                for prepared in (True, False):
+                    ctrl = build(prob, mesh, basis, tab)
+                    if not prepared:
+                        # a no-op prepare leaves every step to sample itself
+                        ctrl.prepare = lambda t0, tau, nsteps: None
+                    integ = ImexIntegrator(prob, mesh, basis, tableau=tab,
+                                           controller=ctrl)
+                    calls.clear()
+                    u, info = integ.integrate(u0, t0, t0 + 0.53, 0.05)
+                    assert info['steps'] == 11
+                    out.append(u)
+                    ncalls.append(len(calls))
+                case = (name, block_steps, build)
+                assert np.array_equal(out[0], out[1]), case
+                assert ncalls == [blocks + 1, 11], case
+
+
+def test_boundary_sampler_memory_does_not_grow_with_the_schedule():
+    # a 5000-step schedule, stepped at its start, middle and end: only
+    # the current block of samples is held (sampling the whole schedule
+    # at once peaked at 23 MB naive and 54 MB treated)
+    prob = builtin_problem('heat2d')
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, (4, 4))
+    tab = builtin_tableau(prob.tableau)
+    tau = 1e-3
+    for build in (NaiveBoundary, treated_boundary):
+        ctrl = build(prob, mesh, basis, tab)
+        tracemalloc.start()
+        try:
+            ctrl.prepare(0.0, tau, 5000)
+            for m in [*range(50), 2500, 4999]:
+                ctrl.sampler.step(m * tau, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, (build, peak)
 
 
 def test_stage_data_is_one_low_high_pair_per_axis():
