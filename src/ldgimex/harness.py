@@ -99,6 +99,9 @@ def solve_level(config, n, bc_mode=None, collect_trace=False):
     rows when requested.
     """
     prob = config.problem
+    if prob.u0 is None:
+        raise ValueError("problem %r defines neither u0 nor an exact "
+                         "solution to start from" % prob.name)
     mode = bc_mode or config.bc_mode
     basis = build_basis(prob.degree)
     mesh = build_mesh(prob.bounds, n)
@@ -109,9 +112,6 @@ def solve_level(config, n, bc_mode=None, collect_trace=False):
         ctrl.trace = trace
     integ = ImexIntegrator(prob, mesh, basis, tableau=config.tableau,
                            controller=ctrl)
-    if prob.u0 is None:
-        raise ValueError("problem %r defines neither u0 nor an exact "
-                         "solution to start from" % prob.name)
     u0 = interpolate(prob.u0, mesh, basis)
     tau = config.cfl * mesh.min_width
     start = time.perf_counter()

@@ -29,10 +29,12 @@ recover(field) returns exactly the tuple the recursion reads: (grad,
 hess, grad_lap), the gradient, Hessian and gradient of the Laplacian
 (psi's gradient over d), floats u_x, u_xx, u_xxx at an endpoint and
 stacked over the axes (x, y) on the faces, then at fourth order the
-closure's (u_xxx, u_xxxx, u_xxxxx).  A 1D endpoint's recovery is a few
-unrolled float sums over its three nearest cells (EdgeDerivatives1D); the
-2D recovery is data, one linear map from the flat dof vector to every
-face point, built from per-axis 1D stencil weights (FaceDerivatives2D).
+closure's (u_xxx, u_xxxx, u_xxxxx).  Every recovery is data, built from
+one table of one-sided stencil rows over the three cell layers next to a
+boundary (_NORMAL_ROWS): a 1D endpoint's is one small matrix over its
+three nearest cells (EdgeDerivatives1D), the 2D one a linear map from the
+flat dof vector to every face point, built from those rows and per-axis
+tangential weights (FaceDerivatives2D).
 
 Two variants are provided.  The default, 'stagewise', re-recovers the
 second derivatives and psi from every freshly solved stage field so Taylor
@@ -81,92 +83,6 @@ def resolve_variant(name):
     return variant
 
 
-def _basis_row(basis, xi, order):
-    """Row vector turning a cell's nodal values into d^order/dx^order at xi."""
-    eye = np.eye(basis.p)
-    if order == 0:
-        row = basis.values(eye, xi)
-    else:
-        row = basis.derivative_values(eye, xi, order)
-    return np.asarray(row, dtype=float).reshape(basis.p)
-
-
-class EdgeDerivatives1D:
-    """One-sided derivative recovery at a 1D endpoint.
-
-    recover(field) returns the floats (u_x, u_xx, u_xxx) at scheme_order
-    3 and (u_x, u_xx, u_xxx_fd, u_xxx, u_xxxx, u_xxxxx) at scheme_order 4.
-    u_x and u_xx come from the boundary cell's own polynomial evaluated at
-    the endpoint.  Derivatives beyond the cell polynomial's reach use
-    finite differences of per-cell samples taken at matching offsets: cell
-    a, counted inward from the boundary, is evaluated at its own near edge,
-    a cell widths in.  scheme_order 3 (k = 2) forms u_xxx as the one-sided
-    second difference of those u_x samples; scheme_order 4 (k = 3) reads
-    u_xxx off the cubic directly, differences the u_xx samples for the
-    second-order u_xxx_fd that psi_x reads, and differences the per-cell
-    (constant) third derivatives for u_xxxx and u_xxxxx.  Both read only
-    the three cells next to the endpoint.  The sums are unrolled over
-    plain floats because this runs once per side and stage: a call takes
-    1.4-2.4 us, the same sums as a loop over the cells 5.4-9.9 us (one
-    Xeon core).
-    """
-
-    def __init__(self, mesh, basis, side, scheme_order):
-        if side not in ('west', 'east'):
-            raise ValueError("side must be 'west' or 'east', got %r" % (side,))
-        if scheme_order not in (3, 4):
-            raise ValueError("scheme_order must be 3 or 4, got %r"
-                             % (scheme_order,))
-        if mesh.n < 3:
-            raise ValueError("endpoint recovery needs >= 3 cells, mesh has %d"
-                             % mesh.n)
-        self.order = scheme_order
-        self.dx = dx = mesh.dx
-        self._dx2 = dx * dx
-        xi = -1.0 if side == 'west' else 1.0
-        jac = 2.0 / dx
-        self._r1 = tuple((_basis_row(basis, xi, 1) * jac).tolist())
-        self._r2 = tuple((_basis_row(basis, xi, 2) * jac ** 2).tolist())
-        self._r3 = (tuple((_basis_row(basis, xi, 3) * jac ** 3).tolist())
-                    if scheme_order == 4 else None)
-        self._rev = side == 'east'
-        self.inward = -1.0 if self._rev else 1.0
-        self._rows = slice(mesh.n - 3, mesh.n) if self._rev else slice(0, 3)
-
-    def recover(self, field):
-        """The endpoint's derivative tuple (see the class docstring)."""
-        rows = field[self._rows].tolist()
-        if self._rev:
-            rows.reverse()
-        u0, u1, u2 = rows
-        if self.order == 3:
-            a0, a1, a2 = self._r1
-            b0, b1, b2 = self._r2
-            p0, p1, p2 = u0
-            u_x = a0 * p0 + a1 * p1 + a2 * p2
-            s1 = a0 * u1[0] + a1 * u1[1] + a2 * u1[2]
-            s2 = a0 * u2[0] + a1 * u2[1] + a2 * u2[2]
-            return (u_x, b0 * p0 + b1 * p1 + b2 * p2,
-                    (u_x - 2.0 * s1 + s2) / self._dx2)
-        a0, a1, a2, a3 = self._r1
-        b0, b1, b2, b3 = self._r2
-        g0, g1, g2, g3 = self._r3
-        p0, p1, p2, p3 = u0
-        q0, q1, q2, q3 = u1
-        w0, w1, w2, w3 = u2
-        u_xx = b0 * p0 + b1 * p1 + b2 * p2 + b3 * p3
-        t1 = b0 * q0 + b1 * q1 + b2 * q2 + b3 * q3
-        t2 = b0 * w0 + b1 * w1 + b2 * w2 + b3 * w3
-        v0 = g0 * p0 + g1 * p1 + g2 * p2 + g3 * p3
-        v1 = g0 * q0 + g1 * q1 + g2 * q2 + g3 * q3
-        v2 = g0 * w0 + g1 * w1 + g2 * w2 + g3 * w3
-        inward, dx = self.inward, self.dx
-        return (a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3, u_xx,
-                inward * (-3.0 * u_xx + 4.0 * t1 - t2) / (2.0 * dx),
-                v0, inward * (v1 - v0) / dx,
-                (v0 - 2.0 * v1 + v2) / self._dx2)
-
-
 # the rows of the 2D recovery's output at a face point: u_x, u_y, u_xx,
 # u_xy, u_yy, then grad(lap u) = (u_xxx + u_yyx, u_xxy + u_yyy); _HESS
 # picks the Hessian out of them
@@ -176,12 +92,14 @@ _HESS = [[2, 3], [3, 4]]
 # u_nt, u_tt, (grad lap)_n, (grad lap)_t -- land on these rows when y is
 # the normal
 _Y_NORMAL = [1, 0, 4, 3, 2, 6, 5]
-# the normal weights N over the three cell layers next to a face, counted
-# inward: (weights per layer, derivative order along n of each layer's
-# polynomial at its near edge, further power of 1/dn).  They take the
-# boundary cell's u, u_n and u_nn at the face, the one-sided second
+# the normal weights N over the three cell layers next to a boundary,
+# counted inward: (weights per layer, derivative order along n of each
+# layer's polynomial at its near edge, further power of 1/dn).  They take
+# the boundary cell's u, u_n and u_nn at the boundary, the one-sided second
 # difference of the layers' u_n samples, one cell width apart, and the
-# one-sided difference (-3, 4, -1)/(2 dn) of their u and of their u_n.
+# one-sided difference (-3, 4, -1)/(2 dn) of their u and of their u_n; at
+# k = 3 also that difference of their u_nn, the boundary cell's u_nnn, and
+# the first and second differences of the layers' (constant) u_nnn.
 _NORMAL_ROWS = (
     ((1.0, 0.0, 0.0), 0, 0),
     ((1.0, 0.0, 0.0), 1, 0),
@@ -189,8 +107,15 @@ _NORMAL_ROWS = (
     ((1.0, -2.0, 1.0), 1, 2),
     ((-1.5, 2.0, -0.5), 0, 1),
     ((-1.5, 2.0, -0.5), 1, 1),
+    ((-1.5, 2.0, -0.5), 2, 1),
+    ((1.0, 0.0, 0.0), 3, 0),
+    ((-1.0, 1.0, 0.0), 3, 1),
+    ((1.0, -2.0, 1.0), 3, 2),
 )
-_ODD = np.array([False, True, False, True, True, False])   # in n
+# the rows a 2D face reads (k = 2), and those a 1D endpoint returns, by k
+_FACE_ROWS = _NORMAL_ROWS[:6]
+_ENDPOINT_ROWS = {2: _NORMAL_ROWS[1:4],
+                  3: _NORMAL_ROWS[1:3] + _NORMAL_ROWS[6:]}
 # the tangential maps T, over a point's window of three cells (its cell
 # and the neighbors, shifted inward at the end cells), for the first cell,
 # an interior one and the last: the cell's own value, the first
@@ -217,15 +142,57 @@ _TERMS = (
 )
 
 
-def _normal_weights(basis, dn):
-    """The rows of N for a face normal to an axis of cell width dn, over
-    the layers' dofs counted inward from the face."""
-    d1 = basis.diff_matrix
-    left = basis.phi_left
-    edges = (np.array([left, left @ d1, left @ d1 @ d1])
-             * (2.0 / dn) ** np.arange(3)[:, None])
-    return np.array([np.multiply.outer(layers, edges[order]).ravel()
-                     / dn ** power for layers, order, power in _NORMAL_ROWS])
+def _normal_weights(basis, dn, rows):
+    """The normal weights of rows (entries of _NORMAL_ROWS) at the low and
+    the high end of an axis of cell width dn, each over the dofs of the
+    three cell layers there in the axis's order.  The high end is the low
+    end mirrored: its columns reversed, and the rows odd in n (derivative
+    order plus power odd) negated."""
+    eye = np.eye(basis.p)
+    edges = [basis.values(eye, -1.0)] + [
+        basis.derivative_values(eye, -1.0, order) * (2.0 / dn) ** order
+        for order in range(1, basis.k + 1)]
+    low = np.array([np.multiply.outer(layers, edges[order]).ravel()
+                    / dn ** power for layers, order, power in rows])
+    odd = np.array([(order + power) % 2 for _, order, power in rows])
+    return low, np.where(odd, -1.0, 1.0)[:, None] * low[:, ::-1]
+
+
+class EdgeDerivatives1D:
+    """One-sided derivative recovery at a 1D endpoint.
+
+    recover(field) returns a list of floats, (u_x, u_xx, u_xxx) at degree
+    k = 2 and (u_x, u_xx, u_xxx_fd, u_xxx, u_xxxx, u_xxxxx) at k = 3: the rows
+    _ENDPOINT_ROWS of the table the 2D faces read.  u_x and u_xx come from
+    the boundary cell's own polynomial evaluated at the endpoint.
+    Derivatives beyond the cell polynomial's reach use finite differences
+    of per-cell samples taken at matching offsets: cell a, counted inward
+    from the boundary, is evaluated at its own near edge, a cell widths
+    in.  k = 2 forms u_xxx as the one-sided second difference of those u_x
+    samples; k = 3 reads u_xxx off the cubic directly, differences the u_xx
+    samples for the second-order u_xxx_fd that psi_x reads, and differences
+    the per-cell (constant) third derivatives for u_xxxx and u_xxxxx.  Both
+    read only the three cells next to the endpoint, through one small
+    dense matrix built once.
+    """
+
+    def __init__(self, mesh, basis, side):
+        if side not in ('west', 'east'):
+            raise ValueError("side must be 'west' or 'east', got %r" % (side,))
+        if basis.k not in _ENDPOINT_ROWS:
+            raise ValueError("endpoint recovery supports degree k = 2 or 3, "
+                             "got k = %d" % basis.k)
+        if mesh.n < 3:
+            raise ValueError("endpoint recovery needs >= 3 cells, mesh has %d"
+                             % mesh.n)
+        low, high = _normal_weights(basis, mesh.dx, _ENDPOINT_ROWS[basis.k])
+        east = side == 'east'
+        self._weights = high if east else low
+        self._cells = slice(mesh.n - 3, mesh.n) if east else slice(0, 3)
+
+    def recover(self, field):
+        """The endpoint's derivatives (see the class docstring)."""
+        return self._weights.dot(field[self._cells].ravel()).tolist()
 
 
 def _tangential_weights(basis, widths):
@@ -240,7 +207,7 @@ def _tangential_weights(basis, widths):
     # each term on the reference cells, (term, class, q, window cell, node)
     unit = (_WINDOWS[tangential][:, :, None, :, None]
             * nodes[node][:, None, :, None, :])
-    select = np.zeros((2, _QUANTITIES, len(_NORMAL_ROWS), len(_TERMS)))
+    select = np.zeros((2, _QUANTITIES, len(_FACE_ROWS), len(_TERMS)))
     for axis, rows in enumerate((row, np.take(_Y_NORMAL, row))):
         dt = widths[1 - axis]
         select[axis, rows, normal, np.arange(len(_TERMS))] = (
@@ -248,7 +215,7 @@ def _tangential_weights(basis, widths):
     weights = (select.reshape(-1, len(_TERMS))
                @ unit.reshape(len(_TERMS), -1))
     return np.ascontiguousarray(weights.reshape(
-        (2, _QUANTITIES, len(_NORMAL_ROWS), 3, p, 3, p)).transpose(
+        (2, _QUANTITIES, len(_FACE_ROWS), 3, p, 3, p)).transpose(
             0, 3, 4, 1, 2, 5, 6))
 
 
@@ -266,15 +233,15 @@ class FaceDerivatives2D:
     with inward normal n and tangent t, each quantity is a sum of terms
     N V T^T: V the field on the three cell layers next to the face
     (normal dofs by tangential dofs), N a row of normal weights over
-    those layers (_NORMAL_ROWS) and T a map from the tangential dofs to
+    those layers (_FACE_ROWS) and T a map from the tangential dofs to
     the face points (_WINDOWS and each cell's own node derivatives).  The
     map is kept in these two factors: per face the six normal rows as one
     small dense matrix, applied to V in place, and one sparse matrix
     taking every face's N V to all faces' points, with a fifth of the
     entries of the whole map (12.9k against 61k at N = 40).  On the
-    east and north faces the layers count down from the axis's end and
-    the rows odd in n change sign.  Needs k = 2 and >= 3 cells per
-    direction.
+    east and north faces the normal rows are the west and south ones
+    mirrored, as at a 1D endpoint (_normal_weights).  Needs k = 2 and >= 3
+    cells per direction.
     """
 
     def __init__(self, mesh, basis):
@@ -287,13 +254,11 @@ class FaceDerivatives2D:
         cells = (mesh.x.n, mesh.y.n)
         widths = (mesh.x.dx, mesh.y.dx)
         self._shape = (cells[0] * p, cells[1] * p)
-        sign = np.where(_ODD, -1.0, 1.0)[:, None]
         self._normal = []
         for dn in widths:
-            normal = _normal_weights(basis, dn)
-            self._normal += [normal, sign * normal[:, ::-1]]
+            self._normal += _normal_weights(basis, dn, _FACE_ROWS)
         # N V of each face, (normal row, tangential dof), one after another
-        rows = len(_NORMAL_ROWS)
+        rows = len(_FACE_ROWS)
         sizes = [rows * self._shape[tangent] for tangent in (1, 1, 0, 0)]
         ends = np.cumsum(sizes).tolist()
         self._spans = list(zip([0] + ends[:-1], ends))
@@ -635,7 +600,7 @@ class TreatedBoundary:
         # once the correctors have checked that the fields they need exist
         boundary_data_check(problem, self.sampler.coords)
         if mesh.dim == 1:
-            self.recovery = [EdgeDerivatives1D(mesh, basis, side, order)
+            self.recovery = [EdgeDerivatives1D(mesh, basis, side)
                              for side in self.sampler.sides]
         else:
             self.recovery = [FaceDerivatives2D(mesh, basis)]

@@ -13,7 +13,17 @@ cell_loop_operator for the block assembly.
 import numpy as np
 
 from ldgimex.imex import axis_pairs
-from ldgimex.treatment import StageCorrector, _basis_row, treated_boundary
+from ldgimex.treatment import StageCorrector, treated_boundary
+
+
+def _basis_row(basis, xi, order):
+    """Row vector turning a cell's nodal values into d^order/dx^order at xi."""
+    eye = np.eye(basis.p)
+    if order == 0:
+        row = basis.values(eye, xi)
+    else:
+        row = basis.derivative_values(eye, xi, order)
+    return np.asarray(row, dtype=float).reshape(basis.p)
 
 
 def _tang_first(z, dt):

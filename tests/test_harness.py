@@ -327,6 +327,10 @@ def test_solve_level_needs_initial_data():
                        omega_t=lambda x, t: 0.0 * x)
     with pytest.raises(ValueError, match="neither u0 nor an exact"):
         solve_level(RunConfig(spec, [5], T=0.5), 5)
+    # checked before anything is built: two cells are too few for the
+    # treated controller, which would otherwise refuse first
+    with pytest.raises(ValueError, match="neither u0 nor an exact"):
+        solve_level(RunConfig(spec, [2], T=0.5), 2)
 
 
 def test_efficiency_rows_interleave_modes():

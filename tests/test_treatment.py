@@ -24,7 +24,7 @@ def test_recovery_exact_on_quadratic(side, xb):
     mesh = build_mesh((-1.0, 1.0), 10)
     basis = build_basis(2)
     u = interpolate(lambda x: x * x, mesh, basis)
-    u_x, u_xx, u_xxx = EdgeDerivatives1D(mesh, basis, side, 3).recover(u)
+    u_x, u_xx, u_xxx = EdgeDerivatives1D(mesh, basis, side).recover(u)
     assert abs(u_x - 2.0 * xb) < 1e-12
     assert abs(u_xx - 2.0) < 1e-12
     assert abs(u_xxx) < 1e-10
@@ -35,7 +35,7 @@ def _check_cubic(n, side, xb):
     basis = build_basis(3)
     u = interpolate(lambda x: x ** 3, mesh, basis)
     u_x, u_xx, u_xxx_fd, u_xxx, u_xxxx, u_xxxxx = EdgeDerivatives1D(
-        mesh, basis, side, 4).recover(u)
+        mesh, basis, side).recover(u)
     assert abs(u_x - 3.0 * xb * xb) < 1e-12
     assert abs(u_xx - 6.0 * xb) < 1e-12
     assert abs(u_xxx - 6.0) < 1e-11
@@ -56,7 +56,7 @@ def test_recovered_third_derivative_converges():
     for n in (40, 80):
         mesh = build_mesh((-1.0, 1.0), n)
         u = interpolate(np.sin, mesh, basis)
-        u_xxx = EdgeDerivatives1D(mesh, basis, 'west', 3).recover(u)[2]
+        u_xxx = EdgeDerivatives1D(mesh, basis, 'west').recover(u)[2]
         errs.append(abs(u_xxx - (-np.cos(-1.0))))
     assert 1.5 < errs[0] / errs[1] < 3.0
 
@@ -68,7 +68,7 @@ def test_order_4_third_derivatives_converge_at_their_orders():
     errs = []
     for n in (40, 80):
         mesh = build_mesh((-1.0, 1.0), n)
-        rec = EdgeDerivatives1D(mesh, basis, 'east', 4).recover(
+        rec = EdgeDerivatives1D(mesh, basis, 'east').recover(
             interpolate(np.sin, mesh, basis))
         errs.append(np.abs(np.array(rec[2:4]) + np.cos(1.0)))
     fd, own = np.log2(errs[0] / errs[1])
@@ -199,14 +199,16 @@ def test_recovery_rejects_bad_requests():
     mesh = build_mesh((-1.0, 1.0), 10)
     basis = build_basis(2)
     with pytest.raises(ValueError, match="side"):
-        EdgeDerivatives1D(mesh, basis, 'top', 3)
-    with pytest.raises(ValueError, match="scheme_order"):
-        EdgeDerivatives1D(mesh, basis, 'west', 5)
+        EdgeDerivatives1D(mesh, basis, 'top')
+    # a degree without endpoint rows fails at construction, naming k, not
+    # at its first recovery
+    for k in (1, 4):
+        with pytest.raises(ValueError, match="k = %d" % k):
+            EdgeDerivatives1D(mesh, build_basis(k), 'west')
     with pytest.raises(ValueError, match=">= 3 cells"):
-        EdgeDerivatives1D(build_mesh((-1.0, 1.0), 2), basis, 'west', 3)
+        EdgeDerivatives1D(build_mesh((-1.0, 1.0), 2), basis, 'west')
     with pytest.raises(ValueError, match=">= 3 cells"):
-        EdgeDerivatives1D(build_mesh((-1.0, 1.0), 2), build_basis(3),
-                          'west', 4)
+        EdgeDerivatives1D(build_mesh((-1.0, 1.0), 2), build_basis(3), 'west')
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -528,6 +530,16 @@ def test_tangential_invariance_reduces_to_endpoint_values():
     mesh1 = build_mesh(pb1.bounds, 6)
     u2 = interpolate(lambda x, y: pb2.exact(x, y, 0.3), mesh2, basis)
     u1 = interpolate(lambda x: g(x, 0.3), mesh1, basis)
+    # the recoveries first: on the west and east faces, u_x, u_xx and
+    # grad_lap's x entry are the endpoint's (u_x, u_xx, u_xxx)
+    grad, hess, grad_lap = FaceDerivatives2D(mesh2, basis).recover(u2)
+    face = {key: _by_face(mesh2, basis, values) for key, values in
+            (('u_x', grad[0]), ('u_xx', hess[0, 0]), ('u_xxx', grad_lap[0]))}
+    for side in ('west', 'east'):
+        want = EdgeDerivatives1D(mesh1, basis, side).recover(u1)
+        for key, w in zip(('u_x', 'u_xx', 'u_xxx'), want, strict=True):
+            got = face[key][side]
+            assert np.max(np.abs(got - w)) <= 1e-12 * abs(w), (side, key)
     ctrl2 = treated_boundary(pb2, mesh2, basis, ARK3, variant='alg2')
     ctrl1 = treated_boundary(pb1, mesh1, basis, ARK3)
     tau = 0.05
