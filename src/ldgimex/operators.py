@@ -15,8 +15,9 @@ operators act on, so a field's reshape(-1) is its flat vector and a flat
 vector's reshape(Diffusion.shape) its field, both without a copy.
 
 Each mesh axis gets one AxisOperator: its reference line matrices, which
-the convective operator reads too, and its diffusion matrices, assembled
-from stacked block diagonals without a loop over cells.  The convective
+the convective operator reads too, and its diffusion operator L with the
+boundary map Gb, formed from the few distinct p x p cell blocks without a
+loop over cells and without a sparse product.  The convective
 operator reads the integrator's fields in place and accumulates every
 axis term and the source into one output field.  Along an axis that is
 the last in the flat order (the only one in 1D, y in 2D) the field is
@@ -90,54 +91,43 @@ class LineMatrices:
         return blocks
 
 
-def _repeat(count, block, last=None):
-    """count copies of a (p, p) block, the final one replaced by last."""
-    out = np.repeat(block[None], count, axis=0)
-    if last is not None:
-        out[-1] = last
+def _ordered_product(a, b):
+    """The products a[i] @ b[i] of stacked matrices, each entry summed
+    from 0.0 over a's columns in increasing order, as a sparse product
+    sums it (a BLAS matmul may not)."""
+    out = np.zeros(a.shape[:-1] + b.shape[-1:])
+    for j in range(a.shape[-1]):
+        out += a[..., j, None] * b[..., None, j, :]
     return out
-
-
-def _block_banded(bands):
-    """CSR matrix from block diagonals {offset: (n - |offset|, p, p) blocks}.
-
-    Stored with sorted indices and no stored zeros, as a cell-by-cell
-    assembly stores it: sparse products then sum in the same order, and
-    SuperLU, which orders by structure, pivots the same way.
-    """
-    n, p = len(bands[0]), bands[0].shape[1]
-    rows = np.concatenate([np.arange(max(0, -k), n - max(0, k))
-                           for k in bands])
-    cols = rows + np.repeat(list(bands), [len(b) for b in bands.values()])
-    order = np.argsort(rows, kind='stable')     # BSR takes block rows in order
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    blocks = np.concatenate(list(bands.values()))[order]
-    mat = sp.bsr_matrix((blocks, cols[order], indptr),
-                        shape=(n * p, n * p)).tocsr()
-    mat.eliminate_zeros()
-    mat.sort_indices()
-    return mat
 
 
 class AxisOperator(LineMatrices):
     """The 1D LDG diffusion operator along one mesh axis of n cells.
 
-    K is the weak gradient with boundary map Kb, q = K u + Kb [low; high];
     L = d Ddiv K + P is the diffusive operator on the field coefficients
-    and Gb its boundary map, g_b = Gb [low; high], for the face data low
-    and high of the axis.  The cells of an axis share their blocks, and
-    only the blocks next to the high exterior face differ, so each matrix
-    is assembled at once from stacked (n, p, p) block diagonals:
+    and Gb = d Ddiv Kb + Pb its boundary map, g_b = Gb [low; high], for
+    the face data low and high of the axis: K is the weak gradient with
+    boundary map Kb, q = K u + Kb [low; high], and Ddiv the weak
+    divergence of q.  The cells of an axis share their blocks, and only
+    those next to the high exterior face differ:
 
         K:    diagonal winv(-S + rr), last winv(-S); below winv(-lr)
+        Kb:   low column -winv l in cell 0, high column winv r in the last
         Ddiv: diagonal winv(-S - ll), last winv((-S - ll) + rr);
               above winv rl
-        P:    last diagonal block -d s winv rr
+        P:    last diagonal block -d s winv rr; Pb: high column d s winv r
+              in the last cell
 
-    with rr = r r^T, rl = r l^T and so on, and s = penalty.  Every block
-    is formed with the same floating-point operations as a cell-by-cell
-    loop would, so K, Kb, L and Gb are bitwise those of that loop (the
-    tests keep it as cell_loop_operator).
+    with rr = r r^T, rl = r l^T and so on, and s = penalty.  Only L and
+    Gb are kept, and neither is formed by a sparse product: L is block
+    tridiagonal with a few distinct p x p blocks, each the block row
+    [diagonal, above] of Ddiv times the blocks of K it meets, summed from
+    0.0 over Ddiv's columns in increasing order, as the sparse product
+    Ddiv @ K sums it, then scaled by d, with P added; Gb's nonzero rows
+    (low: cell 0; high: the last two cells) likewise.  So L, in CSR with
+    sorted columns and no stored zeros, and Gb are bitwise those of the
+    sparse products over a cell-by-cell assembly (the tests keep it as
+    cell_loop_operator).
     """
 
     def __init__(self, n, dx, basis, d_coef, penalty):
@@ -152,25 +142,65 @@ class AxisOperator(LineMatrices):
         # u~ is the left cell's right trace at interior faces: a cell's
         # east face reads its own (rr), its west face the left cell's (lr);
         # at the exterior faces u~ is the datum (Kb)
-        self.K = _block_banded({0: _repeat(n, rows(-S + rr), rows(-S)),
-                                -1: _repeat(n - 1, rows(-lr))})
-        self.Kb = np.zeros((n * p, 2))
-        self.Kb[:p, 0] = -winv * l
-        self.Kb[-p:, 1] = winv * r
+        k_diag, k_last, k_below = rows(-S + rr), rows(-S), rows(-lr)
         # q~ is the right cell's left trace at interior faces and the own
         # left trace at the west face (ll); at the exterior east face it is
         # the own right trace (rr) with the penalty jump s (u^- - omega),
         # oriented to dissipate energy (P, Pb)
         ddiag = -S - ll
-        Ddiv = _block_banded({0: _repeat(n, rows(ddiag), rows(ddiag + rr)),
-                              1: _repeat(n - 1, rows(rl))})
-        # the zero blocks leave no stored entries
-        P = _block_banded({0: _repeat(n, np.zeros((p, p)),
-                                      -d_coef * penalty * rows(rr))})
-        Pb = np.zeros((n * p, 2))
-        Pb[-p:, 1] = d_coef * penalty * winv * r
-        self.L = (d_coef * (Ddiv @ self.K) + P).tocsr()
-        self.Gb = d_coef * (Ddiv @ self.Kb) + Pb
+        d_diag, d_last, d_above = rows(ddiag), rows(ddiag + rr), rows(rl)
+        # Ddiv's block row [diagonal, above] of a cell before the last and
+        # of the last cell, and the K blocks of the same two cells that each
+        # block of L meets: below, on and above the diagonal, in an inner
+        # cell row and in the last one (below, on) or the one before it
+        # (above).  A zero block adds exact zeros, which change no sum: one
+        # begun at 0.0 is never -0.0
+        zero = np.zeros((p, p))
+        inner, last = np.hstack((d_diag, d_above)), np.hstack((d_last, zero))
+        (below, below_last, diag, diag_last, above,
+         above_last) = _ordered_product(
+            np.array([inner, last, inner, last, inner, inner]),
+            np.array([[k_below, zero], [k_below, zero], [k_diag, k_below],
+                      [k_last, zero], [zero, k_diag], [zero, k_last]])
+            .reshape(6, 2 * p, p))
+        bands = np.zeros((n, 3, p, p))
+        bands[:, 0] = below
+        bands[-1, 0] = below_last
+        bands[0, 0] = 0.0               # cell 0 has no block below
+        bands[:-1, 1] = diag
+        bands[-1, 1] = diag_last
+        bands[:-1, 2] = above
+        bands[-2:-1, 2] = above_last    # none when n = 1
+        bands *= d_coef
+        bands[-1, 1] += -d_coef * penalty * rows(rr)
+        # in CSR, rows (cell, node) with entries (block, column node): the
+        # columns ascend, and the zeros, missing blocks among them, go, as
+        # a cell-by-cell assembly stores it; SuperLU orders by structure,
+        # so a stored zero would move its pivots
+        data = bands.transpose(0, 2, 1, 3).reshape(n * p, 3 * p)
+        cols = np.broadcast_to(
+            np.arange(-p, (n - 1) * p, p, dtype=np.int32)[:, None, None]
+            + np.arange(3 * p, dtype=np.int32),
+            (n, p, 3 * p)).reshape(data.shape)
+        keep = data != 0.0
+        indptr = np.zeros(n * p + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        self.L = sp.csr_matrix((data[keep], cols[keep], indptr),
+                               shape=(n * p, n * p))
+        # Gb's nonzero rows: low reaches cell 0 only, high the last cell
+        # and, through Ddiv's block above, the one before it
+        kb = np.zeros((3, 2, p, 2))
+        kb[0, 0, :, 0] = -winv * l
+        kb[1, 0, :, 1] = kb[2, 1, :, 1] = winv * r
+        first, high_last, high_before = _ordered_product(
+            np.array([last if n == 1 else inner, last, inner]),
+            kb.reshape(3, 2 * p, 2))
+        gb = np.zeros((n, p, 2))
+        gb[0] = first
+        gb[-1] += high_last
+        gb[-2:-1] += high_before
+        self.Gb = d_coef * gb.reshape(n * p, 2)
+        self.Gb[-p:, 1] += d_coef * penalty * winv * r
 
     def eigenbasis(self):
         """(lam, vec, vinv): L = vec diag(lam) vinv, lam real, ascending.
@@ -317,10 +347,12 @@ def _linear_lines(u, c, alpha, low, high, mats, out, first, nodes_last):
     c - alpha: when one of them is 0 (alpha = |c|, the upwind flux) its
     neighbour block and outside-state row are exactly zero and are
     skipped.  On rows, a neighbour block multiplies the row array shifted
-    by one row, into one buffer added to out in one pass; its rows that
-    pair the end of one line with the start of the next are set to -0.0,
-    which adds as the exact identity (x + -0.0 is x, signed zeros too),
-    so out is bitwise what the three full products give."""
+    by one row, into one buffer added to out in one pass; at a line's end
+    row, which the shifted product does not reach from inside the line,
+    the buffer holds that side's outside-state row when the other side is
+    skipped, and -0.0 otherwise, which adds as the exact identity (x +
+    -0.0 is x, signed zeros too), the outside rows then added apart.  So
+    out is bitwise what the three full products give."""
     m0, m_low, m_high, b_low, b_high = mats.llf_blocks(c, alpha)
     from_low, from_high = c + alpha != 0.0, c - alpha != 0.0
     if nodes_last:
@@ -330,21 +362,23 @@ def _linear_lines(u, c, alpha, low, high, mats, out, first, nodes_last):
             np.matmul(rows, m0, out=dest)
         else:
             dest += rows @ m0
-        # shifted[i] is row i's product added into row i + 1 (from the
-        # cell below) or row i + 1's added into row i (from the cell
-        # above); rows n - 1, 2n - 1, ... span two lines
-        shifted = np.empty((len(rows) - 1, p))
+        # neighbour[i] is added into row i: row i - 1's product (from the
+        # cell below) or row i + 1's (from the cell above); at each line's
+        # first (last) row it holds the outside state's row instead, or
+        # -0.0 when both sides apply, whose outside rows then follow in
+        # the same order as the products
+        both = from_low and from_high
+        neighbour = np.empty(dest.shape)
         if from_low:
-            np.matmul(rows[:-1], m_low, out=shifted)
-            shifted[n - 1::n] = -0.0
-            dest[1:] += shifted
+            np.matmul(rows[:-1], m_low, out=neighbour[1:])
+            neighbour[::n] = -0.0 if both else low[:, None] * b_low
+            dest += neighbour
         if from_high:
-            np.matmul(rows[1:], m_high, out=shifted)
-            shifted[n - 1::n] = -0.0
-            dest[:-1] += shifted
-        if from_low:
+            np.matmul(rows[1:], m_high, out=neighbour[:-1])
+            neighbour[n - 1::n] = -0.0 if both else high[:, None] * b_high
+            dest += neighbour
+        if both:
             out[:, 0] += low[:, None] * b_low
-        if from_high:
             out[:, -1] += high[:, None] * b_high
         return
     if first:

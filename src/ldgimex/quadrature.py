@@ -79,6 +79,9 @@ class NodalBasis:
         diff_matrix: (p, p) matrix; row a holds phi_b'(node_a), so it maps
             nodal values to nodal values of the derivative on [-1, 1].
         phi_left, phi_right: basis values at -1 and +1 (trace vectors).
+        edge_rows: (k + 1, p) array; row m holds the m-th derivatives of
+            the basis functions at -1 on [-1, 1] (row 0 their values), so
+            it maps nodal values to the derivatives at the left edge.
     """
 
     def __init__(self, k):
@@ -92,6 +95,10 @@ class NodalBasis:
         self.diff_matrix = self.derivative_values(np.eye(self.p), self.nodes, 1).T
         self.phi_left = self.values(np.eye(self.p), -1.0).T
         self.phi_right = self.values(np.eye(self.p), 1.0).T
+        self.edge_rows = np.array(
+            [self.values(np.eye(self.p), -1.0)]
+            + [self.derivative_values(np.eye(self.p), -1.0, order)
+               for order in range(1, k + 1)])
 
     def _coeffs(self, nodal_values):
         """Monomial coefficients, axis -1 of nodal_values being the node axis."""

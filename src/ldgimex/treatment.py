@@ -48,6 +48,11 @@ The order k + 1 holds with tau proportional to dx.  Refining tau alone on
 a fixed mesh, the treated error stays 45-77x below the naive one, but its
 time order is 2.5-2.4 against naive's 2.1 (heat1d at N = 40): at fixed
 dx the treatment removes most of the naive error, but not its order.
+The cause is the recovered u_xxx of the psi closure.  With the exact
+u_xxx swapped in for it alone, the orders over tau = T/m, m = 50, 100,
+200, 400 (T = 0.5, errors against a same-closure run at m = 3200) read
+3.11/3.17/3.29 against 2.53/2.39/2.32 (heat1d at N = 40); swapping in
+the exact u_x or u_xx moves them by at most 0.01.
 """
 
 from operator import itemgetter, methodcaller, mul
@@ -147,15 +152,16 @@ def _normal_weights(basis, dn, rows):
     the high end of an axis of cell width dn, each over the dofs of the
     three cell layers there in the axis's order.  The high end is the low
     end mirrored: its columns reversed, and the rows odd in n (derivative
-    order plus power odd) negated."""
-    eye = np.eye(basis.p)
-    edges = [basis.values(eye, -1.0)] + [
-        basis.derivative_values(eye, -1.0, order) * (2.0 / dn) ** order
-        for order in range(1, basis.k + 1)]
-    low = np.array([np.multiply.outer(layers, edges[order]).ravel()
-                    / dn ** power for layers, order, power in rows])
-    odd = np.array([(order + power) % 2 for _, order, power in rows])
-    return low, np.where(odd, -1.0, 1.0)[:, None] * low[:, ::-1]
+    order plus power odd) negated.  The edge rows are the basis's, each
+    scaled by (2/dn)^order to the cell of width dn."""
+    layers, orders, powers = zip(*rows)
+    scale, divisor, sign = np.array(
+        [((2.0 / dn) ** order, dn ** power, (-1.0) ** (order + power))
+         for order, power in zip(orders, powers)]).T[:, :, None]
+    edges = basis.edge_rows[list(orders)] * scale
+    low = (np.array(layers)[:, :, None] * edges[:, None]).reshape(
+        len(rows), -1) / divisor
+    return low, sign * low[:, ::-1]
 
 
 class EdgeDerivatives1D:

@@ -4,12 +4,14 @@ The oracle rebuilds every weak integral per cell with an independent
 20-point Gauss rule and explicit trace bookkeeping, so it shares nothing
 with the sparse assembly it checks. Collocation on (k+1) Gauss nodes is
 exact for all the integrands involved (degree <= 2k+1), so assembled and
-brute-force results must agree to roundoff.  The block assembly of the
-axis operators is also held bitwise to a cell-by-cell lil assembly
-(cell_loop_operator), the explicit RHS to the per-axis einsum kernel it
-replaced (einsum_explicit_rhs), the block-tridiagonal kernel of a
-linear flux to the general kernel run on the same flux as callables, and
-the boundary vector to the dense product with each axis's whole Gb.
+brute-force results must agree to roundoff.  Each axis operator's L and
+Gb are also held bitwise to the sparse products of a cell-by-cell lil
+assembly (cell_loop_operator), the explicit RHS to the per-axis einsum
+kernel it replaced (einsum_explicit_rhs), the block-tridiagonal kernel
+of a linear flux to the general kernel run on the same flux as
+callables, and the boundary vector to the dense product with each axis's
+whole Gb.  The solver forms neither the weak gradient K nor its boundary
+map Kb, only L and Gb, so the tests take both from cell_loop_operator.
 The solver holds L only in the basis of its stage solves
 (Diffusion.shifted) and never forms q, so the tests build the global L
 (global_L) and apply it (diffusion_apply, diffusion_gradient); they
@@ -171,8 +173,9 @@ def test_llf_alpha_includes_boundary_states():
 def cell_loop_operator(n, dx, basis, d_coef, penalty):
     """K, Kb, L and Gb of one axis filled one cell block at a time.
 
-    The reference for the block assembly in AxisOperator: the same
-    traces and penalty, written into lil matrices cell by cell.
+    The reference for AxisOperator's L and Gb: the same traces and
+    penalty, written into lil matrices cell by cell, with L = d Ddiv K + P
+    and Gb = d Ddiv Kb + Pb formed by sparse products.
     """
     p = basis.p
     w = basis.weights
@@ -233,7 +236,7 @@ def assert_canonical(mat):
 
 
 @pytest.mark.parametrize("d", [1.0, 0.37])
-@pytest.mark.parametrize("n", [1, 2, 3, 17])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 160])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_axis_operators_equal_the_cell_loop_bitwise(k, n, d):
     # 1D: penalty 1/dx; 2D on an n x 5 mesh: 1/dy along x, 1/dx along y
@@ -246,10 +249,8 @@ def test_axis_operators_equal_the_cell_loop_bitwise(k, n, d):
     refs = []
     for op, axis, penalty in cases:
         want = cell_loop_operator(axis.n, axis.dx, basis, d, penalty)
-        for name in ('K', 'L'):
-            assert_same_csr(getattr(op, name), want[name])
-        for name in ('Kb', 'Gb'):
-            assert np.array_equal(getattr(op, name), want[name]), name
+        assert_same_csr(op.L, want['L'])
+        assert np.array_equal(op.Gb, want['Gb'])
         refs.append(want['L'])
     assert_same_csr(one.shifted, refs[0])
     # two.axes hold bitwise the cell loop's Lx and Ly: so are their
@@ -269,7 +270,6 @@ def test_diffusion_matrix_has_no_stored_zeros_and_sorted_indices(k):
         diff = Diffusion(mesh, basis, 1.3)
         assert_canonical(diff.shifted)
         for op in diff.axes:
-            assert_canonical(op.K)
             assert_canonical(op.L)
 
 
@@ -337,15 +337,17 @@ def test_2d_basis_maps_invert_each_other_and_diagonalize_L(k):
 def diffusion_gradient(diff, u, bdata):
     """Auxiliary fields q_a = weak d/dx_a of u with the alternating traces,
     one per axis (a 1-tuple in 1D): each axis's K u + Kb [low; high] on
-    every grid line along it."""
+    every grid line along it, with the axis's K and Kb from the cell loop
+    (the solver forms only L and Gb)."""
     dim = len(diff.axes)
     grid = tuple(ax.n * diff.basis.p for ax in diff.mesh.axes)
     field = np.reshape(u, grid)
     out = []
-    for a, (op, pair) in enumerate(zip(diff.axes, bdata)):
+    for a, (ax, pair) in enumerate(zip(diff.mesh.axes, bdata)):
+        ref = cell_loop_operator(ax.n, ax.dx, diff.basis, diff.d_coef, 1.0)
         front = (a,) + tuple(b for b in range(dim) if b != a)
-        q = (op.K @ field.transpose(front).reshape(op.K.shape[0], -1)
-             + op.Kb @ np.array(pair).reshape(2, -1))
+        q = (ref['K'] @ field.transpose(front).reshape(grid[a], -1)
+             + ref['Kb'] @ np.array(pair).reshape(2, -1))
         q = q.reshape([grid[b] for b in front]).transpose(np.argsort(front))
         out.append(q.reshape(diff.shape))
     return tuple(out)

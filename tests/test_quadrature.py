@@ -115,6 +115,20 @@ def test_basis_values_off_the_nodes():
     assert abs(basis.derivative_values(vals, 0.3, 1) - 0.6) < 1e-13
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_edge_rows_are_the_left_edge_derivatives(k):
+    # built once per degree from the same polynomial calculus, and shared
+    # read-only like the basis's other arrays
+    basis = build_basis(k)
+    eye = np.eye(basis.p)
+    want = [basis.values(eye, -1.0)] + [
+        basis.derivative_values(eye, -1.0, order) for order in range(1, k + 1)]
+    assert basis.edge_rows.shape == (k + 1, basis.p)
+    for row, w in zip(basis.edge_rows, want):
+        assert np.array_equal(row, w)
+    assert not basis.edge_rows.flags.writeable
+
+
 def test_basis_rejects_degree_zero():
     with pytest.raises(ValueError):
         build_basis(0)

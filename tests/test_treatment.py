@@ -10,7 +10,7 @@ from ldgimex.harness import RunConfig, solve_level
 from ldgimex.imex import ImexIntegrator, builtin_tableau
 from ldgimex.mesh import build_mesh
 from ldgimex.problems import ProblemSpec, builtin_problem
-from ldgimex.quadrature import build_basis, interpolate
+from ldgimex.quadrature import NodalBasis, build_basis, interpolate
 from ldgimex.treatment import (EdgeDerivatives1D, FaceDerivatives2D,
                                StageCorrector, treated_boundary)
 
@@ -209,6 +209,29 @@ def test_recovery_rejects_bad_requests():
         EdgeDerivatives1D(build_mesh((-1.0, 1.0), 2), basis, 'west')
     with pytest.raises(ValueError, match=">= 3 cells"):
         EdgeDerivatives1D(build_mesh((-1.0, 1.0), 2), build_basis(3), 'west')
+
+
+def test_level_setup_evaluates_no_basis_polynomial(monkeypatch):
+    # the recoveries read the edge rows build_basis made once per degree:
+    # a level's setup, 1D and 2D, evaluates no polynomial of the basis
+    bases = {k: build_basis(k) for k in (2, 3)}
+    prob = builtin_problem('heat1d')
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis polynomial evaluated during setup")
+
+    monkeypatch.setattr(NodalBasis, 'values', refuse)
+    monkeypatch.setattr(NodalBasis, 'derivative_values', refuse)
+    for basis in bases.values():
+        for side in ('west', 'east'):
+            EdgeDerivatives1D(build_mesh((-1.0, 1.0), 10), basis, side)
+    FaceDerivatives2D(build_mesh(((-1.0, 1.0), (0.0, 2.0)), (4, 5)),
+                      bases[2])
+    for n in (10, 20, 40):
+        mesh = build_mesh(prob.bounds, n)
+        ImexIntegrator(prob, mesh, bases[2], tableau=ARK3,
+                       controller=treated_boundary(prob, mesh, bases[2],
+                                                   ARK3))
 
 
 @pytest.mark.parametrize("n", [3, 4])
