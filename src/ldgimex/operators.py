@@ -249,8 +249,14 @@ class Diffusion:
         if dim == 1:
             self.shifted, self._vec, self._vinv = self.axes[0].L, None, None
         else:
-            (lx, vx, ix), (ly, vy, iy) = (op.eigenbasis() for op in self.axes)
-            self.shifted = sp.diags((lx[:, None] + ly).ravel(), format='csr')
+            # axes of equal (n, dx) have bitwise equal L, and one eigenbasis;
+            # each keeps its own AxisOperator for its own LLF memo
+            lx, vx, ix = self.axes[0].eigenbasis()
+            same = (axes[0].n, axes[0].dx) == (axes[1].n, axes[1].dx)
+            ly, vy, iy = (lx, vx, ix) if same else self.axes[1].eigenbasis()
+            diag = np.arange(lx.size * ly.size + 1, dtype=np.int32)
+            self.shifted = sp.csr_matrix(
+                ((lx[:, None] + ly).ravel(), diag[:-1], diag))
             self._vec, self._vinv = (vx, vy.T), (ix, iy.T)
         self.shape = tuple(s for ax in axes for s in (ax.n, p))
         # per axis: the field's index of its first cell along the axis and

@@ -12,7 +12,7 @@ def _legendre(n, x):
     (1 - x^2) P_n'(x) = n (P_{n-1}(x) - x P_n(x)).
 
     Args:
-        n: polynomial degree (>= 0).
+        n: polynomial degree (>= 1).
         x: scalar or array of evaluation points with |x| < 1.
 
     Returns:
@@ -20,8 +20,6 @@ def _legendre(n, x):
     """
     x = np.asarray(x, dtype=float)
     p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev, np.zeros_like(x)
     p = x.copy()
     for m in range(2, n + 1):
         p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m

@@ -22,19 +22,19 @@ One recursion serves every boundary: StageCorrector runs it on one point
 set, a 1D endpoint (one gradient component, Python floats) or the points
 of all four faces of a 2D mesh at once (two components, numpy arrays over
 those points).  Its arithmetic is plain + and *, so the same code handles
-both; a 1D endpoint is a face without tangential terms.  The traces it
-consumes come from the BoundarySampler that the naive controller uses as
-well, sampled per point set.  The derivatives come from a recovery, whose
-recover(field) returns exactly the tuple the recursion reads: (grad,
-hess, grad_lap), the gradient, Hessian and gradient of the Laplacian
-(psi's gradient over d), floats u_x, u_xx, u_xxx at an endpoint and
-stacked over the axes (x, y) on the faces, then at fourth order the
-closure's (u_xxx, u_xxxx, u_xxxxx).  Every recovery is data, built from
-one table of one-sided stencil rows over the three cell layers next to a
-boundary (_NORMAL_ROWS): a 1D endpoint's is one small matrix over its
-three nearest cells (EdgeDerivatives1D), the 2D one a linear map from the
-flat dof vector to every face point, built from those rows and per-axis
-tangential weights (FaceDerivatives2D).
+both; a 1D endpoint is a face without tangential terms.  Per point set,
+the traces come from the BoundarySampler that the naive controller uses
+as well, and the derivatives from the mesh's one recovery, whose
+recover(field) returns one tuple per point set, exactly what the
+recursion reads: (grad, hess, grad_lap), the gradient, Hessian and
+gradient of the Laplacian (psi's gradient over d), floats u_x, u_xx,
+u_xxx at an endpoint and stacked over the axes (x, y) on the faces, then
+at fourth order the closure's (u_xxx, u_xxxx, u_xxxxx).  Both recoveries
+are data, built from one table of one-sided stencil rows over the three
+cell layers next to a boundary (_NORMAL_ROWS): in 1D one small matrix
+per endpoint over its three nearest cells (EdgeDerivatives1D), in 2D a
+linear map from the flat dof vector to every face point, built from
+those rows and per-axis tangential weights (FaceDerivatives2D).
 
 Two variants are provided.  The default, 'stagewise', re-recovers the
 second derivatives and psi from every freshly solved stage field so Taylor
@@ -165,40 +165,37 @@ def _normal_weights(basis, dn, rows):
 
 
 class EdgeDerivatives1D:
-    """One-sided derivative recovery at a 1D endpoint.
+    """One-sided derivative recovery at both endpoints of a 1D mesh.
 
-    recover(field) returns a list of floats, (u_x, u_xx, u_xxx) at degree
-    k = 2 and (u_x, u_xx, u_xxx_fd, u_xxx, u_xxxx, u_xxxxx) at k = 3: the rows
-    _ENDPOINT_ROWS of the table the 2D faces read.  u_x and u_xx come from
-    the boundary cell's own polynomial evaluated at the endpoint.
-    Derivatives beyond the cell polynomial's reach use finite differences
-    of per-cell samples taken at matching offsets: cell a, counted inward
-    from the boundary, is evaluated at its own near edge, a cell widths
-    in.  k = 2 forms u_xxx as the one-sided second difference of those u_x
-    samples; k = 3 reads u_xxx off the cubic directly, differences the u_xx
-    samples for the second-order u_xxx_fd that psi_x reads, and differences
-    the per-cell (constant) third derivatives for u_xxxx and u_xxxxx.  Both
-    read only the three cells next to the endpoint, through one small
-    dense matrix built once.
+    recover(field) returns [west, east], one tuple per point set of the
+    BoundarySampler, each a list of floats: (u_x, u_xx, u_xxx) at degree
+    k = 2 and (u_x, u_xx, u_xxx_fd, u_xxx, u_xxxx, u_xxxxx) at k = 3, the
+    rows _ENDPOINT_ROWS of the table the 2D faces read.  u_x and u_xx are
+    the boundary cell's own at the endpoint.  Beyond the cell polynomial's
+    reach the rows difference samples of the three cells next to the
+    endpoint, each taken at its own near edge: k = 2 differences their u_x
+    for u_xxx; k = 3 reads u_xxx off the cubic, differences their u_xx for
+    the second-order u_xxx_fd that psi_x reads, and their (constant) u_xxx
+    for u_xxxx and u_xxxxx.  Each endpoint's rows are one small dense
+    matrix over its three nearest cells, built once, the east one the west
+    one mirrored.
     """
 
-    def __init__(self, mesh, basis, side):
-        if side not in ('west', 'east'):
-            raise ValueError("side must be 'west' or 'east', got %r" % (side,))
+    def __init__(self, mesh, basis):
         if basis.k not in _ENDPOINT_ROWS:
             raise ValueError("endpoint recovery supports degree k = 2 or 3, "
                              "got k = %d" % basis.k)
         if mesh.n < 3:
             raise ValueError("endpoint recovery needs >= 3 cells, mesh has %d"
                              % mesh.n)
-        low, high = _normal_weights(basis, mesh.dx, _ENDPOINT_ROWS[basis.k])
-        east = side == 'east'
-        self._weights = high if east else low
-        self._cells = slice(mesh.n - 3, mesh.n) if east else slice(0, 3)
+        self._ends = list(zip(
+            _normal_weights(basis, mesh.dx, _ENDPOINT_ROWS[basis.k]),
+            (slice(0, 3), slice(mesh.n - 3, mesh.n))))
 
     def recover(self, field):
-        """The endpoint's derivatives (see the class docstring)."""
-        return self._weights.dot(field[self._cells].ravel()).tolist()
+        """The endpoints' derivatives (see the class docstring)."""
+        return [weights.dot(field[cells].ravel()).tolist()
+                for weights, cells in self._ends]
 
 
 def _tangential_weights(basis, widths):
@@ -229,9 +226,10 @@ class FaceDerivatives2D:
     """Derivative recovery at every quadrature point of the four faces of
     a 2D mesh, as one precomputed linear map of the flat dof vector.
 
-    recover(field) returns grad = [u_x, u_y], hess = [[u_xx, u_xy], [u_xy,
-    u_yy]] and grad_lap = [u_xxx + u_yyx, u_xxy + u_yyy], each entry an
-    array over the faces' points in the order of BoundarySampler.coords
+    recover(field) returns one tuple for the BoundarySampler's one point
+    set, [(grad, hess, grad_lap)]: grad = [u_x, u_y], hess = [[u_xx, u_xy],
+    [u_xy, u_yy]] and grad_lap = [u_xxx + u_yyx, u_xxy + u_yyy], each entry
+    an array over the faces' points in the order of BoundarySampler.coords
     (west, east, south, north).  It reads the field as (x dofs, y dofs),
     a reshape of its (cell, node) per axis layout that copies nothing.
 
@@ -302,7 +300,7 @@ class FaceDerivatives2D:
              indptr), shape=(len(lengths), ends[-1]))
 
     def recover(self, field):
-        """The faces' (grad, hess, grad_lap) (see the class docstring)."""
+        """[(grad, hess, grad_lap)] on the faces (see the class doc)."""
         v = field.reshape(self._shape)
         k = self._normal[0].shape[1]
         layers = (v[:k], v[-k:], v[:, :k].T, v[:, -k:].T)
@@ -310,7 +308,7 @@ class FaceDerivatives2D:
         for normal, layer, (lo, hi) in zip(self._normal, layers, self._spans):
             np.matmul(normal, layer, out=nv[lo:hi].reshape(len(normal), -1))
         y = (self._tangential @ nv).reshape(-1, _QUANTITIES).T
-        return y[:2], y[_HESS], y[5:]
+        return [(y[:2], y[_HESS], y[5:])]
 
 
 def _check_problem_fields(problem, scheme_order):
@@ -339,7 +337,7 @@ def _check_problem_fields(problem, scheme_order):
 
 
 def _as_float(fn):
-    return None if fn is None else (lambda u: float(fn(u)))
+    return lambda u: float(fn(u))
 
 
 _first = itemgetter(0)
@@ -373,7 +371,9 @@ class StageCorrector:
     Hessian and gradient of the Laplacian in this layout, followed at
     order 4 by the closure's (u_xxx, u_xxxx, u_xxxxx).  traces maps
     sampler keys to this point set's per-stage samples (see
-    BoundarySampler), with the gradient of p under ('p_grad', axis).
+    BoundarySampler): a callable source factor p under 'p', its gradient
+    under ('p_grad', axis); p as a number, 0.0 without a source, is read
+    off the problem.
     """
 
     def __init__(self, problem, tableau, scheme_order, variant):
@@ -405,11 +405,11 @@ class StageCorrector:
                         for f, fp, _ in fluxes]
             self._fpp = [scalar(_zero if f is None else fpp)
                          for f, _, fpp in fluxes]
-        # the source factor p is absent, a number, or sampled per stage
+        # the source factor p is a number (0.0 without a source) or sampled
+        # per stage, with its gradient
         sampled = callable(problem.p)
-        self._p_const = None if sampled else problem.p
+        self._p = 0.0 if sampled or problem.p is None else problem.p
         self._p_keys = [('p_grad', a) for a in range(dim)] if sampled else None
-        self._p4 = self._p_const or 0.0     # p in the order-4 closure
         self._ps = None
         self._treated = None
         self._tau = None
@@ -430,18 +430,14 @@ class StageCorrector:
         fp = self._fpc
         if fp is None:
             fp = self._vec([f(u) for f in self._fp])
-        val = -self._dot(fp, grad)
-        if self._p_const is not None:
-            val = val + self._p_const * u
-        elif self._ps is not None:
-            val = val + self._ps[i] * u
-        return val
+        p = self._p if self._ps is None else self._ps[i]
+        return -self._dot(fp, grad) + p * u
 
     def _psi_rate(self, rec):
         """d/dt psi_x, time exchanged for space derivatives (order 4)."""
         d = self.d
         u_xxx, u_xxxx, u_xxxxx = rec[3:]
-        return d * (-self._fpc * u_xxxx + d * u_xxxxx + self._p4 * u_xxx)
+        return d * (-self._fpc * u_xxxx + d * u_xxxxx + self._p * u_xxx)
 
     def begin(self, rec, tau, traces):
         """Open a step from the step-start derivatives and trace samples.
@@ -465,8 +461,7 @@ class StageCorrector:
         self._xis = [self._xi(grad, om0, 0)]
         self._xigs = []
         if not self.anchored:
-            self._hesss = []
-            self._psis = []
+            self._hesss, self._psis = [], []
             self._preds = [] if self.order4 else self._psis
             self.observe(0, rec)
             return
@@ -474,7 +469,7 @@ class StageCorrector:
         ct = self._ct
         if self.order4:
             u_xxx, u_xxxx, _ = rec[3:]
-            dhess = -self._fpc * u_xxx + self.d * u_xxxx + self._p4 * hess
+            dhess = -self._fpc * u_xxx + self.d * u_xxxx + self._p * hess
             dpsi = self._psi_rate(rec)
             self._hesss = [hess + cti * dhess for cti in ct]
             self._psis = [psi + cti * dpsi for cti in ct]
@@ -494,16 +489,12 @@ class StageCorrector:
             raise RuntimeError("stage values must be requested in order "
                                "(archive has %d, asked for stage %d)"
                                % (len(treated), i))
-        psis = self._psis
-        xigs = self._xigs
-        omt = self._omt
+        psis, xigs, omt = self._psis, self._xigs, self._omt
         taii = self._taii[i]
         # gradient of xi at the previous stage, from its Hessian, gradient
         # and value
         prev = i - 1
-        u = treated[prev]
-        g = self._grads[prev]
-        hess = self._hesss[prev]
+        u, g, hess = treated[prev], self._grads[prev], self._hesss[prev]
         fp = self._fpc
         if fp is None:
             fp = self._vec([f(u) for f in self._fp])
@@ -511,9 +502,9 @@ class StageCorrector:
             xig = -(self._dot(fpp, g) * g) - self._matvec(hess, fp)
         else:
             xig = -self._matvec(hess, fp)
-        if self._p_const is not None:
-            xig = xig + self._p_const * g
-        elif self._ps is not None:
+        if self._ps is None:
+            xig = xig + self._p * g
+        else:
             pg = self._vec([v[prev] for v in self._pgs])
             xig = xig + (pg * u + self._ps[prev] * g)
         xigs.append(xig)
@@ -565,13 +556,15 @@ class TreatedBoundary:
     """Boundary controller serving corrected stage values on every side.
 
     One StageCorrector per point set of its BoundarySampler, fed by the
-    sampler's traces there and by one recovery: the two 1D endpoints, one
-    EdgeDerivatives1D each, or all points of the four 2D faces at once,
-    with one FaceDerivatives2D.  Plugs into the integrator in place of the
-    naive omega sampler.  Set .trace to a list to collect (stage, side,
-    point, naive, treated) rows, one per boundary point; point holds one
-    coordinate per axis, (x,) in 1D and (x, y) in 2D, as boundary_points
-    gives them.
+    sampler's traces there and by the one recovery of the mesh, whose
+    recover(field) returns one derivative tuple per point set: the two 1D
+    endpoints (EdgeDerivatives1D) or all points of the four 2D faces at
+    once (FaceDerivatives2D).  The recovery refuses a degree or a mesh it
+    has no stencil for, and the correctors a problem they cannot run.
+    Plugs into the integrator in place of the naive omega sampler.  Set
+    .trace to a list to collect (stage, side, point, naive, treated) rows,
+    one per boundary point; point holds one coordinate per axis, (x,) in
+    1D and (x, y) in 2D, as boundary_points gives them.
     """
 
     def __init__(self, problem, mesh, basis, tableau, variant='stagewise'):
@@ -579,18 +572,13 @@ class TreatedBoundary:
             raise ValueError("problem is %dD but the mesh is %dD"
                              % (problem.dim, mesh.dim))
         if mesh.dim == 1:
-            if basis.k not in (2, 3):
-                raise ValueError("boundary treatment supports k = 2 or 3, "
-                                 "got k = %d" % basis.k)
-            order = basis.k + 1
+            self.recovery = EdgeDerivatives1D(mesh, basis)
+        elif variant != 'stagewise':
+            raise ValueError("2D treatment supports the stagewise variant "
+                             "only")
         else:
-            if variant != 'stagewise':
-                raise ValueError("2D treatment supports the stagewise "
-                                 "variant only")
-            if basis.k != 2:
-                raise ValueError("2D treatment supports k = 2, got k = %d"
-                                 % basis.k)
-            order = 3
+            self.recovery = FaceDerivatives2D(mesh, basis)
+        order = basis.k + 1
         fns = [('omega', problem.omega), ('omega_t', problem.omega_t)]
         if order == 4:
             fns.append(('omega_tt', problem.omega_tt))
@@ -605,22 +593,16 @@ class TreatedBoundary:
         # a wrong derivative field silently costs order: check them all,
         # once the correctors have checked that the fields they need exist
         boundary_data_check(problem, self.sampler.coords)
-        if mesh.dim == 1:
-            self.recovery = [EdgeDerivatives1D(mesh, basis, side)
-                             for side in self.sampler.sides]
-        else:
-            self.recovery = [FaceDerivatives2D(mesh, basis)]
-        self.trace = None
-        self._traces = None
+        self.trace = self._traces = None
 
     def prepare(self, t0, tau, nsteps):
         self.sampler.prepare(t0, tau, nsteps)
 
     def begin_step(self, u, t, tau):
         self._traces = self.sampler.step(t, tau)
-        for rec, corr, traces in zip(self.recovery, self.correctors,
-                                     self._traces):
-            corr.begin(rec.recover(u), tau, traces)
+        for rec, corr, traces in zip(self.recovery.recover(u),
+                                     self.correctors, self._traces):
+            corr.begin(rec, tau, traces)
 
     def stage_data(self, i):
         vals = self.sampler.split(
@@ -644,8 +626,9 @@ class TreatedBoundary:
         # last stage feeds no further stage, so neither needs recovery here
         if self.anchored or i < 1 or i >= self.stages - 1:
             return
-        for rec, corr in zip(self.recovery, self.correctors):
-            corr.observe(i, rec.recover(u_stage))
+        for rec, corr in zip(self.recovery.recover(u_stage),
+                             self.correctors):
+            corr.observe(i, rec)
 
 
 def treated_boundary(problem, mesh, basis, tableau, variant='stagewise'):

@@ -347,6 +347,19 @@ def test_efficiency_rows_interleave_modes():
             assert r['overhead'] is None
 
 
+def test_efficiency_writes_its_rows_and_needs_exact_solution(tmp_path):
+    path = tmp_path / 'e.csv'
+    rows = run_efficiency(_quick(levels=[5], T=0.1, repeats=1,
+                                 out=str(path)))
+    assert path.read_text() == efficiency_csv(rows)
+    spec = ProblemSpec('blank', (-1.0, 1.0), 1.0, 1.0, 0.25, 2,
+                       fluxes=[0.0], u0=lambda x: np.sin(x),
+                       omega=lambda x, t: np.exp(-t) * np.sin(x),
+                       omega_t=lambda x, t: -np.exp(-t) * np.sin(x))
+    with pytest.raises(ValueError, match="efficiency study needs an exact"):
+        run_efficiency(RunConfig(spec, [5], T=0.5))
+
+
 # -- error localization ----------------------------------------------------------------
 
 def test_localization_ratio_1d():

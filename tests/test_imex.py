@@ -591,6 +591,43 @@ def test_recorded_stage_count_matches_tableau(monkeypatch):
         assert len(calls) == s
 
 
+def _ark3_first_stage_twice():
+    """ARK3 with its first stage repeated: c = (0, 0, g, (1+g)/2, 1), the
+    new stage 1 with all-zero rows (a_11 = 0, an explicit internal stage)
+    and zero weights, so it reproduces the step-start field."""
+    tab = builtin_tableau('ark3')
+
+    def widen(a):
+        return np.insert(np.insert(a, 1, 0.0, axis=0), 1, 0.0, axis=1)
+
+    return ImexTableau('ark3-twice', np.insert(tab.c, 1, 0.0),
+                       widen(tab.a_ex), widen(tab.a_im),
+                       np.insert(tab.b_ex, 1, 0.0), np.insert(tab.b_im, 1, 0.0))
+
+
+@pytest.mark.parametrize("name,cells", [('heat1d', 10), ('burgers1d', 10),
+                                        ('heat2d', (5, 5))])
+@pytest.mark.parametrize("bc", ['naive', 'treated'])
+def test_an_explicit_internal_stage_is_the_accumulated_field(name, cells, bc):
+    # a stage with a_ii = 0 past the first takes its accumulated right-hand
+    # side as its field: a repeated first stage changes no bit of ARK3's
+    # final field, naive or treated
+    twice = _ark3_first_stage_twice()
+    assert twice.im_diag[1] == 0.0 and not twice.needs_psi[1]
+    prob = builtin_problem(name)
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, cells)
+    u0 = interpolate(prob.u0, mesh, basis)
+    fields = []
+    for tab in (builtin_tableau('ark3'), twice):
+        ctrl = (NaiveBoundary(prob, mesh, basis, tab) if bc == 'naive'
+                else treated_boundary(prob, mesh, basis, tab))
+        integ = ImexIntegrator(prob, mesh, basis, tableau=tab,
+                               controller=ctrl)
+        fields.append(integ.integrate(u0, 0.0, 0.13, 0.02)[0])
+    assert fields[0].tobytes() == fields[1].tobytes()
+
+
 @pytest.mark.parametrize("name,products", [('ark3', 0), ('ark4', 1)])
 def test_psi_comes_from_the_stage_equation(monkeypatch, name, products):
     # a stage with a_ii != 0 reads psi^i from its solve; only ARK4's first

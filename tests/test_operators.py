@@ -35,7 +35,7 @@ from ldgimex.mesh import build_mesh
 from ldgimex.operators import (Diffusion, LineMatrices, _convection_lines,
                                _linear_lines, build_diffusion, explicit_rhs,
                                llf_alpha, norms)
-from ldgimex.problems import _linear_flux, builtin_problem
+from ldgimex.problems import ProblemSpec, _linear_flux, builtin_problem
 from ldgimex.quadrature import build_basis, interpolate
 
 XI20, W20 = np.polynomial.legendre.leggauss(20)
@@ -334,6 +334,32 @@ def test_2d_basis_maps_invert_each_other_and_diagonalize_L(k):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("cells,calls", [((6, 6), 1), ((8, 6), 2)],
+                         ids=['square', '8x6'])
+def test_equal_axes_share_one_eigenbasis(monkeypatch, cells, calls):
+    # axes of equal (n, dx) have bitwise equal L, so one eigh serves both;
+    # shifted is bitwise the diagonal of each axis's own eigenvalues, and
+    # each axis keeps its own operator
+    eigh = np.linalg.eigh
+    shapes = []
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, 'eigh', counted)
+    mesh = build_mesh(((-1.0, 1.0), (0.0, 2.0)), cells)
+    diff = Diffusion(mesh, build_basis(2), 0.7)
+    assert len(shapes) == calls
+    monkeypatch.undo()
+    assert diff.axes[0] is not diff.axes[1]
+    lx, ly = (op.eigenbasis()[0] for op in diff.axes)
+    want = sp.diags((lx[:, None] + ly).ravel(), format='csr')
+    assert_same_csr(diff.shifted, want)
+    assert diff.shifted.indices.dtype == want.indices.dtype
+    assert diff.shifted.indptr.dtype == want.indptr.dtype
+
+
 def diffusion_gradient(diff, u, bdata):
     """Auxiliary fields q_a = weak d/dx_a of u with the alternating traces,
     one per axis (a 1-tuple in 1D): each axis's K u + Kb [low; high] on
@@ -586,6 +612,25 @@ def test_explicit_rhs_constant_state_is_silent():
     got = mesh_explicit_rhs(u, 0.5, bdata, prob, mesh, basis)
     want = prob.p(*mesh.node_coords(basis), 0.5) * c   # only the source acts
     np.testing.assert_allclose(got, want, atol=1e-13, rtol=0)
+
+
+@pytest.mark.parametrize("bounds,cells", [((-1.0, 1.0), 5),
+                                          (((-1.0, 1.0), (0.0, 1.0)), (4, 3))],
+                         ids=['1d', '2d'])
+def test_explicit_rhs_without_a_flux_is_the_source(bounds, cells):
+    # no axis has a flux: the output is the source itself, a new C-ordered
+    # field of u's shape
+    def h(u, *xt):
+        return np.cos(xt[0]) * u + xt[-1]
+
+    prob = ProblemSpec('source', bounds, 1.0, 1.0, 0.25, 2, h=h)
+    basis = build_basis(2)
+    mesh = build_mesh(bounds, cells)
+    u = interpolate(lambda *x: np.sin(sum(x)), mesh, basis)
+    bdata = ((0.0, 0.0),) * mesh.dim
+    got = mesh_explicit_rhs(u, 0.3, bdata, prob, mesh, basis)
+    assert got is not u and got.shape == u.shape and got.flags.c_contiguous
+    assert np.array_equal(got, h(u, *mesh.node_coords(basis), 0.3))
 
 
 def test_explicit_rhs_2d_matches_dimension_split_oracle():

@@ -1,5 +1,7 @@
 """Boundary treatment: recovery stencils, stage recursion, controllers."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from ldgimex.treatment import (EdgeDerivatives1D, FaceDerivatives2D,
                                StageCorrector, treated_boundary)
 
 ARK3 = builtin_tableau('ark3')
+# the index of an endpoint's tuple in a 1D recovery's [west, east]
+_END = {'west': 0, 'east': 1}
 
 
 # -- one-sided derivative recovery ---------------------------------------------
@@ -24,7 +28,7 @@ def test_recovery_exact_on_quadratic(side, xb):
     mesh = build_mesh((-1.0, 1.0), 10)
     basis = build_basis(2)
     u = interpolate(lambda x: x * x, mesh, basis)
-    u_x, u_xx, u_xxx = EdgeDerivatives1D(mesh, basis, side).recover(u)
+    u_x, u_xx, u_xxx = EdgeDerivatives1D(mesh, basis).recover(u)[_END[side]]
     assert abs(u_x - 2.0 * xb) < 1e-12
     assert abs(u_xx - 2.0) < 1e-12
     assert abs(u_xxx) < 1e-10
@@ -35,7 +39,7 @@ def _check_cubic(n, side, xb):
     basis = build_basis(3)
     u = interpolate(lambda x: x ** 3, mesh, basis)
     u_x, u_xx, u_xxx_fd, u_xxx, u_xxxx, u_xxxxx = EdgeDerivatives1D(
-        mesh, basis, side).recover(u)
+        mesh, basis).recover(u)[_END[side]]
     assert abs(u_x - 3.0 * xb * xb) < 1e-12
     assert abs(u_xx - 6.0 * xb) < 1e-12
     assert abs(u_xxx - 6.0) < 1e-11
@@ -56,7 +60,7 @@ def test_recovered_third_derivative_converges():
     for n in (40, 80):
         mesh = build_mesh((-1.0, 1.0), n)
         u = interpolate(np.sin, mesh, basis)
-        u_xxx = EdgeDerivatives1D(mesh, basis, 'west').recover(u)[2]
+        u_xxx = EdgeDerivatives1D(mesh, basis).recover(u)[_END['west']][2]
         errs.append(abs(u_xxx - (-np.cos(-1.0))))
     assert 1.5 < errs[0] / errs[1] < 3.0
 
@@ -68,8 +72,8 @@ def test_order_4_third_derivatives_converge_at_their_orders():
     errs = []
     for n in (40, 80):
         mesh = build_mesh((-1.0, 1.0), n)
-        rec = EdgeDerivatives1D(mesh, basis, 'east').recover(
-            interpolate(np.sin, mesh, basis))
+        rec = EdgeDerivatives1D(mesh, basis).recover(
+            interpolate(np.sin, mesh, basis))[_END['east']]
         errs.append(np.abs(np.array(rec[2:4]) + np.cos(1.0)))
     fd, own = np.log2(errs[0] / errs[1])
     assert 1.8 < fd < 2.3 and 0.8 < own < 1.2, (fd, own)
@@ -124,7 +128,7 @@ def test_face_recovery_exact_on_low_polynomials(face, name):
     for cells in ((5, 7), (3, 3)):
         mesh = build_mesh(((-1.0, 2.0), (0.0, 1.0)), cells)
         X, Y = mesh.node_coords(basis)
-        got = FaceDerivatives2D(mesh, basis).recover(d(0, 0)(X, Y))
+        got, = FaceDerivatives2D(mesh, basis).recover(d(0, 0)(X, Y))
         xs, ys = mesh.boundary_points(basis)[face]
         want = (np.array([d(1, 0)(xs, ys), d(0, 1)(xs, ys)]),
                 np.array([[d(2, 0)(xs, ys), d(1, 1)(xs, ys)],
@@ -187,7 +191,7 @@ def test_face_recovery_matches_per_term_einsums(face):
     mesh = build_mesh(((-1.0, 1.0), (-0.5, 1.0)), (7, 5))
     field = np.random.default_rng(3).standard_normal((7, 3, 5, 3))
     want = _face_reference(mesh, basis, face, field)
-    got = FaceDerivatives2D(mesh, basis).recover(field)
+    got, = FaceDerivatives2D(mesh, basis).recover(field)
     assert len(got) == 3
     for key, g, w in zip(('grad', 'hess', 'grad_lap'), got, want):
         g = _by_face(mesh, basis, g)[face]
@@ -198,17 +202,15 @@ def test_face_recovery_matches_per_term_einsums(face):
 def test_recovery_rejects_bad_requests():
     mesh = build_mesh((-1.0, 1.0), 10)
     basis = build_basis(2)
-    with pytest.raises(ValueError, match="side"):
-        EdgeDerivatives1D(mesh, basis, 'top')
     # a degree without endpoint rows fails at construction, naming k, not
     # at its first recovery
     for k in (1, 4):
         with pytest.raises(ValueError, match="k = %d" % k):
-            EdgeDerivatives1D(mesh, build_basis(k), 'west')
+            EdgeDerivatives1D(mesh, build_basis(k))
     with pytest.raises(ValueError, match=">= 3 cells"):
-        EdgeDerivatives1D(build_mesh((-1.0, 1.0), 2), basis, 'west')
+        EdgeDerivatives1D(build_mesh((-1.0, 1.0), 2), basis)
     with pytest.raises(ValueError, match=">= 3 cells"):
-        EdgeDerivatives1D(build_mesh((-1.0, 1.0), 2), build_basis(3), 'west')
+        EdgeDerivatives1D(build_mesh((-1.0, 1.0), 2), build_basis(3))
 
 
 def test_level_setup_evaluates_no_basis_polynomial(monkeypatch):
@@ -223,8 +225,7 @@ def test_level_setup_evaluates_no_basis_polynomial(monkeypatch):
     monkeypatch.setattr(NodalBasis, 'values', refuse)
     monkeypatch.setattr(NodalBasis, 'derivative_values', refuse)
     for basis in bases.values():
-        for side in ('west', 'east'):
-            EdgeDerivatives1D(build_mesh((-1.0, 1.0), 10), basis, side)
+        EdgeDerivatives1D(build_mesh((-1.0, 1.0), 10), basis)
     FaceDerivatives2D(build_mesh(((-1.0, 1.0), (0.0, 2.0)), (4, 5)),
                       bases[2])
     for n in (10, 20, 40):
@@ -555,11 +556,11 @@ def test_tangential_invariance_reduces_to_endpoint_values():
     u1 = interpolate(lambda x: g(x, 0.3), mesh1, basis)
     # the recoveries first: on the west and east faces, u_x, u_xx and
     # grad_lap's x entry are the endpoint's (u_x, u_xx, u_xxx)
-    grad, hess, grad_lap = FaceDerivatives2D(mesh2, basis).recover(u2)
+    (grad, hess, grad_lap), = FaceDerivatives2D(mesh2, basis).recover(u2)
     face = {key: _by_face(mesh2, basis, values) for key, values in
             (('u_x', grad[0]), ('u_xx', hess[0, 0]), ('u_xxx', grad_lap[0]))}
     for side in ('west', 'east'):
-        want = EdgeDerivatives1D(mesh1, basis, side).recover(u1)
+        want = EdgeDerivatives1D(mesh1, basis).recover(u1)[_END[side]]
         for key, w in zip(('u_x', 'u_xx', 'u_xxx'), want, strict=True):
             got = face[key][side]
             assert np.max(np.abs(got - w)) <= 1e-12 * abs(w), (side, key)
@@ -753,6 +754,33 @@ def test_stage_protocol_enforced():
     corr.stage_value(1)
     with pytest.raises(RuntimeError, match="observed in order"):
         corr.observe(2, rec)
+
+
+def test_every_treatment_refusal_names_its_cause():
+    heat = builtin_problem('heat1d')
+    heat2 = builtin_problem('heat2d')
+    basis = build_basis(2)
+    with pytest.raises(ValueError, match="problem is 1D but the mesh is 2D"):
+        treated_boundary(heat, build_mesh(heat2.bounds, (4, 4)), basis, ARK3)
+    with pytest.raises(ValueError, match="face recovery needs >= 3 cells "
+                                         "per direction"):
+        treated_boundary(heat2, build_mesh(heat2.bounds, (2, 5)), basis, ARK3)
+    no_tt = copy.copy(builtin_problem('heat1d_o4'))
+    no_tt.omega_tt = None
+    with pytest.raises(ValueError, match="fourth-order treatment needs "
+                                         "omega_tt"):
+        treated_boundary(no_tt, build_mesh(no_tt.bounds, 6), build_basis(3),
+                         ARK3)
+    with pytest.raises(ValueError, match="variant must be 'stagewise' or "
+                                         "'anchored'"):
+        StageCorrector(heat, ARK3, 3, 'alg9')
+    # with an omega_tt, heat2d passes the field checks, and only its
+    # dimension stops the fourth-order recursion
+    tt2 = copy.copy(heat2)
+    tt2.omega_tt = lambda x, y, t: 0.0 * x
+    with pytest.raises(ValueError, match="fourth-order treatment is "
+                                         "one-dimensional"):
+        StageCorrector(tt2, ARK3, 4, 'stagewise')
 
 
 # -- stage-value tracing -------------------------------------------------------------
