@@ -34,8 +34,8 @@ south/north arrays of shape (n, p) indexed by (cell i, node along x).
 Both controllers sample through a BoundarySampler, per point set: each
 1D endpoint, or all the 2D faces' points at once, split back into the
 per-side arrays as views.  NaiveBoundary samples omega at the stage
-times; the treatment module's controller serves the corrected stage
-values.
+times and builds every stage's pairs once per step, in begin_step; the
+treatment module's controller serves the corrected stage values.
 
 Factors of (I - a_ii tau L) are cached per diagonal entry for the current
 step size only: a fixed step size factors each distinct a_ii once, and a
@@ -208,7 +208,8 @@ class BoundarySampler:
     point set mapping each key to its samples indexed by stage (omega_tt:
     index 0): lists of Python floats at a 1D endpoint, arrays over the
     points in 2D.  split(values) turns one value per point set into one
-    per side, shaped like that side's points (views in 2D).  sides and
+    per side, shaped like that side's points (views in 2D; an array keeps
+    its leading axes, such as stages, before them).  sides and
     points list the side names and their coordinates (see boundary_points
     on the meshes); coords holds all sides' points in that order, one flat
     array per axis.
@@ -262,7 +263,9 @@ class BoundarySampler:
         if self._floats:
             return values
         flat, = values
-        return [flat[lo:hi].reshape(shape) for lo, hi, shape in self._pieces]
+        lead = np.shape(flat)[:-1]
+        return [flat[..., lo:hi].reshape(lead + shape)
+                for lo, hi, shape in self._pieces]
 
     def prepare(self, t0, tau, nsteps):
         """Record a schedule of nsteps fixed steps of size tau from t0.
@@ -312,16 +315,21 @@ class NaiveBoundary:
     def __init__(self, problem, mesh, basis, tableau):
         self.sampler = BoundarySampler(mesh, basis, tableau.c,
                                        [('omega', problem.omega)])
-        self._omega = None
+        self._pairs = None
 
     def prepare(self, t0, tau, nsteps):
         self.sampler.prepare(t0, tau, nsteps)
 
     def begin_step(self, u, t, tau):
-        self._omega = [traces['omega'] for traces in self.sampler.step(t, tau)]
+        # every stage's boundary data at once: the samples per side, each
+        # indexed by stage first, zipped into one pair per axis and stage
+        sides = self.sampler.split([traces['omega'] for traces
+                                    in self.sampler.step(t, tau)])
+        self._pairs = list(zip(*[zip(low, high)
+                                 for low, high in axis_pairs(sides)]))
 
     def stage_data(self, i):
-        return axis_pairs(self.sampler.split([om[i] for om in self._omega]))
+        return self._pairs[i]
 
     def observe_stage(self, i, u_stage):
         pass
@@ -362,8 +370,7 @@ class ImexIntegrator:
 
     def _xi(self, u_field, t, bdata):
         return explicit_rhs(u_field, t, bdata, self.problem, self.mesh,
-                            self.basis, self.coords,
-                            self.diffusion.axes).reshape(-1)
+                            self.coords, self.diffusion.axes).reshape(-1)
 
     def step(self, u, t, tau):
         """Advance one step of size tau from (u, t); returns the new field."""

@@ -19,14 +19,20 @@ the convective operator reads too, and its diffusion operator L with the
 boundary map Gb, formed from the few distinct p x p cell blocks without a
 loop over cells and without a sparse product.  The convective
 operator reads the integrator's fields in place and accumulates every
-axis term and the source into one output field.  Along an axis that is
-the last in the flat order (the only one in 1D, y in 2D) the field is
-(transverse lines, cells, nodes) with the node index last, so the p x p
-blocks of its line operator apply from the right to nodal values laid
-out as rows; along x in 2D it is (cells, nodes, transverse lines), and
-they apply from the left.  A transverse line is ordered as the axis's
-face data in both.  The general kernel of a callable flux takes (lines,
-cells, nodes) only, so along 2D x it reads a transposed view.
+axis term and the source into one output field.  Face data reach it as
+the controllers give them: Python floats at the two ends of a 1D mesh,
+arrays along the faces of a 2D one.  A 1D field is one line (cells,
+nodes), and its own kernels (_linear_line, _flux_line) read the floats
+as they are and build the field, with the arithmetic of the batch
+kernels, so bitwise their result on one line, at a few numpy calls
+fewer.  A 2D mesh loops over its axes with the batch kernels.  Along y,
+the last axis in the flat order, the field is (transverse lines, cells,
+nodes) with the node index last, so the p x p blocks of its line
+operator apply from the right to nodal values laid out as rows; along x
+it is (cells, nodes, transverse lines), and they apply from the left.  A
+transverse line is ordered as the axis's face data in both.  The general
+kernel of a callable flux takes (lines, cells, nodes) only, so along x it
+reads a transposed view.
 
 A flux given as a number c (problem.speeds) is linear, and so is its LLF
 operator: block tridiagonal over the cells, three products with p x p
@@ -411,7 +417,7 @@ def llf_alpha(problem, u, bdata):
     """
     speeds = problem.speeds
     if None not in speeds:
-        return max(abs(s) for s in speeds)
+        return max(map(abs, speeds))
     states = np.concatenate([np.ravel(u)] + [np.ravel(pair)
                                              for pair in bdata])
     return max((float(np.abs(fp(states)).max())
@@ -419,33 +425,72 @@ def llf_alpha(problem, u, bdata):
                default=0.0)
 
 
-def explicit_rhs(u, t, bdata, problem, mesh, basis, coords, axes):
-    """The xi part of the semidiscretization: -div F(u) + h(u, x, t).
+def _linear_line(u, c, alpha, low, high, mats):
+    """_linear_lines on the one (n, p) line of a 1D mesh, with float
+    outside states: a new field.  The neighbour products add into the
+    contiguous cell slices they reach, then the outside rows, in the order
+    of _linear_lines, so the result is bitwise its result."""
+    m0, m_low, m_high, b_low, b_high = mats.llf_blocks(c, alpha)
+    from_low, from_high = c + alpha != 0.0, c - alpha != 0.0
+    out = u @ m0
+    if from_low:
+        out[1:] += u[:-1] @ m_low
+    if from_high:
+        out[:-1] += u[1:] @ m_high
+    if from_low:
+        out[0] += low * b_low
+    if from_high:
+        out[-1] += high * b_high
+    return out
 
-    Each axis with a flux runs the 1D LLF operator on every grid line
-    along it, with that axis's face data as the outside states; a number
-    flux runs the linear kernel.  coords are the node coordinates
-    (mesh.node_coords) and axes one LineMatrices per mesh axis, such as
-    Diffusion.axes.  Every axis term and the source accumulate in place
-    into one new C-ordered field, which is returned, so its reshape(-1)
-    is the flat xi without a copy.
-    """
-    u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape)
-    first = True
-    p = basis.p
-    for a, (ax, mats, (f, _, _), c, (low, high)) in enumerate(
-            zip(mesh.axes, axes, problem.fluxes, problem.speeds, bdata)):
+
+def _flux_line(u, flux, alpha, low, high, mats):
+    """_convection_lines on the one (n, p) line of a 1D mesh, with float
+    outside states: a new field, bitwise its result.  The face states
+    [low, r.u, l.u, high] are written into one vector."""
+    n = len(u)
+    out = flux(u) @ mats.vol
+    states = np.empty(2 * n + 2)
+    states[0], states[-1] = low, high
+    np.matmul(mats.traces, u.T, out=states[1:-1].reshape(2, n))
+    fs = flux(states)
+    fhat = (0.5 * (fs[:n + 1] + fs[n + 1:])
+            - (0.5 * alpha) * (states[n + 1:] - states[:n + 1]))[:, None]
+    out -= fhat[1:] * mats.winv_r
+    out += fhat[:-1] * mats.winv_l
+    return out
+
+
+def _line_convection(u, bdata, problem, mats):
+    """-div F(u) on a 1D mesh, a new field, or None without a flux."""
+    (f, _, _), = problem.fluxes
+    if f is None:
+        return None
+    alpha = llf_alpha(problem, u, bdata)
+    (low, high), = bdata
+    c, = problem.speeds
+    if c is None:
+        return _flux_line(u, f, alpha, low, high, mats)
+    return _linear_line(u, c, alpha, low, high, mats)
+
+
+def _convection(u, bdata, problem, axes):
+    """-div F(u) on a 2D mesh, a new field, or None when no axis has a
+    flux."""
+    out = None
+    nx, p, ny, _ = u.shape
+    for a, (mats, (f, _, _), c, (low, high)) in enumerate(
+            zip(axes, problem.fluxes, problem.speeds, bdata)):
         if f is None:
             continue
+        first = out is None
         if first:
             alpha = llf_alpha(problem, u, bdata)
-        # the axis's lines: (lines, cells, nodes) when no axis follows it
-        # (1D, 2D y), else (cells, nodes, lines)
-        lines_before = math.prod(u.shape[:2 * a])
-        nodes_last = lines_before * ax.n * p == u.size
-        shape = ((lines_before, ax.n, p) if nodes_last
-                 else (ax.n, p, u.size // (ax.n * p)))
+            out = np.empty(u.shape)
+        # the axis's lines: (lines, cells, nodes) along y, the last axis
+        # in the flat order, and (cells, nodes, lines) along x
+        nodes_last = a == 1
+        shape = (nx * p, ny, p) if nodes_last else (nx, p, ny * p)
         lines, dest = u.reshape(shape), out.reshape(shape)
         low, high = np.ravel(low), np.ravel(high)
         if c is not None:
@@ -456,15 +501,37 @@ def explicit_rhs(u, t, bdata, problem, mesh, basis, coords, axes):
         else:
             _convection_lines(lines.transpose(2, 0, 1), f, alpha, low, high,
                               mats, dest.transpose(2, 0, 1), first)
-        first = False
-    if problem.h is not None:
-        source = problem.h(u, *coords, t)
-        if first:
-            out[...] = source
-        else:
-            out += source
-    elif first:
-        out.fill(0.0)
+    return out
+
+
+def explicit_rhs(u, t, bdata, problem, mesh, coords, axes):
+    """The xi part of the semidiscretization: -div F(u) + h(u, x, t).
+
+    Each axis with a flux runs the 1D LLF operator on every grid line
+    along it, with that axis's face data as the outside states; a number
+    flux runs the linear kernel.  A 1D mesh has one line and its own
+    kernels (_line_convection), a 2D mesh loops over its axes
+    (_convection); llf_alpha is called once either way when some axis
+    has a flux.  coords are the node coordinates (mesh.node_coords) and
+    axes one LineMatrices per mesh axis, such as Diffusion.axes.  The
+    convective term and the source accumulate in place into one new
+    C-ordered field, which is returned, so its reshape(-1) is the flat xi
+    without a copy.
+    """
+    u = np.asarray(u, dtype=float)
+    if mesh.dim == 1:
+        out = _line_convection(u, bdata, problem, axes[0])
+    else:
+        out = _convection(u, bdata, problem, axes)
+    h = problem.h
+    if h is None:
+        return np.zeros(u.shape) if out is None else out
+    source = h(u, *coords, t)
+    if out is None:
+        out = np.empty(u.shape)
+        out[...] = source
+    else:
+        out += source
     return out
 
 

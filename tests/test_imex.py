@@ -1,6 +1,7 @@
 """Tableau identities, IMEX stepping mechanics, and degenerate limits."""
 
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,8 @@ from ldgimex import imex
 from ldgimex.imex import (ImexIntegrator, ImexTableau, NaiveBoundary,
                           builtin_tableau, validate_tableau)
 from ldgimex.mesh import build_mesh
-from ldgimex.operators import explicit_rhs
+from ldgimex.operators import (_convection_lines, _linear_lines, explicit_rhs,
+                               llf_alpha)
 from ldgimex.problems import ProblemSpec, builtin_problem
 from ldgimex.quadrature import build_basis, interpolate
 from ldgimex.treatment import treated_boundary
@@ -673,6 +675,105 @@ def test_psi_comes_from_the_stage_equation(monkeypatch, name, products):
                                      for i in range(tab.stages))
         np.testing.assert_allclose(out.reshape(-1), want, atol=1e-14,
                                    rtol=0)
+
+
+# -- the step against the one it replaced ------------------------------------
+
+def parent_explicit_rhs_loop(u, t, bdata, problem, mesh, basis, coords,
+                             axes):
+    """explicit_rhs before the 1D one-line kernels: every mesh, 1D
+    included, ran the axis loop, with the line layout worked out from the
+    field's shape and the face data raveled to arrays."""
+    u = np.asarray(u, dtype=float)
+    out = np.empty(u.shape)
+    first = True
+    p = basis.p
+    for a, (ax, mats, (f, _, _), c, (low, high)) in enumerate(
+            zip(mesh.axes, axes, problem.fluxes, problem.speeds, bdata)):
+        if f is None:
+            continue
+        if first:
+            alpha = llf_alpha(problem, u, bdata)
+        lines_before = math.prod(u.shape[:2 * a])
+        nodes_last = lines_before * ax.n * p == u.size
+        shape = ((lines_before, ax.n, p) if nodes_last
+                 else (ax.n, p, u.size // (ax.n * p)))
+        lines, dest = u.reshape(shape), out.reshape(shape)
+        low, high = np.ravel(low), np.ravel(high)
+        if c is not None:
+            _linear_lines(lines, c, alpha, low, high, mats, dest, first,
+                          nodes_last)
+        elif nodes_last:
+            _convection_lines(lines, f, alpha, low, high, mats, dest, first)
+        else:
+            _convection_lines(lines.transpose(2, 0, 1), f, alpha, low, high,
+                              mats, dest.transpose(2, 0, 1), first)
+        first = False
+    if problem.h is not None:
+        source = problem.h(u, *coords, t)
+        if first:
+            out[...] = source
+        else:
+            out += source
+    elif first:
+        out.fill(0.0)
+    return out
+
+
+class ParentRhsIntegrator(ImexIntegrator):
+    """ImexIntegrator with the explicit RHS of the axis loop alone."""
+
+    def _xi(self, u_field, t, bdata):
+        return parent_explicit_rhs_loop(
+            u_field, t, bdata, self.problem, self.mesh, self.basis,
+            self.coords, self.diffusion.axes).reshape(-1)
+
+
+class ParentNaiveBoundary(NaiveBoundary):
+    """NaiveBoundary as it built each stage's pairs when asked for them."""
+
+    def begin_step(self, u, t, tau):
+        self._omega = [traces['omega'] for traces in self.sampler.step(t, tau)]
+
+    def stage_data(self, i):
+        return imex.axis_pairs(self.sampler.split([om[i]
+                                                   for om in self._omega]))
+
+
+@pytest.mark.parametrize("name,cells,bc", [
+    ('heat1d', 1, 'naive'), ('heat1d', 2, 'naive'), ('heat1d', 3, 'naive'),
+    ('heat1d', 40, 'naive'), ('heat1d', 3, 'treated'),
+    ('heat1d', 40, 'treated'), ('burgers1d', 40, 'naive'),
+    ('burgers1d', 40, 'treated'), ('heat1d_o4', 40, 'naive'),
+    ('heat1d_o4', 40, 'treated'), ('heat2d', (4, 3), 'naive'),
+    ('heat2d', (4, 3), 'treated'), ('heat2d', (6, 6), 'naive'),
+    ('heat2d', (6, 6), 'treated')])
+def test_steps_are_bitwise_the_parent_step(name, cells, bc):
+    # the 1D one-line kernels and the naive pairs built once per step
+    # change no bit of the fields, on the prepared schedule and off it
+    # (the last, shortened step); heat1d_o4 runs ARK4, whose first psi
+    # forms L u
+    prob = builtin_problem(name)
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, cells)
+    tab = builtin_tableau(prob.tableau)
+    u0 = interpolate(prob.u0, mesh, basis)
+    tau = prob.cfl * mesh.min_width
+    runs = []
+    for integrator, naive in ((ImexIntegrator, NaiveBoundary),
+                              (ParentRhsIntegrator, ParentNaiveBoundary)):
+        ctrl = (naive(prob, mesh, basis, tab) if bc == 'naive'
+                else treated_boundary(prob, mesh, basis, tab))
+        integ = integrator(prob, mesh, basis, tableau=tab, controller=ctrl)
+        ctrl.prepare(0.0, tau, 3)
+        runs.append(integ)
+    new, old = runs
+    u_new = u_old = u0
+    for t, dt in ((0.0, tau), (tau, tau), (2 * tau, tau), (3 * tau, tau / 3)):
+        u_new = new.step(u_new, t, dt)
+        u_old = old.step(u_old, t, dt)
+        assert u_new.tobytes() == u_old.tobytes(), t
+    assert np.all(np.isfinite(u_new)) and not np.array_equal(u_new, u0)
 
 
 def _flat_view(field, shape):

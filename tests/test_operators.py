@@ -33,8 +33,9 @@ from ldgimex import imex
 from ldgimex.imex import ImexIntegrator
 from ldgimex.mesh import build_mesh
 from ldgimex.operators import (Diffusion, LineMatrices, _convection_lines,
-                               _linear_lines, build_diffusion, explicit_rhs,
-                               llf_alpha, norms)
+                               _flux_line, _linear_line, _linear_lines,
+                               build_diffusion, explicit_rhs, llf_alpha,
+                               norms)
 from ldgimex.problems import ProblemSpec, _linear_flux, builtin_problem
 from ldgimex.quadrature import build_basis, interpolate
 
@@ -562,8 +563,8 @@ def mesh_explicit_rhs(u, t, bdata, problem, mesh, basis, axes=None):
     matrices (one LineMatrices per axis), built from the mesh."""
     if axes is None:
         axes = [LineMatrices(basis, ax.dx) for ax in mesh.axes]
-    return explicit_rhs(u, t, bdata, problem, mesh, basis,
-                        mesh.node_coords(basis), axes)
+    return explicit_rhs(u, t, bdata, problem, mesh, mesh.node_coords(basis),
+                        axes)
 
 
 def test_explicit_rhs_linear_flux_matches_oracle():
@@ -794,8 +795,9 @@ def parent_explicit_rhs(u, t, bdata, problem, mesh, basis, coords, axes):
 
 @pytest.mark.parametrize("name", ['heat1d', 'burgers1d', 'heat1d_o4'])
 def test_explicit_rhs_1d_is_bitwise_the_reduce_kernel(name):
-    # in 1D the buffer is the field itself: writing each term into it
-    # changes no bit of the result
+    # in 1D the one line's kernels write the field itself: no bit of the
+    # result moves, with the face data as Python floats (what the naive
+    # sampler and the stage corrector pass) or as np.float64 scalars
     prob = builtin_problem(name)
     basis = build_basis(prob.degree)
     rng = np.random.default_rng(71)
@@ -806,12 +808,14 @@ def test_explicit_rhs_1d_is_bitwise_the_reduce_kernel(name):
         fields = [interpolate(lambda x: prob.exact(x, 0.3), mesh, basis)]
         fields += list(rng.standard_normal((3,) + diff.shape))
         for u in fields:
-            bdata = (tuple(rng.standard_normal(2).tolist()),)
-            got = explicit_rhs(u, 0.3, bdata, prob, mesh, basis, coords,
-                               diff.axes)
-            want = parent_explicit_rhs(u, 0.3, bdata, prob, mesh, basis,
-                                       coords, diff.axes)
-            assert np.array_equal(got, want), (name, cells)
+            faces = rng.standard_normal(2)
+            want = parent_explicit_rhs(u, 0.3, (tuple(faces),), prob, mesh,
+                                       basis, coords, diff.axes)
+            for pair in (tuple(faces.tolist()), tuple(faces)):
+                got = explicit_rhs(u, 0.3, (pair,), prob, mesh, coords,
+                                   diff.axes)
+                assert np.array_equal(got, want), (name, cells,
+                                                   type(pair[0]))
 
 
 @pytest.mark.parametrize("make,cells", [
@@ -834,7 +838,7 @@ def test_explicit_rhs_reads_both_layouts_into_the_flat_buffer(
     rng = np.random.default_rng(73)
     view = rng.standard_normal(diff.shifted.shape[0]).reshape(diff.shape)
     _, bdata = _random_state(mesh, basis, diff, rng)
-    args = (0.4, bdata, prob, mesh, basis, integ.coords, diff.axes)
+    args = (0.4, bdata, prob, mesh, integ.coords, diff.axes)
     got = explicit_rhs(view, *args)
     assert got.shape == diff.shape and got.flags.c_contiguous
     assert np.array_equal(got, explicit_rhs(np.asfortranarray(view), *args))
@@ -1049,6 +1053,29 @@ def test_linear_lines_are_bitwise_the_three_block_kernel(c, alpha):
             else:
                 assert np.array_equal(got, want), (lines.shape, nodes_last,
                                                    first)
+
+
+@pytest.mark.parametrize("c,alpha", [(-0.4, 0.4), (0.4, 0.4), (-0.3, 1.7),
+                                     (0.0, 0.0)])
+def test_one_line_kernels_are_bitwise_the_lines_kernels(c, alpha):
+    # a 1D mesh's one line with float outside states, through the
+    # one-line kernels and through the batch kernels on one line; alpha
+    # > |c| (both neighbours) does not arise in 1D but is handled alike
+    flux = _callable_flux(c)[0]
+    for mats, lines, low, high, _, nodes_last in _kernel_cases(
+            np.random.default_rng(97)):
+        if not nodes_last:
+            continue
+        line, ends = lines[0], (float(low[0]), float(high[0]))
+        want = np.empty(lines[:1].shape)
+        _linear_lines(lines[:1], c, alpha, low[:1], high[:1], mats, want,
+                      True, True)
+        assert np.array_equal(_linear_line(line, c, alpha, *ends, mats),
+                              want[0]), line.shape
+        _convection_lines(lines[:1], flux, alpha, low[:1], high[:1], mats,
+                          want, True)
+        assert np.array_equal(_flux_line(line, flux, alpha, *ends, mats),
+                              want[0]), line.shape
 
 
 @pytest.mark.parametrize("c", [-0.4, 0.4])
