@@ -35,7 +35,9 @@ Both controllers sample through a BoundarySampler, per point set: each
 1D endpoint, or all the 2D faces' points at once, split back into the
 per-side arrays as views.  NaiveBoundary samples omega at the stage
 times and builds every stage's pairs once per step, in begin_step; the
-treatment module's controller serves the corrected stage values.
+treatment module's controller serves the corrected stage values, and
+declares to its sampler the traces it reads at the step start only
+(omega, omega_tt), which are sampled there alone.
 
 Factors of (I - a_ii tau L) are cached per diagonal entry for the current
 step size only: a fixed step size factors each distinct a_ii once, and a
@@ -201,18 +203,21 @@ class BoundarySampler:
     """Boundary traces at every side of a mesh, over the stage times.
 
     fns holds the (key, function) pairs its controller samples, functions
-    of (coordinates..., t), at the stage times t + c_i*tau, or at the step
-    start only under the key 'omega_tt'.  The points are sampled as point
-    sets: each 1D endpoint is one, and the points of all four 2D faces
-    form one, in the order of coords.  step(t, tau) returns one dict per
-    point set mapping each key to its samples indexed by stage (omega_tt:
-    index 0): lists of Python floats at a 1D endpoint, arrays over the
-    points in 2D.  split(values) turns one value per point set into one
-    per side, shaped like that side's points (views in 2D; an array keeps
-    its leading axes, such as stages, before them).  sides and
-    points list the side names and their coordinates (see boundary_points
-    on the meshes); coords holds all sides' points in that order, one flat
-    array per axis.
+    of (coordinates..., t), at the stage times t + c_i*tau, and start_keys
+    the keys of those the controller reads at the step start only, which
+    are sampled there alone: the treated controller declares omega and
+    omega_tt, the naive one none.  The points are sampled as point sets:
+    each 1D endpoint is one, and the points of all four 2D faces form one,
+    in the order of coords.  step(t, tau) returns one dict per point set
+    mapping each key to its samples indexed by stage (a step-start key:
+    index 0 only): lists of Python floats at a 1D endpoint, arrays over
+    the points in 2D.  at(fn, t) gives fn at one time t on every side, as
+    a one-step sample at the stage time t would hold it.  split(values)
+    turns one value per point set into one per side, shaped like that
+    side's points (views in 2D; an array keeps its leading axes, such as
+    stages, before them).  sides and points list the side names and their
+    coordinates (see boundary_points on the meshes); coords holds all
+    sides' points in that order, one flat array per axis.
 
     After prepare(t0, tau, nsteps), the steps of that fixed-step schedule
     are sampled in blocks of max(1, _BLOCK_SAMPLES // (stages * points))
@@ -221,7 +226,7 @@ class BoundarySampler:
     itself, one call per key.
     """
 
-    def __init__(self, mesh, basis, c, fns):
+    def __init__(self, mesh, basis, c, fns, start_keys=()):
         points = mesh.boundary_points(basis)
         self.sides = tuple(points)
         self.points = tuple(points.values())
@@ -234,22 +239,35 @@ class BoundarySampler:
                        for k in range(mesh.dim)]
         self._c = np.asarray(c, dtype=float)
         self._fns = list(fns)
+        self._start_keys = frozenset(start_keys)
         self._block_steps = max(
             1, _BLOCK_SAMPLES // (self._c.size * self.coords[0].size))
         self._schedule = None
 
-    def _sample(self, tm, tau):
-        """Samples for step starts tm, per key: a (steps, stages, points)
-        array, or in 1D nested float lists (steps, points, stages)."""
-        stage_t = tm[:, None] + tau * self._c[None, :]
+    def _evaluate(self, fn, times):
+        """fn at times, a (steps, stages) array, on every point: a (steps,
+        stages, points) array, or in 1D nested float lists (steps, points,
+        stages)."""
         coords = [x[None, None, :] for x in self.coords]
-        out = {}
-        for key, fn in self._fns:
-            times = tm[:, None] if key == 'omega_tt' else stage_t
-            v = np.asarray(fn(*coords, times[:, :, None]), dtype=float)
-            v = np.broadcast_to(v, times.shape + self.coords[0].shape)
-            out[key] = v.transpose(0, 2, 1).tolist() if self._floats else v
-        return out
+        v = np.asarray(fn(*coords, times[:, :, None]), dtype=float)
+        v = np.broadcast_to(v, times.shape + self.coords[0].shape)
+        return v.transpose(0, 2, 1).tolist() if self._floats else v
+
+    def _sample(self, tm, tau):
+        """Samples for step starts tm, per key (see _evaluate)."""
+        stage_t = tm[:, None] + tau * self._c[None, :]
+        start = tm[:, None]
+        return {key: self._evaluate(
+                    fn, start if key in self._start_keys else stage_t)
+                for key, fn in self._fns}
+
+    def at(self, fn, t):
+        """fn at the one time t, one value per side, evaluated as step()
+        evaluates its samples."""
+        v, = self._evaluate(fn, np.array([[t]]))
+        if self._floats:
+            return [pt[0] for pt in v]
+        return self.split([v[0]])
 
     def _sets(self, samples, m):
         """One {key: per-stage samples} dict per point set for step m."""

@@ -414,15 +414,19 @@ def llf_alpha(problem, u, bdata):
     When every flux is linear (no problem.speeds entry is None) the bound
     is max |c_a|, read off the speeds without touching u or bdata: f_a'
     is c_a at every state, so the value is the one the scan would give.
+    Otherwise each flux scans the field and each axis's face pair apart,
+    with no copy of the field: a max is exact, so the bound is the one
+    scan of all the states would give, NaN when any state is.
     """
     speeds = problem.speeds
     if None not in speeds:
         return max(map(abs, speeds))
-    states = np.concatenate([np.ravel(u)] + [np.ravel(pair)
-                                             for pair in bdata])
-    return max((float(np.abs(fp(states)).max())
-                for f, fp, _ in problem.fluxes if f is not None),
-               default=0.0)
+    states = [u] + [np.asarray(pair) for pair in bdata]
+    peaks = [np.abs(fp(v)).max() for f, fp, _ in problem.fluxes
+             if f is not None for v in states]
+    # the peaks are >= 0 or NaN, so their sum is NaN exactly when one is
+    total = sum(peaks)
+    return float(max(peaks, default=0.0) if total == total else total)
 
 
 def _linear_line(u, c, alpha, low, high, mats):

@@ -88,11 +88,12 @@ def resolve_variant(name):
     return variant
 
 
-# the rows of the 2D recovery's output at a face point: u_x, u_y, u_xx,
-# u_xy, u_yy, then grad(lap u) = (u_xxx + u_yyx, u_xxy + u_yyy); _HESS
-# picks the Hessian out of them
+# the quantities the 2D recovery finds at a face point: u_x, u_y, u_xx,
+# u_xy, u_yy, then grad(lap u) = (u_xxx + u_yyx, u_xxy + u_yyy); its
+# output rows, each over all face points, hold the quantities _OUTPUT:
+# the gradient, the Hessian row by row (u_xy twice), grad(lap u)
 _QUANTITIES = 7
-_HESS = [[2, 3], [3, 4]]
+_OUTPUT = [0, 1, 2, 3, 3, 4, 5, 6]
 # a face's rows in its own (normal n, tangent t) order -- u_n, u_t, u_nn,
 # u_nt, u_tt, (grad lap)_n, (grad lap)_t -- land on these rows when y is
 # the normal
@@ -200,9 +201,9 @@ class EdgeDerivatives1D:
 
 def _tangential_weights(basis, widths):
     """The tangential factor on the faces normal to x and to y, shaped
-    (normal axis, cell class, point node, row, normal row, window cell,
-    tangential node), for the first, interior and last cell classes
-    along the face."""
+    (normal axis, cell class, quantity, point node, normal row, window
+    cell, tangential node), for the first, interior and last cell
+    classes along the face."""
     p = basis.p
     d1 = basis.diff_matrix
     nodes = np.array([np.eye(p), d1, d1 @ d1])
@@ -219,7 +220,7 @@ def _tangential_weights(basis, widths):
                @ unit.reshape(len(_TERMS), -1))
     return np.ascontiguousarray(weights.reshape(
         (2, _QUANTITIES, len(_FACE_ROWS), 3, p, 3, p)).transpose(
-            0, 3, 4, 1, 2, 5, 6))
+            0, 3, 1, 4, 2, 5, 6))
 
 
 class FaceDerivatives2D:
@@ -230,8 +231,12 @@ class FaceDerivatives2D:
     set, [(grad, hess, grad_lap)]: grad = [u_x, u_y], hess = [[u_xx, u_xy],
     [u_xy, u_yy]] and grad_lap = [u_xxx + u_yyx, u_xxy + u_yyy], each entry
     an array over the faces' points in the order of BoundarySampler.coords
-    (west, east, south, north).  It reads the field as (x dofs, y dofs),
-    a reshape of its (cell, node) per axis layout that copies nothing.
+    (west, east, south, north).  The three are C-contiguous views of one
+    new (8, points) array, rows u_x, u_y, u_xx, u_xy, u_xy, u_yy and the
+    two of grad_lap (_OUTPUT), hess its rows 2 to 5 as (2, 2, points):
+    the layout StageCorrector's array arithmetic reads fastest.  It reads
+    the field as (x dofs, y dofs), a reshape of its (cell, node) per axis
+    layout that copies nothing.
 
     The map is built once, from per-axis 1D stencil weights.  On a face
     with inward normal n and tangent t, each quantity is a sum of terms
@@ -242,10 +247,13 @@ class FaceDerivatives2D:
     map is kept in these two factors: per face the six normal rows as one
     small dense matrix, applied to V in place, and one sparse matrix
     taking every face's N V to all faces' points, with a fifth of the
-    entries of the whole map (12.9k against 61k at N = 40).  On the
-    east and north faces the normal rows are the west and south ones
-    mirrored, as at a 1D endpoint (_normal_weights).  Needs k = 2 and >= 3
-    cells per direction.
+    entries of the whole map (14.2k against 65k at N = 40).  Its rows
+    are built in output order, quantity by quantity, the u_xy rows
+    twice; each row holds its entries in the order of the normal row,
+    window cell and node it reads, so its sum does not depend on the row
+    order.  On the east and north faces the normal rows are the west and
+    south ones mirrored, as at a 1D endpoint (_normal_weights).  Needs
+    k = 2 and >= 3 cells per direction.
     """
 
     def __init__(self, mesh, basis):
@@ -268,36 +276,42 @@ class FaceDerivatives2D:
         self._spans = list(zip([0] + ends[:-1], ends))
         weights = _tangential_weights(basis, widths)
         entries = np.nonzero(weights)
-        axes, classes, q, row, normal_row, window, node = entries
+        axes, classes, quantity, q, normal_row, window, node = entries
         vals = weights[entries]
-        # one cell's entries of each (normal axis, class) are a segment,
-        # in the order of its rows (q, row), with row_lengths entries each
-        segment = axes * 3 + classes
-        bounds = np.searchsorted(segment, np.arange(7)).tolist()
-        row_lengths = np.bincount(
-            segment * (p * _QUANTITIES) + q * _QUANTITIES + row,
-            minlength=6 * p * _QUANTITIES).reshape(6, -1)
-        # per normal axis, the cells of a face: the first, the interior
-        # ones, the last, each with the first cell of its window
-        starts = [(np.array([0]), np.arange(m - 2), np.array([m - 3]))
-                  for m in cells[::-1]]
-        data, indices, lengths = [], [], []
+        # the entries of one quantity at one cell of each (normal axis,
+        # class) are a segment, in the order of its rows q, with
+        # row_lengths entries each; cols are their columns on a face's
+        # N V, before the shift to the face's span and the cell's window
+        segment = (axes * 3 + classes) * _QUANTITIES + quantity
+        segments = 6 * _QUANTITIES
+        bounds = np.searchsorted(segment, np.arange(segments + 1))
+        row_lengths = np.bincount(segment * p + q,
+                                  minlength=segments * p).reshape(-1, p)
+        cols = (normal_row * np.take(self._shape[::-1], axes)
+                + window * p + node)
+        # the cells of every face, face after face: the first, the
+        # interior ones, the last, each with the column of its window
+        kinds, shifts = [], []
         for face, (lo_col, _) in enumerate(self._spans):
             axis = face // 2
-            tangent_dofs = self._shape[1 - axis]
-            cols = lo_col + normal_row * tangent_dofs + window * p + node
-            for i, start in enumerate(starts[axis]):
-                lo, hi = bounds[3 * axis + i], bounds[3 * axis + i + 1]
-                data.append(np.tile(vals[lo:hi], len(start)))
-                indices.append(((start * p)[:, None] + cols[lo:hi]).ravel())
-                lengths.append(np.tile(row_lengths[3 * axis + i],
-                                       len(start)))
-        lengths = np.concatenate(lengths)
+            m = cells[1 - axis]
+            kinds.append(axis * 3 + np.repeat([0, 1, 2], [1, m - 2, 1]))
+            shifts.append(lo_col + p * np.concatenate(
+                [[0], np.arange(m - 2), [m - 3]]))
+        # one segment per output row block and face cell, in row order:
+        # its p rows, the cell's points, take its entries in turn
+        seg = (np.array(_OUTPUT)[:, None]
+               + _QUANTITIES * np.concatenate(kinds)).ravel()
+        shift = np.tile(np.concatenate(shifts), len(_OUTPUT))
+        lengths = row_lengths[seg].ravel()
         indptr = np.zeros(len(lengths) + 1, dtype=np.int32)
         np.cumsum(lengths, out=indptr[1:])
+        counts = bounds[seg + 1] - bounds[seg]
+        take = (np.repeat(bounds[seg] - indptr[:-1:p], counts)
+                + np.arange(indptr[-1]))
         self._tangential = sp.csr_matrix(
-            (np.concatenate(data), np.concatenate(indices).astype(np.int32),
-             indptr), shape=(len(lengths), ends[-1]))
+            (vals[take], (cols[take] + np.repeat(shift, counts)).astype(
+                np.int32), indptr), shape=(len(lengths), ends[-1]))
 
     def recover(self, field):
         """[(grad, hess, grad_lap)] on the faces (see the class doc)."""
@@ -307,8 +321,8 @@ class FaceDerivatives2D:
         nv = np.empty(self._spans[-1][1])
         for normal, layer, (lo, hi) in zip(self._normal, layers, self._spans):
             np.matmul(normal, layer, out=nv[lo:hi].reshape(len(normal), -1))
-        y = (self._tangential @ nv).reshape(-1, _QUANTITIES).T
-        return [(y[:2], y[_HESS], y[5:])]
+        y = (self._tangential @ nv).reshape(len(_OUTPUT), -1)
+        return [(y[:2], y[2:6].reshape(2, 2, -1), y[6:])]
 
 
 def _check_problem_fields(problem, scheme_order):
@@ -371,9 +385,10 @@ class StageCorrector:
     Hessian and gradient of the Laplacian in this layout, followed at
     order 4 by the closure's (u_xxx, u_xxxx, u_xxxxx).  traces maps
     sampler keys to this point set's per-stage samples (see
-    BoundarySampler): a callable source factor p under 'p', its gradient
-    under ('p_grad', axis); p as a number, 0.0 without a source, is read
-    off the problem.
+    BoundarySampler): omega_t, and a callable source factor p under 'p',
+    its gradient under ('p_grad', axis); p as a number, 0.0 without a
+    source, is read off the problem.  Of omega and (order 4) omega_tt it
+    reads the step-start sample, index 0, only.
     """
 
     def __init__(self, problem, tableau, scheme_order, variant):
@@ -431,7 +446,7 @@ class StageCorrector:
         if fp is None:
             fp = self._vec([f(u) for f in self._fp])
         p = self._p if self._ps is None else self._ps[i]
-        return -self._dot(fp, grad) + p * u
+        return p * u - self._dot(fp, grad)
 
     def _psi_rate(self, rec):
         """d/dt psi_x, time exchanged for space derivatives (order 4)."""
@@ -459,6 +474,7 @@ class StageCorrector:
         self._treated = [om0]
         self._grads = [grad]
         self._xis = [self._xi(grad, om0, 0)]
+        self._bpsis = [self._omt[0] - self._xis[0]]
         self._xigs = []
         if not self.anchored:
             self._hesss, self._psis = [], []
@@ -489,24 +505,24 @@ class StageCorrector:
             raise RuntimeError("stage values must be requested in order "
                                "(archive has %d, asked for stage %d)"
                                % (len(treated), i))
-        psis, xigs, omt = self._psis, self._xigs, self._omt
+        psis, xigs, bpsis = self._psis, self._xigs, self._bpsis
         taii = self._taii[i]
         # gradient of xi at the previous stage, from its Hessian, gradient
         # and value
         prev = i - 1
         u, g, hess = treated[prev], self._grads[prev], self._hesss[prev]
+        if self._ps is None:
+            xig = self._p * g
+        else:
+            pg = self._vec([v[prev] for v in self._pgs])
+            xig = pg * u + self._ps[prev] * g
         fp = self._fpc
         if fp is None:
             fp = self._vec([f(u) for f in self._fp])
             fpp = self._vec([f(u) for f in self._fpp])
-            xig = -(self._dot(fpp, g) * g) - self._matvec(hess, fp)
+            xig = xig + (-(self._dot(fpp, g) * g) - self._matvec(hess, fp))
         else:
-            xig = -self._matvec(hess, fp)
-        if self._ps is None:
-            xig = xig + self._p * g
-        else:
-            pg = self._vec([v[prev] for v in self._pgs])
-            xig = xig + (pg * u + self._ps[prev] * g)
+            xig = xig - self._matvec(hess, fp)
         xigs.append(xig)
         # the boundary gradient advances by the same stage combination as
         # the treated value; psi at the boundary is omega_t - xi
@@ -517,16 +533,17 @@ class StageCorrector:
             val = val + w * self._xis[j]
         for j, w in self._im[i]:
             grad = grad + w * psis[j]
-            val = val + w * (omt[j] - self._xis[j])
+            val = val + w * bpsis[j]
         grad = grad + taii * self._preds[i - 1]
         self._grads.append(grad)
         # boundary state at this stage, Taylor-expanded from the step start
-        uh = treated[0] + self._ct[i] * omt[0]
+        uh = treated[0] + self._ct[i] * self._omt[0]
         if self.order4:
             uh = uh + 0.5 * self._ct[i] ** 2 * self._omtt0
         xi_i = self._xi(grad, uh, i)
         self._xis.append(xi_i)
-        val = val + taii * (omt[i] - xi_i)
+        bpsis.append(self._omt[i] - xi_i)
+        val = val + taii * bpsis[i]
         treated.append(val)
         return val
 
@@ -561,10 +578,13 @@ class TreatedBoundary:
     endpoints (EdgeDerivatives1D) or all points of the four 2D faces at
     once (FaceDerivatives2D).  The recovery refuses a degree or a mesh it
     has no stencil for, and the correctors a problem they cannot run.
-    Plugs into the integrator in place of the naive omega sampler.  Set
-    .trace to a list to collect (stage, side, point, naive, treated) rows,
-    one per boundary point; point holds one coordinate per axis, (x,) in
-    1D and (x, y) in 2D, as boundary_points gives them.
+    Plugs into the integrator in place of the naive omega sampler; its
+    sampler samples omega and omega_tt at the step start only, the keys
+    it declares as start_keys.  Set .trace to a list to collect (stage,
+    side, point, naive, treated) rows, one per boundary point, the naive
+    value omega at the stage time, evaluated for the trace alone; point
+    holds one coordinate per axis, (x,) in 1D and (x, y) in 2D, as
+    boundary_points gives them.
     """
 
     def __init__(self, problem, mesh, basis, tableau, variant='stagewise'):
@@ -587,21 +607,25 @@ class TreatedBoundary:
                                          in enumerate(problem.p_grad)]
         self.stages = tableau.stages
         self.anchored = variant == 'anchored'
-        self.sampler = BoundarySampler(mesh, basis, tableau.c, fns)
+        # the recursion reads omega and omega_tt at the step start only
+        self.sampler = BoundarySampler(mesh, basis, tableau.c, fns,
+                                       start_keys=('omega', 'omega_tt'))
+        self._omega, self._c = problem.omega, tableau.c.tolist()
         self.correctors = [StageCorrector(problem, tableau, order, variant)
                            for _ in range(self.sampler.point_sets)]
         # a wrong derivative field silently costs order: check them all,
         # once the correctors have checked that the fields they need exist
         boundary_data_check(problem, self.sampler.coords)
-        self.trace = self._traces = None
+        self.trace = self._step = None
 
     def prepare(self, t0, tau, nsteps):
         self.sampler.prepare(t0, tau, nsteps)
 
     def begin_step(self, u, t, tau):
-        self._traces = self.sampler.step(t, tau)
+        self._step = (t, tau)
         for rec, corr, traces in zip(self.recovery.recover(u),
-                                     self.correctors, self._traces):
+                                     self.correctors,
+                                     self.sampler.step(t, tau)):
             corr.begin(rec, tau, traces)
 
     def stage_data(self, i):
@@ -612,8 +636,10 @@ class TreatedBoundary:
         return axis_pairs(vals)
 
     def _record(self, i, vals):
-        naive = self.sampler.split([traces['omega'][i]
-                                    for traces in self._traces])
+        # the naive value omega at the stage time, which the recursion
+        # itself does not sample
+        t, tau = self._step
+        naive = self.sampler.at(self._omega, t + tau * self._c[i])
         for side, pts, nvs, tvs in zip(self.sampler.sides,
                                        self.sampler.points, naive, vals):
             for *point, nv, tv in zip(*map(np.ravel, pts), np.ravel(nvs),

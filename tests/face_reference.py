@@ -7,13 +7,17 @@ per-cell samples along the tangent, and its own StageCorrector fed that
 face's traces (PerFaceTreatedBoundary).  The tests hold the one linear
 map over all face points (treatment.FaceDerivatives2D) and the one
 corrector over all of them to this path, as test_operators keeps
-cell_loop_operator for the block assembly.
+cell_loop_operator for the block assembly.  PointMajorFaceDerivatives2D
+keeps the one map as it was before its rows were grouped by quantity.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from ldgimex.imex import axis_pairs
-from ldgimex.treatment import StageCorrector, treated_boundary
+from ldgimex.treatment import (_QUANTITIES, FaceDerivatives2D,
+                               StageCorrector, _tangential_weights,
+                               treated_boundary)
 
 
 def _basis_row(basis, xi, order):
@@ -153,3 +157,60 @@ class PerFaceTreatedBoundary:
             return
         for rec, corr in zip(self.recovery, self.correctors):
             corr.observe(i, rec.recover(u_stage))
+
+
+class PointMajorFaceDerivatives2D(FaceDerivatives2D):
+    """FaceDerivatives2D with its tangential map in point-major rows.
+
+    One row per (face point, quantity), the seven quantities u_x, u_y,
+    u_xx, u_xy, u_yy and grad(lap u) of each point together, built cell
+    class by cell class as the map was before its rows were grouped by
+    quantity; recover returns strided row views of the (points, 7)
+    product, and the Hessian as a fancy-index copy of it.
+    """
+
+    def __init__(self, mesh, basis):
+        super().__init__(mesh, basis)
+        p = basis.p
+        cells = (mesh.x.n, mesh.y.n)
+        # (normal axis, class, point node, quantity, normal row, window
+        # cell, tangential node)
+        weights = _tangential_weights(
+            basis, (mesh.x.dx, mesh.y.dx)).transpose(0, 1, 3, 2, 4, 5, 6)
+        entries = np.nonzero(weights)
+        axes, classes, q, row, normal_row, window, node = entries
+        vals = weights[entries]
+        segment = axes * 3 + classes
+        bounds = np.searchsorted(segment, np.arange(7)).tolist()
+        row_lengths = np.bincount(
+            segment * (p * _QUANTITIES) + q * _QUANTITIES + row,
+            minlength=6 * p * _QUANTITIES).reshape(6, -1)
+        starts = [(np.array([0]), np.arange(m - 2), np.array([m - 3]))
+                  for m in cells[::-1]]
+        data, indices, lengths = [], [], []
+        for face, (lo_col, _) in enumerate(self._spans):
+            axis = face // 2
+            tangent_dofs = self._shape[1 - axis]
+            cols = lo_col + normal_row * tangent_dofs + window * p + node
+            for i, start in enumerate(starts[axis]):
+                lo, hi = bounds[3 * axis + i], bounds[3 * axis + i + 1]
+                data.append(np.tile(vals[lo:hi], len(start)))
+                indices.append(((start * p)[:, None] + cols[lo:hi]).ravel())
+                lengths.append(np.tile(row_lengths[3 * axis + i],
+                                       len(start)))
+        lengths = np.concatenate(lengths)
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int32)
+        np.cumsum(lengths, out=indptr[1:])
+        self._tangential = sp.csr_matrix(
+            (np.concatenate(data), np.concatenate(indices).astype(np.int32),
+             indptr), shape=(len(lengths), self._spans[-1][1]))
+
+    def recover(self, field):
+        v = field.reshape(self._shape)
+        k = self._normal[0].shape[1]
+        layers = (v[:k], v[-k:], v[:, :k].T, v[:, -k:].T)
+        nv = np.empty(self._spans[-1][1])
+        for normal, layer, (lo, hi) in zip(self._normal, layers, self._spans):
+            np.matmul(normal, layer, out=nv[lo:hi].reshape(len(normal), -1))
+        y = (self._tangential @ nv).reshape(-1, _QUANTITIES).T
+        return [(y[:2], y[[[2, 3], [3, 4]]], y[5:])]

@@ -1114,6 +1114,48 @@ def test_constant_speed_alpha_reads_no_state(case):
     assert llf_alpha(linear, nan, [(np.nan, np.nan)] * mesh.dim) == scanned
 
 
+def _concatenated_alpha(problem, u, bdata):
+    """llf_alpha's scan of a callable flux as it was: over one vector
+    joining the field and every face pair."""
+    states = np.concatenate([np.ravel(u)] + [np.ravel(pair)
+                                             for pair in bdata])
+    return max((float(np.abs(fp(states)).max())
+                for f, fp, _ in problem.fluxes if f is not None),
+               default=0.0)
+
+
+@pytest.mark.parametrize("case", ['burgers1d', 'burgers2d', 'flux-free-y'])
+def test_scanned_alpha_is_bitwise_the_concatenated_scan(case):
+    # the field and each face pair scanned apart give the one scan's
+    # bound bit for bit: 1D float faces, 2D face arrays, and a 2D problem
+    # with an axis without a flux; a NaN in any state gives NaN
+    if case == 'burgers1d':
+        prob, cells = builtin_problem('burgers1d'), 7
+    else:
+        prob, cells = _burgers_2d(), (4, 5)
+        if case == 'flux-free-y':
+            prob.fluxes = (_BURGERS, (None, None, None))
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, cells)
+    diff = Diffusion(mesh, basis, prob.d_coef)
+    rng = np.random.default_rng(71)
+    for scale in (1.0, 4.0):     # the larger faces hold the peak
+        u, bdata = _random_state(mesh, basis, diff, rng)
+        bdata = tuple(tuple(scale * np.asarray(v) if mesh.dim == 2
+                            else float(scale * v) for v in pair)
+                      for pair in bdata)
+        want = _concatenated_alpha(prob, u, bdata)
+        got = llf_alpha(prob, u, bdata)
+        assert type(got) is float and got.hex() == want.hex(), scale
+    assert np.isnan(llf_alpha(prob, np.full_like(u, np.nan), bdata))
+    low, high = bdata[-1]
+    if mesh.dim == 1:
+        faces = ((low, np.nan),)
+    else:
+        faces = bdata[:-1] + ((low, np.where(high > 0, np.nan, high)),)
+    assert np.isnan(llf_alpha(prob, u, faces))
+
+
 def test_linear_blocks_are_memoized_for_one_bound_only():
     linear, _, cells = _linear_and_callable('mixed-2d')
     basis = build_basis(linear.degree)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import stage_closed_forms as cf
-from face_reference import PerFaceDerivatives2D, PerFaceTreatedBoundary
+from face_reference import (PerFaceDerivatives2D, PerFaceTreatedBoundary,
+                            PointMajorFaceDerivatives2D)
 from test_harness import _burgers2d
 from ldgimex.harness import RunConfig, solve_level
-from ldgimex.imex import ImexIntegrator, builtin_tableau
+from ldgimex.imex import ImexIntegrator, NaiveBoundary, builtin_tableau
 from ldgimex.mesh import build_mesh
 from ldgimex.problems import ProblemSpec, builtin_problem
 from ldgimex.quadrature import NodalBasis, build_basis, interpolate
@@ -197,6 +198,26 @@ def test_face_recovery_matches_per_term_einsums(face):
         g = _by_face(mesh, basis, g)[face]
         assert g.shape == w.shape, (face, key)
         assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), (face, key)
+
+
+@pytest.mark.parametrize("cells", [(4, 3), (6, 6)])
+def test_face_recovery_rows_are_one_quantity_each(cells):
+    # recover returns C-contiguous views of one array, the Hessian's two
+    # u_xy rows the same bits, and every value bitwise that of the map
+    # with a row per (point, quantity): each row keeps its entries in
+    # their order, so only the row order changed
+    basis = build_basis(2)
+    mesh = build_mesh(((-1.0, 1.0), (-0.5, 1.0)), cells)
+    field = np.random.default_rng(5).standard_normal(
+        cells[0] * cells[1] * basis.p ** 2)
+    got, = FaceDerivatives2D(mesh, basis).recover(field)
+    want, = PointMajorFaceDerivatives2D(mesh, basis).recover(field)
+    for key, g, w in zip(('grad', 'hess', 'grad_lap'), got, want):
+        assert g.flags.c_contiguous, key
+        assert g.base is got[0].base, key
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), key
+    hess = got[1]
+    assert hess[0, 1].tobytes() == hess[1, 0].tobytes()
 
 
 def test_recovery_rejects_bad_requests():
@@ -826,3 +847,39 @@ def test_trace_rows_2d():
     for i, face, (xv, yv), naive, treated in ctrl.trace:
         assert face in ('west', 'east', 'south', 'north')
         assert np.isfinite(naive) and np.isfinite(treated)
+
+
+@pytest.mark.parametrize("name,cells", [('heat1d', 8), ('heat2d', (4, 3))])
+def test_trace_naive_column_is_the_naive_boundary_data(name, cells):
+    # the recursion samples omega at the step start only, and the trace
+    # evaluates its naive column at the stage times itself: bitwise the
+    # naive controller's stage data, on the prepared schedule and on the
+    # shortened final step
+    prob = builtin_problem(name)
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, cells)
+    ctrl = treated_boundary(prob, mesh, basis, ARK3)
+    naive = NaiveBoundary(prob, mesh, basis, ARK3)
+    ctrl.trace = []
+    want, taus = [], []
+    prepare, begin_step = ctrl.prepare, ctrl.begin_step
+
+    def prepare_both(t0, tau, nsteps):
+        naive.prepare(t0, tau, nsteps)
+        prepare(t0, tau, nsteps)
+
+    def begin_both(u, t, tau):
+        naive.begin_step(u, t, tau)
+        for i in range(ARK3.stages):
+            want.extend(np.ravel(side) for pair in naive.stage_data(i)
+                        for side in pair)
+        taus.append(tau)
+        begin_step(u, t, tau)
+
+    ctrl.prepare, ctrl.begin_step = prepare_both, begin_both
+    integ = ImexIntegrator(prob, mesh, basis, tableau=ARK3, controller=ctrl)
+    u0 = interpolate(prob.u0, mesh, basis)
+    integ.integrate(u0, 0.0, 0.12, 0.05)
+    assert len(taus) == 3 and taus[-1] < 0.05
+    got = np.array([row[3] for row in ctrl.trace])
+    assert got.tobytes() == np.concatenate(want).tobytes()
