@@ -475,6 +475,6 @@ class ImexIntegrator:
 
 
 def _check_finite(u, steps, t):
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise FloatingPointError("non-finite solution after step %d at t=%.6g"
                                  % (steps, t))

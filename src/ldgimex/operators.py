@@ -25,7 +25,10 @@ arrays along the faces of a 2D one.  A 1D field is one line (cells,
 nodes), and its own kernels (_linear_line, _flux_line) read the floats
 as they are and build the field, with the arithmetic of the batch
 kernels, so bitwise their result on one line, at a few numpy calls
-fewer.  A 2D mesh loops over its axes with the batch kernels.  Along y,
+fewer.  A 2D mesh loops over its axes with the batch kernels.  The
+boundary vector (Diffusion.gb) is picked the same way: on a 1D mesh
+the two floats scale Gb's end-cell blocks into the flat vector itself,
+on a 2D one an axis loop adds each axis's blocks along its faces.  Along y,
 the last axis in the flat order, the field is (transverse lines, cells,
 nodes) with the node index last, so the p x p blocks of its line
 operator apply from the right to nodal values laid out as rows; along x
@@ -265,12 +268,21 @@ class Diffusion:
                 ((lx[:, None] + ly).ravel(), diag[:-1], diag))
             self._vec, self._vinv = (vx, vy.T), (ix, iy.T)
         self.shape = tuple(s for ax in axes for s in (ax.n, p))
+        if dim == 1:
+            # gb's kernel on the one line: the flat size, and the entries
+            # of cell 0 and of the cells from n - 2 on with Gb's nonzero
+            # blocks there, as views of Gb (the same cells as the 2D loop's)
+            gb, first = self.axes[0].Gb, max(axes[0].n - 2, 0) * p
+            self._gb_line = (len(gb), slice(0, p), gb[:p, 0],
+                             slice(first, None), gb[first:, 1])
+            return
+        self._gb_line = None
         # per axis: the field's index of its first cell along the axis and
         # of its cells from n - 2 on, Gb's nonzero cell blocks shaped to
         # broadcast there (low reaches cell 0 only, high, through Ddiv's
         # upper blocks, cells n - 2 and n - 1, one column a row if n >= 3),
         # and the shapes that broadcast the face data there: None along x,
-        # whose face data (floats in 1D) broadcast as they are
+        # whose face data broadcast as they are
         self._gb_blocks = []
         for a, (ax, op) in enumerate(zip(axes, self.axes)):
             before, after = self.shape[:2 * a], self.shape[2 * a + 2:]
@@ -304,7 +316,20 @@ class Diffusion:
     def gb(self, bdata):
         """Boundary vector in the flat order: each axis's Gb @ [low; high]
         for the (low, high) face data pairs of bdata, one per axis, with
-        only the cell blocks where Gb has nonzeros applied."""
+        only the cell blocks where Gb has nonzeros applied.
+
+        A 1D mesh adds its two float face values into the flat vector
+        itself, low's block then high's, as the axis loop adds them into
+        its (n, p) field, so bitwise that loop's result; blocks that meet
+        (n <= 2) sum in the same order.  A 2D mesh loops over its axes.
+        """
+        if self._gb_line is not None:
+            (low, high), = bdata
+            size, cell0, gb_low, cells, gb_high = self._gb_line
+            g = np.zeros(size)
+            g[cell0] += gb_low * low
+            g[cells] += gb_high * high
+            return g
         g = np.zeros(self.shape)
         for (cell0, gb_low, cells, gb_high, faces), (low, high) in zip(
                 self._gb_blocks, bdata):

@@ -173,8 +173,33 @@ def _heat1d():
         fluxes=[-C], p=D - 1.0, **_moving_sine(C))
 
 
+def _kept(fn):
+    """fn of an ndarray, kept for the last four arrays it saw (a run's
+    node and boundary coordinates among them).  An array is known by its
+    bytes, shape and dtype, never by its identity: one changed in place
+    misses, so a kept value is fn of the very values it is served for,
+    bitwise.  Anything but an ndarray is passed to fn."""
+    kept = []
+
+    def call(x):
+        if type(x) is not np.ndarray:
+            return fn(x)
+        key = (x.tobytes(), x.shape, x.dtype)
+        for seen, value in kept:
+            if seen == key:
+                return value
+        value = fn(x)
+        kept.insert(0, (key, value))
+        del kept[4:]
+        return value
+
+    return call
+
+
 def _burgers1d():
     D = 2.0
+    # only e^-t moves p between stages: cos x is kept per coordinate array
+    cos = _kept(np.cos)
 
     def exact(x, t):
         return np.exp(-t) * np.sin(x)
@@ -187,10 +212,11 @@ def _burgers1d():
 
     return ProblemSpec(
         'burgers1d', (-1.0, 1.0), D, 5.0, 0.4, 2, tableau='ark3',
-        fluxes=[(lambda u: 0.5 * u * u,
-                 lambda u: np.asarray(u, dtype=float),
-                 lambda u: np.ones_like(np.asarray(u, dtype=float)))],
-        p=lambda x, t: D - 1.0 + np.exp(-t) * np.cos(x),
+        # f' and f'' take a Python float to a Python float, as the treated
+        # 1D recursion calls them, and an array to an array
+        fluxes=[(lambda u: 0.5 * u * u, lambda u: u,
+                 lambda u: 1.0 + 0.0 * u)],
+        p=lambda x, t: D - 1.0 + np.exp(-t) * cos(x),
         p_grad=[lambda x, t: -np.exp(-t) * np.sin(x)],
         exact=exact, omega_t=omega_t, omega_tt=omega_tt)
 

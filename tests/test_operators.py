@@ -895,6 +895,37 @@ def test_boundary_vector_matches_the_dense_map(cells):
                 assert np.all(np.abs(got - want) <= 4 * np.spacing(terms))
 
 
+def _axis_loop_gb(diff, bdata):
+    """The 1D boundary vector as the axis loop formed it: Gb's low block
+    added at cell 0, then its high block at the cells from n - 2 on, into
+    an (n, p) field."""
+    (ax,), (op,), ((low, high),) = diff.mesh.axes, diff.axes, bdata
+    p, first = diff.basis.p, max(ax.n - 2, 0)
+    g = np.zeros(diff.shape)
+    g[(0,)] += op.Gb[:p, 0] * low
+    g[(slice(first, None),)] += op.Gb[first * p:, 1].reshape(-1, p) * high
+    return g.reshape(-1)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 40])
+def test_boundary_vector_1d_kernel_is_bitwise_the_axis_loop(cells):
+    # the 1D kernel adds into the flat vector at its end cells, in the
+    # axis loop's order, so no bit moves, where the two blocks meet (one
+    # and two cells) too, with the face data as Python floats (what the
+    # naive sampler and the stage corrector pass) or as np.float64
+    rng = np.random.default_rng(43)
+    mesh = build_mesh((-1.0, 1.0), cells)
+    for k in (2, 3):
+        diff = Diffusion(mesh, build_basis(k), 0.7)
+        for _ in range(5):
+            faces = rng.standard_normal(2)
+            want = _axis_loop_gb(diff, (tuple(faces),))
+            for pair in (tuple(faces.tolist()), tuple(faces)):
+                got = diff.gb((pair,))
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert np.array_equal(got, want), (cells, k, type(pair[0]))
+
+
 # -- the linear-flux kernel against the general one ---------------------------
 
 def _callable_flux(c):

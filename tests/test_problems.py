@@ -85,6 +85,64 @@ def test_constant_shortcuts_agree_with_callables(name):
             np.testing.assert_array_equal(f(us), speed * us)
 
 
+def test_burgers_flux_derivatives_take_floats_to_floats():
+    # the treated 1D recursion calls f' and f'' on Python floats: they
+    # return Python floats, and on arrays the values of the numpy forms
+    # they replaced, bit for bit
+    (_, fp, fpp), = builtin_problem('burgers1d').fluxes
+    for u in (0.0, -0.0, 0.37, -2.5, 1e300):
+        assert type(fp(u)) is float and type(fpp(u)) is float
+        assert fp(u) == u and fpp(u) == 1.0
+    us = np.random.default_rng(5).standard_normal((4, 3))
+    for u in (us, us[:, 1:], np.array([0.0, -0.0, 1e-310, -1e300])):
+        want_fp = np.asarray(u, dtype=float)
+        want_fpp = np.ones_like(np.asarray(u, dtype=float))
+        for got, want in ((fp(u), want_fp), (fpp(u), want_fpp)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_burgers_source_keeps_cos_per_coordinate_array(monkeypatch):
+    # p = D - 1 + e^-t cos x keeps cos x per coordinate array, known by
+    # its values: arrays that alternate are served their own values, and
+    # one changed in place is served the new ones, bitwise the uncached p
+    calls = []
+    real_cos = np.cos
+
+    def counting_cos(x):
+        calls.append(np.shape(x))
+        return real_cos(x)
+
+    monkeypatch.setattr(np, 'cos', counting_cos)
+    burg = builtin_problem('burgers1d')
+
+    def uncached(x, t):
+        return 2.0 - 1.0 + np.exp(-t) * real_cos(x)
+
+    xa = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+    xb = np.linspace(-0.9, 0.8, 6).reshape(2, 3)
+    ts = (0.0, 0.3, 0.3 + 1e-9, 2.5)
+    for t in ts:
+        for x in (xa, xb):
+            got, want = burg.p(x, t), uncached(x, t)
+            assert got.tobytes() == want.tobytes()
+    assert calls == [(4, 3), (2, 3)]
+    xa[1, 2] += 0.25                     # in place: same id, new values
+    for t in ts:
+        assert burg.p(xa, t).tobytes() == uncached(xa, t).tobytes()
+    assert burg.p(xa[:, :2], 0.5).tobytes() == uncached(xa[:, :2],
+                                                        0.5).tobytes()
+    assert calls == [(4, 3), (2, 3), (4, 3), (4, 2)]
+    # another array with the values of one seen is served them
+    assert burg.p(xb.copy(), 0.7).tobytes() == uncached(xb, 0.7).tobytes()
+    assert len(calls) == 4
+    # a scalar takes the plain path; a column of stage times broadcasts
+    # against a kept array's values
+    assert burg.p(0.3, 0.2) == uncached(0.3, 0.2)
+    col = np.array([[0.1], [0.4]])
+    assert burg.p(xb, col).tobytes() == uncached(xb, col).tobytes()
+
+
 def test_speeds_are_none_for_a_callable_flux():
     burg = builtin_problem('burgers1d')     # f' = u, p varies with x, t
     assert burg.speeds == (None,) and callable(burg.p)
