@@ -135,8 +135,8 @@ class AxisOperator(LineMatrices):
     Ddiv @ K sums it, then scaled by d, with P added; Gb's nonzero rows
     (low: cell 0; high: the last two cells) likewise.  So L, in CSR with
     sorted columns and no stored zeros, and Gb are bitwise those of the
-    sparse products over a cell-by-cell assembly (the tests keep it as
-    cell_loop_operator).
+    sparse products over a cell-by-cell assembly (cell_loop_operator in
+    tests/reference.py).
     """
 
     def __init__(self, n, dx, basis, d_coef, penalty):

@@ -1,5 +1,7 @@
 """Run configuration, convergence/efficiency drivers, and CSV output."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,42 @@ def _burgers2d():
         p=lambda x, y, t: 1.0 + np.exp(-t) * np.cos(x + y),
         p_grad=[p_grad, p_grad],
         exact=exact, omega_t=lambda x, y, t: -exact(x, y, t))
+
+
+def _translated(prob, s):
+    """prob with its domain moved by s along every axis, and the exact
+    solution, omega, omega_t, omega_tt, p and p_grad moved with it."""
+    spec = copy.copy(prob)
+    spec.bounds = tuple((a + s, b + s) for a, b in prob.bounds)
+
+    def moved(fn):
+        if not callable(fn):
+            return fn
+        return lambda *xt: fn(*(x - s for x in xt[:-1]), xt[-1])
+
+    for key in ('exact', 'omega', 'omega_t', 'omega_tt', 'p'):
+        setattr(spec, key, moved(getattr(prob, key)))
+    spec.p_grad = tuple(map(moved, prob.p_grad))
+    return spec
+
+
+@pytest.mark.parametrize("name", ['heat1d', 'burgers1d', 'heat1d_o4',
+                                  'heat2d'])
+def test_moving_the_domain_leaves_the_errors(name):
+    # [a, b] -> [a + s, b + s] with every datum moved along: the node
+    # coordinates round otherwise, so the error columns agree to the
+    # roundoff of the solution, not bitwise.  At N = 10 and T = 0.5 the
+    # largest relative gap read 2.9e-11 on heat1d, burgers1d and heat2d,
+    # and 2.8e-9 on heat1d_o4, whose errors are near 2e-7, on the
+    # SkylakeX and Haswell cores alike
+    prob = builtin_problem(name)
+    for mode in ('naive', 'treated'):
+        base = solve_level(RunConfig(prob, [10], bc_mode=mode, T=0.5), 10)
+        for s in (0.5, 0.3):
+            moved = solve_level(RunConfig(_translated(prob, s), [10],
+                                          bc_mode=mode, T=0.5), 10)
+            np.testing.assert_allclose(moved['errors'], base['errors'],
+                                       rtol=1e-8, atol=0, err_msg=(mode, s))
 
 
 def test_heat1d_o4_roundoff_floor_is_low():

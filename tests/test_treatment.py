@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import stage_closed_forms as cf
-from face_reference import (PerFaceDerivatives2D, PerFaceTreatedBoundary,
-                            PointMajorFaceDerivatives2D)
+from reference import PerFaceTreatedBoundary, face_derivatives
 from test_harness import _burgers2d
 from ldgimex.harness import RunConfig, solve_level
 from ldgimex.imex import ImexIntegrator, NaiveBoundary, builtin_tableau
@@ -142,56 +141,14 @@ def test_face_recovery_exact_on_low_polynomials(face, name):
             assert np.max(np.abs(g - w)) < 1e-9, (cells, key)
 
 
-def _face_reference(mesh, basis, face, field):
-    """Face derivatives by one einsum per term, stacked over (x, y)."""
-    r = PerFaceDerivatives2D(mesh, basis, face)
-    f = r.oriented(field)
-    dn, dt = r.dn, r.dt
-    eye = np.eye(basis.p)
-    e0 = np.ravel(basis.values(eye, -1.0))
-    e1, e2 = (np.ravel(basis.derivative_values(eye, -1.0, k))
-              * (2.0 / dn) ** k for k in (1, 2))
-    d1, d2 = (np.asarray(basis.derivative_values(eye, basis.nodes, k)).T
-              * (2.0 / dt) ** k for k in (1, 2))
-    x = np.einsum('m,ajmq->ajq', e1, f[:3])
-    y = np.einsum('m,ajmn,qn->ajq', e0, f[:3], d1)
-    inner = (y[0][2:] - 2.0 * y[0][1:-1] + y[0][:-2]) / dt ** 2
-    cn = np.array([-3.0, 4.0, -1.0]) / (2.0 * dn)
-    # np.gradient with edge_order=2: centered inside, one-sided 3-point
-    # at the ends
-    local = dict(
-        n=x[0], t=y[0],
-        nn=np.einsum('m,jmq->jq', e2, f[0]),
-        tt=np.einsum('m,jmn,qn->jq', e0, f[0], d2),
-        nt=np.einsum('m,jmn,qn->jq', e1, f[0], d1),
-        nnn=(x[0] - 2.0 * x[1] + x[2]) / dn ** 2,
-        ttt=np.concatenate([inner[:1], inner, inner[-1:]]),
-        nnt=sum(c * np.gradient(v, dt, axis=0, edge_order=2)
-                for c, v in zip(cn, x)),
-        ttn=sum(c * np.gradient(v, dt, axis=0, edge_order=2)
-                for c, v in zip(cn, y)))
-    # x/y names, each odd count of derivatives along a reversed normal
-    # negated
-    sg = -1.0 if r.flip else 1.0
-    n, t = ('x', 'y') if r.normal_axis == 'x' else ('y', 'x')
-    u = {'u_' + n: sg * local['n'], 'u_' + t: local['t'],
-         'u_' + 2 * n: local['nn'], 'u_' + 2 * t: local['tt'],
-         'u_xy': sg * local['nt'], 'u_' + 3 * n: sg * local['nnn'],
-         'u_' + 3 * t: local['ttt'], 'u_' + 2 * n + t: local['nnt'],
-         'u_' + 2 * t + n: sg * local['ttn']}
-    return (np.array([u['u_x'], u['u_y']]),
-            np.array([[u['u_xx'], u['u_xy']], [u['u_xy'], u['u_yy']]]),
-            np.array([u['u_xxx'] + u['u_yyx'], u['u_xxy'] + u['u_yyy']]))
-
-
 @pytest.mark.parametrize("face", ["west", "east", "south", "north"])
 def test_face_recovery_matches_per_term_einsums(face):
-    # the map's every term on a random field, against one einsum per term
-    # of the per-face recovery it replaced
+    # the map's every term on a random field, against the reference's one
+    # einsum per term of each face
     basis = build_basis(2)
     mesh = build_mesh(((-1.0, 1.0), (-0.5, 1.0)), (7, 5))
     field = np.random.default_rng(3).standard_normal((7, 3, 5, 3))
-    want = _face_reference(mesh, basis, face, field)
+    want = face_derivatives(mesh, basis, face, field)
     got, = FaceDerivatives2D(mesh, basis).recover(field)
     assert len(got) == 3
     for key, g, w in zip(('grad', 'hess', 'grad_lap'), got, want):
@@ -202,20 +159,19 @@ def test_face_recovery_matches_per_term_einsums(face):
 
 @pytest.mark.parametrize("cells", [(4, 3), (6, 6)])
 def test_face_recovery_rows_are_one_quantity_each(cells):
-    # recover returns C-contiguous views of one array, the Hessian's two
-    # u_xy rows the same bits, and every value bitwise that of the map
-    # with a row per (point, quantity): each row keeps its entries in
-    # their order, so only the row order changed
+    # recover returns C-contiguous views of one array, one row of face
+    # points per quantity, and the Hessian's two u_xy rows the same bits
     basis = build_basis(2)
     mesh = build_mesh(((-1.0, 1.0), (-0.5, 1.0)), cells)
     field = np.random.default_rng(5).standard_normal(
         cells[0] * cells[1] * basis.p ** 2)
     got, = FaceDerivatives2D(mesh, basis).recover(field)
-    want, = PointMajorFaceDerivatives2D(mesh, basis).recover(field)
-    for key, g, w in zip(('grad', 'hess', 'grad_lap'), got, want):
+    points = 2 * basis.p * sum(cells)
+    for key, g, shape in zip(('grad', 'hess', 'grad_lap'), got,
+                             ((2,), (2, 2), (2,))):
+        assert g.shape == shape + (points,), key
         assert g.flags.c_contiguous, key
         assert g.base is got[0].base, key
-        assert g.shape == w.shape and g.tobytes() == w.tobytes(), key
     hess = got[1]
     assert hess[0, 1].tobytes() == hess[1, 0].tobytes()
 
