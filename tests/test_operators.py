@@ -524,8 +524,7 @@ def test_explicit_rhs_matches_the_reference(name):
     # and the exact solution, within 128 ulps of the magnitudes of the
     # terms summed: the oracles sum 20 quadrature terms an entry, the
     # solver p, and 53 ulps is the most seen, on the SkylakeX and Haswell
-    # cores alike.  In 1D, face data as Python floats and as np.float64
-    # give the same bytes
+    # cores alike
     prob = _burgers_2d() if name == 'burgers2d' else builtin_problem(name)
     basis = build_basis(prob.degree)
     rng = np.random.default_rng(71)
@@ -543,9 +542,27 @@ def test_explicit_rhs_matches_the_reference(name):
                                         axes=axes)
                 assert got.shape == want.shape
                 assert np.all(np.abs(got - want) <= 128 * EPS * terms), cells
-            if mesh.dim == 1:
+
+
+@pytest.mark.parametrize("name", ['heat1d', 'burgers1d', 'heat1d_o4'])
+def test_explicit_rhs_1d_reads_float_faces_as_float64(name):
+    # the naive sampler and the stage corrector pass a 1D mesh's face data
+    # as Python floats, the treated controllers as np.float64: the same
+    # bytes, at the reference test's cells, states and exact solution
+    prob = builtin_problem(name)
+    basis = build_basis(prob.degree)
+    rng = np.random.default_rng(71)
+    for cells in (3, 40, 160):
+        mesh = build_mesh(prob.bounds, cells)
+        diff = Diffusion(mesh, basis, prob.d_coef)
+        states = [_random_state(mesh, basis, diff, rng) for _ in range(3)]
+        smooth = interpolate(lambda x: prob.exact(x, 0.3), mesh, basis)
+        for u, bdata in states + [(smooth, states[0][1])]:
+            for axes in (None, diff.axes):
+                got = mesh_explicit_rhs(u, 0.3, bdata, prob, mesh, basis,
+                                        axes=axes)
                 floats = mesh_explicit_rhs(u, 0.3, _float_faces(bdata), prob,
-                                           mesh, basis, axes=diff.axes)
+                                           mesh, basis, axes=axes)
                 assert floats.tobytes() == got.tobytes(), cells
 
 
@@ -589,8 +606,7 @@ def test_explicit_rhs_reads_both_layouts_into_the_flat_buffer(
                                    (2, 4), (1, 3), (40,)])
 def test_boundary_vector_matches_the_dense_map(cells):
     # each axis's whole Gb from the cell loop, times its face data: a new
-    # C-ordered vector, and in 1D the same bytes for face data as Python
-    # floats and as np.float64
+    # C-ordered vector
     rng = np.random.default_rng(41)
     mesh = build_mesh(((-1.0, 1.0),) * len(cells), cells)
     for k in (2, 3):
@@ -601,8 +617,6 @@ def test_boundary_vector_matches_the_dense_map(cells):
             bdata = _random_state(mesh, basis, diff, rng)[1]
             got, want = diff.gb(bdata), ref.boundary_vector(ops, bdata)
             assert got.shape == want.shape and got.flags.c_contiguous
-            if mesh.dim == 1:
-                assert diff.gb(_float_faces(bdata)).tobytes() == got.tobytes()
             if min(ax.n for ax in mesh.axes) >= 3:
                 assert np.array_equal(got, want)
             else:
@@ -610,6 +624,23 @@ def test_boundary_vector_matches_the_dense_map(cells):
                 # products in another order: a few ulps of the terms
                 terms = ref.boundary_vector(ops, bdata, part=np.abs)
                 assert np.all(np.abs(got - want) <= 4 * np.spacing(terms))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+def test_boundary_vector_1d_reads_float_faces_as_float64(n):
+    # face data as Python floats (the naive sampler and the stage
+    # corrector) and as np.float64 give the same bytes, a new C-ordered
+    # vector, where the two end blocks meet (one and two cells) too
+    rng = np.random.default_rng(43)
+    mesh = build_mesh((-1.0, 1.0), n)
+    for k in (2, 3):
+        diff = Diffusion(mesh, build_basis(k), 0.7)
+        for _ in range(5):
+            bdata = _random_state(mesh, diff.basis, diff, rng)[1]
+            got = diff.gb(bdata)
+            floats = diff.gb(_float_faces(bdata))
+            assert floats.flags.c_contiguous and floats is not got
+            assert floats.tobytes() == got.tobytes(), (n, k)
 
 
 # -- the linear-flux kernel against the general one ---------------------------
