@@ -42,11 +42,13 @@ declares to its sampler the traces it reads at the step start only
 Factors of (I - a_ii tau L) are cached per diagonal entry for the current
 step size only: a fixed step size factors each distinct a_ii once, and a
 new step size (the shortened final step) drops the old factors before
-factoring its own.  Every factor is one SuperLU factorization, with its
-defaults, of I - a_ii tau Diffusion.shifted, L in a basis where the stage
-matrix is banded (in 2D the eigenbasis of both axes, where it is
-diagonal); a stage solve maps its right-hand side into that basis and its
-solution back.
+factoring its own.  Every factor is one SuperLU factorization of
+I - a_ii tau Diffusion.shifted, L in a basis where the stage matrix is
+banded; a stage solve maps its right-hand side into that basis and its
+solution back.  In 1D that basis is the dof basis itself and SuperLU runs
+with its defaults.  In 2D it is the eigenbasis of both axes, where the
+stage matrix is the diagonal 1 - a_ii tau lam, built as such and factored
+in its natural order with no supernodes or panels.
 """
 
 import math
@@ -69,8 +71,9 @@ class ImexTableau:
     lists worked out here once: ex_rows[i] and im_rows[i] hold the
     (j, a_ij), j < i, of stage i's explicit and implicit rows, im_diag
     the diagonal a_ii, ex_weights and im_weights the (i, b_i) of the
-    update, and needs_psi[i] tells whether stage i's implicit tendency
-    psi^i enters any later stage or the update.
+    update.  needs_xi[i] and needs_psi[i] tell whether stage i's
+    explicit rate xi^i and implicit tendency psi^i enter any later stage
+    or the update: a step forms neither where it is not read.
     """
 
     def __init__(self, name, c, a_ex, a_im, b_ex, b_im):
@@ -88,6 +91,9 @@ class ImexTableau:
         self.im_diag = np.diagonal(self.a_im).tolist()
         self.ex_weights = _nonzero(self.b_ex.tolist())
         self.im_weights = _nonzero(self.b_im.tolist())
+        read = {j for row in self.ex_rows for j, _ in row}
+        read.update(i for i, _ in self.ex_weights)
+        self.needs_xi = [i in read for i in range(self.stages)]
         used = {j for row in self.im_rows for j, _ in row}
         used.update(i for i, _ in self.im_weights)
         self.needs_psi = [i in used or a != 0.0
@@ -374,14 +380,28 @@ class ImexIntegrator:
         """The factor of I - coef Diffusion.shifted, made on first use."""
         lu = self._lu.get(coef)
         if lu is None:
-            # in 2D shifted is diagonal, 2 L+U entries per dof at any N,
-            # where a sparse LU of the 2D stage matrix fills over 100 per
-            # dof from N = 12 on.  SuperLU's defaults: another pivot
-            # order moves the 1D errors at the roundoff floor (heat1d_o4 L2
-            # at N = 160, T = 1 by -14%).
-            shifted = self.diffusion.shifted
-            eye = sp.identity(shifted.shape[0], format='csc')
-            lu = spla.splu((eye - coef * shifted).tocsc())
+            if self.mesh.dim == 1:
+                # SuperLU's defaults: another pivot order moves the 1D
+                # errors at the roundoff floor (heat1d_o4 L2 at N = 160,
+                # T = 1 by -14%)
+                shifted = self.diffusion.shifted
+                eye = sp.identity(shifted.shape[0], format='csc')
+                lu = spla.splu((eye - coef * shifted).tocsc())
+            else:
+                # in 2D shifted is the diagonal lam, 2 L+U entries per dof
+                # at any N, where a sparse LU of the 2D stage matrix fills
+                # over 100 per dof from N = 12 on.  Its CSC is built from
+                # the entries 1 - coef lam, the bits of the sparse
+                # difference, and factored in its own order, without
+                # supernodes or panels: a diagonal solve is rhs / d under
+                # any option, and SuperLU's default COLAMD ordering and
+                # 10-column panels only add work and workspace (treated
+                # heat2d at N = 40 peaked 6.0 MB above N = 20 with them,
+                # 2.8 MB without)
+                d = 1.0 - coef * self.diffusion.lam
+                diag = np.arange(d.size + 1, dtype=np.int32)
+                lu = spla.splu(sp.csc_matrix((d, diag[:-1], diag)),
+                               permc_spec='NATURAL', relax=1, panel_size=1)
             self._lu[coef] = lu
             self.factorizations += 1
         return lu
@@ -425,7 +445,8 @@ class ImexIntegrator:
                 ctrl.observe_stage(i, ufield)
             if psi[i] is None and tab.needs_psi[i]:
                 psi[i] = diff.matvec(ui) + diff.gb(bd)
-            xi[i] = self._xi(ufield, t + tab.c[i] * tau, bd)
+            if tab.needs_xi[i]:
+                xi[i] = self._xi(ufield, t + tab.c[i] * tau, bd)
 
         unew = uflat.copy()
         for i, cf in tab.ex_weights:
@@ -438,8 +459,9 @@ class ImexIntegrator:
         """Step from t0 to t_end, shortening the last step to land exactly.
 
         Returns (u, info) where info reports the step count, the number
-        of sparse LU factorizations made during this call and the final
-        time t.
+        of sparse LU factorizations made during this call, the final time
+        t and growth, the largest per-step ratio max|u^{n+1}| / max|u^n|
+        over the steps from a nonzero field (None if there is none).
         Raises ValueError for a non-finite t0, t_end or tau, a step size
         tau <= 0 or t_end < t0, and FloatingPointError, naming the step and
         time, as soon as a step leaves a non-finite value.
@@ -454,6 +476,7 @@ class ImexIntegrator:
         u = np.array(u0, dtype=float)
         t = t0
         steps = 0
+        size, growth = float(np.abs(u).max()), None
         factorizations = self.factorizations
         remaining = t_end - t0
         nfull = int(math.floor(remaining / tau + 1e-12))
@@ -463,18 +486,27 @@ class ImexIntegrator:
             u = self.step(u, t, tau)
             steps += 1
             t = t0 + steps * tau
-            _check_finite(u, steps, t)
+            size, growth = _grown(u, steps, t, size, growth)
         if t_end - t > 1e-12 * max(1.0, abs(t_end)):
             u = self.step(u, t, t_end - t)
             steps += 1
             t = t_end
-            _check_finite(u, steps, t)
+            size, growth = _grown(u, steps, t, size, growth)
         return u, {'steps': steps,
                    'factorizations': self.factorizations - factorizations,
-                   't': t}
+                   't': t, 'growth': growth}
 
 
-def _check_finite(u, steps, t):
-    if not np.isfinite(u).all():
+def _grown(u, steps, t, size, growth):
+    """(max|u|, growth) after a step from a field of max|u^n| = size, with
+    growth the largest ratio so far (None for none): the ratio is skipped
+    where size is 0.  The one max|u| also checks u: a non-finite value
+    raises FloatingPointError, naming the step and time."""
+    new = float(np.abs(u).max())
+    if not math.isfinite(new):
         raise FloatingPointError("non-finite solution after step %d at t=%.6g"
                                  % (steps, t))
+    if size > 0.0:
+        ratio = new / size
+        growth = ratio if growth is None else max(growth, ratio)
+    return new, growth

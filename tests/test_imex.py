@@ -193,10 +193,10 @@ class _Residuals:
 def _record_splu(monkeypatch, keywords=True):
     """Route the integrator's splu through a recorder.
 
-    Returns the list that collects (matrix, factor) per call and the list
-    that collects the relative residual of every solve with those
-    factors: in 2D against the diagonal matrix handed to splu, not the
-    stage matrix (see _record_stage_residuals).  With keywords=False
+    Returns the list that collects (matrix, keywords, factor) per call
+    and the list that collects the relative residual of every solve with
+    those factors: in 2D against the diagonal matrix handed to splu, not
+    the stage matrix (see _record_stage_residuals).  With keywords=False
     every keyword argument is dropped, so the factor is SuperLU's default
     one.
     """
@@ -205,7 +205,7 @@ def _record_splu(monkeypatch, keywords=True):
 
     def splu(a, **kw):
         lu = SPLU(a, **kw) if keywords else SPLU(a)
-        made.append((a, lu))
+        made.append((a, kw, lu))
         return _Residuals(a, lu, residuals)
 
     monkeypatch.setattr(imex.spla, 'splu', splu)
@@ -284,11 +284,15 @@ def test_2d_factors_are_diagonal(monkeypatch):
     # its factor stores one L and one U entry per dof at any N, where the
     # global 2D LU grows with N (71 -> 106 per dof from N = 6 to 12 with
     # a symmetric minimum-degree ordering, 146 at N = 20 with the
-    # defaults) and one banded Lx block per y-eigenvalue kept about 10
+    # defaults) and one banded Lx block per y-eigenvalue kept about 10.
+    # The matrix handed to splu holds the entries and structure of the
+    # sparse I - coef shifted, is factored in its own order, and solves
+    # as the division by its diagonal, bitwise
     made, _ = _record_splu(monkeypatch)
     residuals = _record_stage_residuals(monkeypatch)
     prob = builtin_problem('heat2d')
     basis = build_basis(prob.degree)
+    rng = np.random.default_rng(3)
     for n in (6, 12):
         made.clear()
         residuals.clear()
@@ -299,8 +303,23 @@ def test_2d_factors_are_diagonal(monkeypatch):
         _, info = integ.integrate(u0, 0.0, 3.5 * tau, tau)
         assert info['factorizations'] == len(made) == 2
         ndof = (n * basis.p) ** 2
-        for _, lu in made:
+        diff = integ.diffusion
+        # the full steps' coefficient, then the shortened step's (kept)
+        coefs = [tau * integ.tableau.im_diag[1], *integ._lu]
+        for (a, kw, lu), coef in zip(made, coefs, strict=True):
+            assert kw == {'permc_spec': 'NATURAL', 'relax': 1,
+                          'panel_size': 1}
             assert lu.L.nnz + lu.U.nnz == 2 * ndof
+            assert np.array_equal(lu.perm_c, np.arange(ndof))
+            assert np.array_equal(lu.perm_r, np.arange(ndof))
+            want = (sp.identity(ndof, format='csc') - coef * diff.shifted
+                    ).tocsc()
+            assert a.format == 'csc' and a.shape == want.shape
+            for part in ('indptr', 'indices', 'data'):
+                got, ref = getattr(a, part), getattr(want, part)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            rhs = rng.standard_normal(ndof)
+            assert np.array_equal(lu.solve(rhs), rhs / (1.0 - coef * diff.lam))
         # every stage solve satisfies the true stage equation
         assert len(residuals) == 3 * info['steps']
         assert 0.0 < max(residuals) <= 1e-12
@@ -336,8 +355,9 @@ def test_stage_solve_matches_a_direct_sparse_solve(k):
 @pytest.mark.parametrize("name", ["heat1d", "burgers1d", "heat1d_o4",
                                   "heat2d"])
 def test_factors_are_superlu_defaults(monkeypatch, name):
-    # bitwise equal with and without splu's keywords: no ordering or
-    # pivoting option is passed, in 1D or 2D
+    # bitwise equal with and without splu's keywords: 1D passes none, so
+    # its factors are SuperLU's defaults; 2D's diagonal factors take the
+    # natural order without supernodes or panels, which changes no bit
     prob = builtin_problem(name)
     basis = build_basis(prob.degree)
     mesh = build_mesh(prob.bounds, 20 if prob.dim == 1 else (6, 6))
@@ -352,6 +372,8 @@ def test_factors_are_superlu_defaults(monkeypatch, name):
                                    builtin_tableau(prob.tableau)))
         u, info = integ.integrate(u0, 0.0, 10.5 * tau, tau)
         assert info['factorizations'] == len(made) == 2
+        if prob.dim == 1:
+            assert all(kw == {} for _, kw, _ in made)
         runs.append(u)
     assert np.array_equal(runs[0], runs[1])
 
@@ -517,6 +539,40 @@ def test_divergence_stops_at_the_failing_step():
     assert len(begun) == 5
 
 
+def test_growth_is_the_largest_step_ratio():
+    # decaying heat1d shrinks max|u| at every step, the shortened last
+    # one included, and growth is the largest of the ratios stepped by hand
+    prob, mesh, basis, integ, u0 = _heat_setup(8)
+    tau = prob.cfl * mesh.dx
+    _, info = integ.integrate(u0, 0.0, 0.53, tau)
+    assert info['factorizations'] == 2       # a shortened last step
+    u, t, ratios = u0, 0.0, []
+    for m in range(info['steps']):
+        new = integ.step(u, t, min(tau, 0.53 - t))
+        ratios.append(np.abs(new).max() / np.abs(u).max())
+        u, t = new, (m + 1) * tau
+    assert info['growth'] == max(ratios) < 1.0
+    # u = e^t sin x solves u_t = D u_xx + (1 + D) u: each step multiplies
+    # max|u| by about e^tau
+    d = 0.1
+    prob = ProblemSpec('grow', (0.0, np.pi), d, 1.0, 0.2, 2, p=1.0 + d,
+                       exact=lambda x, t: np.exp(t) * np.sin(x))
+    basis = build_basis(2)
+    mesh = build_mesh(prob.bounds, 16)
+    u0 = interpolate(prob.u0, mesh, basis)
+    tau = 0.05
+    _, info = ImexIntegrator(prob, mesh, basis).integrate(u0, 0.0, 1.0, tau)
+    assert info['steps'] == 20
+    assert abs(info['growth'] - np.exp(tau)) <= 1e-5
+    # no ratio is taken from a zero field: a run that stays zero has none
+    prob = ProblemSpec('rest', (0.0, 1.0), d, 1.0, 0.2, 2,
+                       exact=lambda x, t: 0.0 * x)
+    mesh = build_mesh(prob.bounds, 4)
+    _, info = ImexIntegrator(prob, mesh, basis).integrate(
+        np.zeros((4, basis.p)), 0.0, 0.3, 0.1)
+    assert info['steps'] == 3 and info['growth'] is None
+
+
 def _observed_step(monkeypatch, integ, u0, t, tau):
     """One step of integ, seen from outside the integrator.
 
@@ -610,24 +666,41 @@ def _ark3_first_stage_twice():
 @pytest.mark.parametrize("name,cells", [('heat1d', 10), ('burgers1d', 10),
                                         ('heat2d', (5, 5))])
 @pytest.mark.parametrize("bc", ['naive', 'treated'])
-def test_an_explicit_internal_stage_is_the_accumulated_field(name, cells, bc):
+def test_an_explicit_internal_stage_is_the_accumulated_field(monkeypatch,
+                                                             name, cells, bc):
     # a stage with a_ii = 0 past the first takes its accumulated right-hand
     # side as its field: a repeated first stage changes no bit of ARK3's
-    # final field, naive or treated
+    # final field, naive or treated.  Its xi enters no later row and no
+    # weight, so a step forms none: explicit_rhs runs at ARK3's four
+    # stages a step, not at all five
     twice = _ark3_first_stage_twice()
     assert twice.im_diag[1] == 0.0 and not twice.needs_psi[1]
+    assert twice.needs_xi == [True, False, True, True, True]
+    for tab in map(builtin_tableau, ('ark3', 'ark4')):
+        assert all(tab.needs_xi)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return explicit_rhs(*args)
+
+    monkeypatch.setattr(imex, 'explicit_rhs', counted)
     prob = builtin_problem(name)
     basis = build_basis(prob.degree)
     mesh = build_mesh(prob.bounds, cells)
     u0 = interpolate(prob.u0, mesh, basis)
-    fields = []
+    fields, ncalls = [], []
     for tab in (builtin_tableau('ark3'), twice):
         ctrl = (NaiveBoundary(prob, mesh, basis, tab) if bc == 'naive'
                 else treated_boundary(prob, mesh, basis, tab))
         integ = ImexIntegrator(prob, mesh, basis, tableau=tab,
                                controller=ctrl)
-        fields.append(integ.integrate(u0, 0.0, 0.13, 0.02)[0])
+        calls.clear()
+        u, info = integ.integrate(u0, 0.0, 0.13, 0.02)
+        fields.append(u)
+        ncalls.append(len(calls))
     assert fields[0].tobytes() == fields[1].tobytes()
+    assert ncalls == [4 * info['steps']] * 2
 
 
 @pytest.mark.parametrize("name,products", [('ark3', 0), ('ark4', 1)])
