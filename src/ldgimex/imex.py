@@ -47,8 +47,8 @@ I - a_ii tau Diffusion.shifted, L in a basis where the stage matrix is
 banded; a stage solve maps its right-hand side into that basis and its
 solution back.  In 1D that basis is the dof basis itself and SuperLU runs
 with its defaults.  In 2D it is the eigenbasis of both axes, where the
-stage matrix is the diagonal 1 - a_ii tau lam, built as such and factored
-in its natural order with no supernodes or panels.
+stage matrix is diagonal and is factored in its natural order with no
+supernodes or panels.
 """
 
 import math
@@ -380,28 +380,19 @@ class ImexIntegrator:
         """The factor of I - coef Diffusion.shifted, made on first use."""
         lu = self._lu.get(coef)
         if lu is None:
-            if self.mesh.dim == 1:
-                # SuperLU's defaults: another pivot order moves the 1D
-                # errors at the roundoff floor (heat1d_o4 L2 at N = 160,
-                # T = 1 by -14%)
-                shifted = self.diffusion.shifted
-                eye = sp.identity(shifted.shape[0], format='csc')
-                lu = spla.splu((eye - coef * shifted).tocsc())
-            else:
-                # in 2D shifted is the diagonal lam, 2 L+U entries per dof
-                # at any N, where a sparse LU of the 2D stage matrix fills
-                # over 100 per dof from N = 12 on.  Its CSC is built from
-                # the entries 1 - coef lam, the bits of the sparse
-                # difference, and factored in its own order, without
-                # supernodes or panels: a diagonal solve is rhs / d under
-                # any option, and SuperLU's default COLAMD ordering and
-                # 10-column panels only add work and workspace (treated
-                # heat2d at N = 40 peaked 6.0 MB above N = 20 with them,
-                # 2.8 MB without)
-                d = 1.0 - coef * self.diffusion.lam
-                diag = np.arange(d.size + 1, dtype=np.int32)
-                lu = spla.splu(sp.csc_matrix((d, diag[:-1], diag)),
-                               permc_spec='NATURAL', relax=1, panel_size=1)
+            # 1D takes SuperLU's defaults: another pivot order moves the 1D
+            # errors at the roundoff floor (heat1d_o4 L2 at N = 160, T = 1
+            # by -14%).  In 2D shifted is diagonal, 2 L+U entries per dof
+            # at any N, where a sparse LU of the 2D stage matrix fills over
+            # 100 per dof from N = 12 on; it is factored in its own order
+            # without supernodes or panels.  A diagonal solve is rhs / d
+            # under any option, and the default COLAMD ordering and
+            # 10-column panels only add work and workspace
+            kw = ({} if self.mesh.dim == 1 else
+                  {'permc_spec': 'NATURAL', 'relax': 1, 'panel_size': 1})
+            shifted = self.diffusion.shifted
+            eye = sp.identity(shifted.shape[0], format='csc')
+            lu = spla.splu((eye - coef * shifted).tocsc(), **kw)
             self._lu[coef] = lu
             self.factorizations += 1
         return lu
@@ -501,8 +492,10 @@ def _grown(u, steps, t, size, growth):
     """(max|u|, growth) after a step from a field of max|u^n| = size, with
     growth the largest ratio so far (None for none): the ratio is skipped
     where size is 0.  The one max|u| also checks u: a non-finite value
-    raises FloatingPointError, naming the step and time."""
-    new = float(np.abs(u).max())
+    raises FloatingPointError, naming the step and time.  max|u| is read
+    as max(max u, -min u), two reductions with no temporary array; a nan
+    propagates through both."""
+    new = max(float(u.max()), -float(u.min()))
     if not math.isfinite(new):
         raise FloatingPointError("non-finite solution after step %d at t=%.6g"
                                  % (steps, t))

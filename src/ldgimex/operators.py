@@ -240,11 +240,10 @@ class Diffusion:
     L is kept as shifted, L in a basis where every stage matrix I - c L
     is banded, with the maps into and out of that basis (to_basis,
     from_basis; matvec forms L v through them): in 1D the axis's L and the
-    identity; in 2D the diagonal lam = lam_x (+) lam_y, for each axis's
-    L = vec diag(lam) vinv (AxisOperator.eigenbasis), with a flat v shaped
-    V (x dofs, y dofs) mapping to W = vinv_x V vinv_y^T and back by
-    V = vec_x W vec_y^T, x slowest in both orders.  lam, the vector of
-    shifted's diagonal, is None in 1D.
+    identity; in 2D the diagonal lam_x (+) lam_y, for each axis's L = vec
+    diag(lam) vinv (AxisOperator.eigenbasis), with a flat v shaped V (x
+    dofs, y dofs) mapping to W = vinv_x V vinv_y^T and back by V = vec_x W
+    vec_y^T, x slowest in both orders.
     """
 
     def __init__(self, mesh, basis, d_coef):
@@ -258,16 +257,15 @@ class Diffusion:
                           for ax, w in zip(axes, widths))
         if dim == 1:
             self.shifted, self._vec, self._vinv = self.axes[0].L, None, None
-            self.lam = None
         else:
             # axes of equal (n, dx) have bitwise equal L, and one eigenbasis;
             # each keeps its own AxisOperator for its own LLF memo
             lx, vx, ix = self.axes[0].eigenbasis()
             same = (axes[0].n, axes[0].dx) == (axes[1].n, axes[1].dx)
             ly, vy, iy = (lx, vx, ix) if same else self.axes[1].eigenbasis()
-            self.lam = (lx[:, None] + ly).ravel()
-            diag = np.arange(self.lam.size + 1, dtype=np.int32)
-            self.shifted = sp.csr_matrix((self.lam, diag[:-1], diag))
+            diag = np.arange(lx.size * ly.size + 1, dtype=np.int32)
+            self.shifted = sp.csr_matrix(
+                ((lx[:, None] + ly).ravel(), diag[:-1], diag))
             self._vec, self._vinv = (vx, vy.T), (ix, iy.T)
         self.shape = tuple(s for ax in axes for s in (ax.n, p))
         if dim == 1:

@@ -285,9 +285,9 @@ def test_2d_factors_are_diagonal(monkeypatch):
     # global 2D LU grows with N (71 -> 106 per dof from N = 6 to 12 with
     # a symmetric minimum-degree ordering, 146 at N = 20 with the
     # defaults) and one banded Lx block per y-eigenvalue kept about 10.
-    # The matrix handed to splu holds the entries and structure of the
-    # sparse I - coef shifted, is factored in its own order, and solves
-    # as the division by its diagonal, bitwise
+    # The matrix handed to splu is the diagonal 1 - coef lam, lam the
+    # diagonal of shifted, is factored in its own order, and solves as the
+    # division by that diagonal, bitwise
     made, _ = _record_splu(monkeypatch)
     residuals = _record_stage_residuals(monkeypatch)
     prob = builtin_problem('heat2d')
@@ -303,7 +303,7 @@ def test_2d_factors_are_diagonal(monkeypatch):
         _, info = integ.integrate(u0, 0.0, 3.5 * tau, tau)
         assert info['factorizations'] == len(made) == 2
         ndof = (n * basis.p) ** 2
-        diff = integ.diffusion
+        lam = integ.diffusion.shifted.diagonal()
         # the full steps' coefficient, then the shortened step's (kept)
         coefs = [tau * integ.tableau.im_diag[1], *integ._lu]
         for (a, kw, lu), coef in zip(made, coefs, strict=True):
@@ -312,14 +312,13 @@ def test_2d_factors_are_diagonal(monkeypatch):
             assert lu.L.nnz + lu.U.nnz == 2 * ndof
             assert np.array_equal(lu.perm_c, np.arange(ndof))
             assert np.array_equal(lu.perm_r, np.arange(ndof))
-            want = (sp.identity(ndof, format='csc') - coef * diff.shifted
-                    ).tocsc()
-            assert a.format == 'csc' and a.shape == want.shape
-            for part in ('indptr', 'indices', 'data'):
-                got, ref = getattr(a, part), getattr(want, part)
-                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            d = 1.0 - coef * lam
+            assert a.format == 'csc' and a.shape == (ndof, ndof)
+            assert np.array_equal(a.indptr, np.arange(ndof + 1))
+            assert np.array_equal(a.indices, np.arange(ndof))
+            assert np.array_equal(a.data, d)
             rhs = rng.standard_normal(ndof)
-            assert np.array_equal(lu.solve(rhs), rhs / (1.0 - coef * diff.lam))
+            assert np.array_equal(lu.solve(rhs), rhs / d)
         # every stage solve satisfies the true stage equation
         assert len(residuals) == 3 * info['steps']
         assert 0.0 < max(residuals) <= 1e-12
@@ -552,11 +551,11 @@ def test_growth_is_the_largest_step_ratio():
         ratios.append(np.abs(new).max() / np.abs(u).max())
         u, t = new, (m + 1) * tau
     assert info['growth'] == max(ratios) < 1.0
-    # u = e^t sin x solves u_t = D u_xx + (1 + D) u: each step multiplies
-    # max|u| by about e^tau
+    # u = -e^t sin x solves u_t = D u_xx + (1 + D) u: each step multiplies
+    # max|u|, here -min u, by about e^tau
     d = 0.1
     prob = ProblemSpec('grow', (0.0, np.pi), d, 1.0, 0.2, 2, p=1.0 + d,
-                       exact=lambda x, t: np.exp(t) * np.sin(x))
+                       exact=lambda x, t: -np.exp(t) * np.sin(x))
     basis = build_basis(2)
     mesh = build_mesh(prob.bounds, 16)
     u0 = interpolate(prob.u0, mesh, basis)
