@@ -168,13 +168,14 @@ def _cmd_single(opts):
         raise ValueError("--n is required")
     config = _build_config(opts, [n])
     res = run_single(config, profile=opts.get('profile'))
+    growth = 'none' if res['growth'] is None else '%.6e' % res['growth']
     if res['errors'] is not None:
         e1, e2, einf = res['errors']
-        print("N=%d l1=%.6e l2=%.6e linf=%.6e steps=%d"
-              % (n, e1, e2, einf, res['steps']))
+        print("N=%d l1=%.6e l2=%.6e linf=%.6e steps=%d growth=%s"
+              % (n, e1, e2, einf, res['steps'], growth))
     else:
-        print("N=%d steps=%d (no exact solution; profile vs naive reference)"
-              % (n, res['steps']))
+        print("N=%d steps=%d growth=%s (no exact solution; profile vs naive "
+              "reference)" % (n, res['steps'], growth))
     print("max/interior-median error ratio: %.3f" % res['ratio'])
     if res['profile']:
         print("# wrote %s" % res['profile'], file=sys.stderr)

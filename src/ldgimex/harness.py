@@ -94,9 +94,9 @@ def solve_level(config, n, bc_mode=None, collect_trace=False):
     """Integrate one level to t = T.
 
     Returns a dict with the final nodal field plus mesh/basis, wall seconds
-    (clock around integrate() only; setup excluded), step count, errors
-    (None when the problem has no exact solution), and the boundary trace
-    rows when requested.
+    (clock around integrate() only; setup excluded), step count, growth
+    (see ImexIntegrator.integrate), errors (None when the problem has no
+    exact solution), and the boundary trace rows when requested.
     """
     prob = config.problem
     if prob.u0 is None:
@@ -125,7 +125,7 @@ def solve_level(config, n, bc_mode=None, collect_trace=False):
            if prob.exact is not None else None)
     return {'n': n, 'mode': mode, 'u': u, 'mesh': mesh, 'basis': basis,
             'errors': err, 'seconds': seconds, 'steps': info['steps'],
-            'trace': trace}
+            'growth': info['growth'], 'trace': trace}
 
 
 def _orders(prev_err, err, n_prev, n):
@@ -298,19 +298,18 @@ def _trace_csv(trace, dim):
     return '\n'.join(lines) + '\n'
 
 
-def run_single(config, n=None, profile=None):
-    """One run at a single level, dumping the per-node error profile.
+def run_single(config, profile=None):
+    """One run at config's only level, dumping the per-node error profile.
 
     When the problem has an exact solution the profile holds |u - exact|
     and the returned dict carries the error norms; otherwise the run is
     compared against a naive-mode reference at the same level and the
     norms are omitted. Returns norms (or None), the error-localization
-    ratio, and the paths written.
+    ratio, the step count and growth, and the paths written.
     """
-    if n is None:
-        if len(config.levels) != 1:
-            raise ValueError("single run needs exactly one level")
-        n = config.levels[0]
+    if len(config.levels) != 1:
+        raise ValueError("single run needs exactly one level")
+    n, = config.levels
     if config.trace is not None and config.bc_mode != 'treated':
         raise ValueError("the stage-value trace needs bc_mode=treated")
     res = solve_level(config, n, collect_trace=config.trace is not None)
@@ -333,4 +332,5 @@ def run_single(config, n=None, profile=None):
         with open(config.trace, 'w', newline='') as fh:
             fh.write(_trace_csv(res['trace'], res['mesh'].dim))
     return {'n': n, 'errors': errors, 'ratio': ratio, 'seconds':
-            res['seconds'], 'steps': res['steps'], 'profile': path}
+            res['seconds'], 'steps': res['steps'], 'growth': res['growth'],
+            'profile': path}

@@ -26,16 +26,18 @@ nodes), and its own kernels (_linear_line, _flux_line) read the floats
 as they are and build the field, with the arithmetic of the batch
 kernels, so bitwise their result on one line, at a few numpy calls
 fewer.  A 2D mesh loops over its axes with the batch kernels.  The
-boundary vector (Diffusion.gb) is picked the same way: on a 1D mesh
-the two floats scale Gb's end-cell blocks into the flat vector itself,
-on a 2D one an axis loop adds each axis's blocks along its faces.  Along y,
-the last axis in the flat order, the field is (transverse lines, cells,
-nodes) with the node index last, so the p x p blocks of its line
-operator apply from the right to nodal values laid out as rows; along x
-it is (cells, nodes, transverse lines), and they apply from the left.  A
-transverse line is ordered as the axis's face data in both.  The general
-kernel of a callable flux takes (lines, cells, nodes) only, so along x it
-reads a transposed view.
+boundary vector (Diffusion.gb) reads only Gb's end blocks, which each
+AxisOperator keeps as views (gb_low in cell 0, gb_high in the cells
+from n - 2 on), and adds them in one order, each axis's low block then
+its high one, x before y: on a 1D mesh the two floats scale them into
+the flat vector, on a 2D mesh the face arrays do, broadcast over the
+transverse lines.  Along y, the last axis in the flat order, the field is
+(transverse lines, cells, nodes) with the node index last, so the p x p
+blocks of its line operator apply from the right to nodal values laid
+out as rows; along x it is (cells, nodes, transverse lines), and they
+apply from the left.  A transverse line is ordered as the axis's face
+data in both.  The general kernel of a callable flux takes (lines,
+cells, nodes) only, so along x it reads a transposed view.
 
 A flux given as a number c (problem.speeds) is linear, and so is its LLF
 operator: block tridiagonal over the cells, three products with p x p
@@ -46,7 +48,10 @@ states, so the blocks are built once per run; a callable flux on another
 axis moves the bound, and with it the blocks, at every call.  At a bound
 alpha = |c|, as on every axis of every builtin problem, the LLF flux is
 the upwind flux: the block of the downwind neighbour and the outside
-state on the downwind side vanish, and the kernel skips them.
+state on the downwind side vanish, and the kernel skips them.  Every
+linear kernel sums an entry in one order: its own cell's product, then
+the low side's (the product from the cell below, or the outside state's
+row in the first cell), then the high side's.
 """
 
 import math
@@ -137,6 +142,11 @@ class AxisOperator(LineMatrices):
     sorted columns and no stored zeros, and Gb are bitwise those of the
     sparse products over a cell-by-cell assembly (cell_loop_operator in
     tests/reference.py).
+
+    Gb is nonzero only in those end blocks, which are kept as views of it:
+    gb_low, low's column in cell 0 (p entries), and gb_high, high's column
+    in the cells from high_start = max(n - 2, 0) on, flat.  Diffusion.gb
+    reads nothing else of Gb.
     """
 
     def __init__(self, n, dx, basis, d_coef, penalty):
@@ -210,6 +220,9 @@ class AxisOperator(LineMatrices):
         gb[-2:-1] += high_before
         self.Gb = d_coef * gb.reshape(n * p, 2)
         self.Gb[-p:, 1] += d_coef * penalty * winv * r
+        self.high_start = max(n - 2, 0)
+        self.gb_low = self.Gb[:p, 0]
+        self.gb_high = self.Gb[self.high_start * p:, 1]
 
     def eigenbasis(self):
         """(lam, vec, vinv): L = vec diag(lam) vinv, lam real, ascending.
@@ -268,32 +281,6 @@ class Diffusion:
                 ((lx[:, None] + ly).ravel(), diag[:-1], diag))
             self._vec, self._vinv = (vx, vy.T), (ix, iy.T)
         self.shape = tuple(s for ax in axes for s in (ax.n, p))
-        if dim == 1:
-            # gb's kernel on the one line: the flat size, and the entries
-            # of cell 0 and of the cells from n - 2 on with Gb's nonzero
-            # blocks there, as views of Gb (the same cells as the 2D loop's)
-            gb, first = self.axes[0].Gb, max(axes[0].n - 2, 0) * p
-            self._gb_line = (len(gb), slice(0, p), gb[:p, 0],
-                             slice(first, None), gb[first:, 1])
-            return
-        self._gb_line = None
-        # per axis: the field's index of its first cell along the axis and
-        # of its cells from n - 2 on, Gb's nonzero cell blocks shaped to
-        # broadcast there (low reaches cell 0 only, high, through Ddiv's
-        # upper blocks, cells n - 2 and n - 1, one column a row if n >= 3),
-        # and the shapes that broadcast the face data there: None along x,
-        # whose face data broadcast as they are
-        self._gb_blocks = []
-        for a, (ax, op) in enumerate(zip(axes, self.axes)):
-            before, after = self.shape[:2 * a], self.shape[2 * a + 2:]
-            lines, ones = (slice(None),) * len(before), (1,) * len(after)
-            first = max(ax.n - 2, 0)
-            self._gb_blocks.append((
-                lines + (0,), op.Gb[:p, 0].reshape((p,) + ones),
-                lines + (slice(first, None),),
-                op.Gb[first * p:, 1].reshape((-1, p) + ones),
-                (before + (1,) + after, before + (1, 1) + after) if a
-                else None))
 
     def to_basis(self, v):
         """The flat v in the basis of shifted."""
@@ -316,27 +303,31 @@ class Diffusion:
     def gb(self, bdata):
         """Boundary vector in the flat order: each axis's Gb @ [low; high]
         for the (low, high) face data pairs of bdata, one per axis, with
-        only the cell blocks where Gb has nonzeros applied.
+        only Gb's end blocks (AxisOperator.gb_low, gb_high) applied.
 
-        A 1D mesh adds its two float face values into the flat vector
-        itself, low's block then high's, as the axis loop adds them into
-        its (n, p) field, so bitwise that loop's result; blocks that meet
-        (n <= 2) sum in the same order.  A 2D mesh loops over its axes.
+        Every mesh adds them in one order, an axis's low block then its
+        high one, x before y, so blocks that meet (fewer than 3 cells
+        along an axis) sum in that order.  A 1D mesh adds its two float
+        face values into the flat vector; a 2D one adds each axis's
+        blocks along its faces, broadcast over the transverse lines.
         """
-        if self._gb_line is not None:
+        if self.mesh.dim == 1:
             (low, high), = bdata
-            size, cell0, gb_low, cells, gb_high = self._gb_line
-            g = np.zeros(size)
-            g[cell0] += gb_low * low
-            g[cells] += gb_high * high
+            op, = self.axes
+            p = self.basis.p
+            g = np.zeros(self.shape[0] * p)
+            g[:p] += op.gb_low * low
+            g[op.high_start * p:] += op.gb_high * high
             return g
+        (x_low, x_high), (y_low, y_high) = bdata
+        ax, ay = self.axes
+        nx, p = self.shape[:2]
         g = np.zeros(self.shape)
-        for (cell0, gb_low, cells, gb_high, faces), (low, high) in zip(
-                self._gb_blocks, bdata):
-            if faces is not None:
-                low, high = low.reshape(faces[0]), high.reshape(faces[1])
-            g[cell0] += gb_low * low
-            g[cells] += gb_high * high
+        g[0] += ax.gb_low[:, None, None] * x_low
+        g[ax.high_start:] += ax.gb_high.reshape(-1, p, 1, 1) * x_high
+        g[:, :, 0] += ay.gb_low * y_low.reshape(nx, p, 1)
+        g[:, :, ay.high_start:] += (ay.gb_high.reshape(-1, p)
+                                    * y_high.reshape(nx, p, 1, 1))
         return g.reshape(-1)
 
 
@@ -383,15 +374,14 @@ def _linear_lines(u, c, alpha, low, high, mats, out, first, nodes_last):
     The cell below enters through c + alpha, the cell above through
     c - alpha: when one of them is 0 (alpha = |c|, the upwind flux) its
     neighbour block and outside-state row are exactly zero and are
-    skipped.  On rows, a neighbour block multiplies the row array shifted
-    by one row, into one buffer added to out in one pass; at a line's end
+    skipped.  Each entry sums in one order: its own cell's product, then
+    the low side's term (the product from the cell below, or the outside
+    state's row in the first cell), then the high side's.  On rows, a
+    neighbour block multiplies the row array shifted by one row, into one
+    buffer that holds that side's outside-state row at each line's end
     row, which the shifted product does not reach from inside the line,
-    the buffer holds that side's outside-state row when the other side is
-    skipped, and -0.0 otherwise, which adds as the exact identity (x +
-    -0.0 is x, signed zeros too), the outside rows then added apart.  So
-    out is bitwise what the three full products give."""
+    and is added to out in one pass."""
     m0, m_low, m_high, b_low, b_high = mats.llf_blocks(c, alpha)
-    from_low, from_high = c + alpha != 0.0, c - alpha != 0.0
     if nodes_last:
         n, p = u.shape[1:]
         rows, dest = u.reshape(-1, p), out.reshape(-1, p)
@@ -400,35 +390,27 @@ def _linear_lines(u, c, alpha, low, high, mats, out, first, nodes_last):
         else:
             dest += rows @ m0
         # neighbour[i] is added into row i: row i - 1's product (from the
-        # cell below) or row i + 1's (from the cell above); at each line's
-        # first (last) row it holds the outside state's row instead, or
-        # -0.0 when both sides apply, whose outside rows then follow in
-        # the same order as the products
-        both = from_low and from_high
+        # cell below) or row i + 1's (from the cell above), and at each
+        # line's first (last) row the outside state's row instead
         neighbour = np.empty(dest.shape)
-        if from_low:
+        if c + alpha != 0.0:
             np.matmul(rows[:-1], m_low, out=neighbour[1:])
-            neighbour[::n] = -0.0 if both else low[:, None] * b_low
+            neighbour[::n] = low[:, None] * b_low
             dest += neighbour
-        if from_high:
+        if c - alpha != 0.0:
             np.matmul(rows[1:], m_high, out=neighbour[:-1])
-            neighbour[n - 1::n] = -0.0 if both else high[:, None] * b_high
+            neighbour[n - 1::n] = high[:, None] * b_high
             dest += neighbour
-        if both:
-            out[:, 0] += low[:, None] * b_low
-            out[:, -1] += high[:, None] * b_high
         return
     if first:
         np.matmul(m0.T, u, out=out)
     else:
         out += m0.T @ u
-    if from_low:
+    if c + alpha != 0.0:
         out[1:] += m_low.T @ u[:-1]
-    if from_high:
-        out[:-1] += m_high.T @ u[1:]
-    if from_low:
         out[0] += b_low[:, None] * low
-    if from_high:
+    if c - alpha != 0.0:
+        out[:-1] += m_high.T @ u[1:]
         out[-1] += b_high[:, None] * high
 
 
@@ -456,19 +438,16 @@ def llf_alpha(problem, u, bdata):
 
 def _linear_line(u, c, alpha, low, high, mats):
     """_linear_lines on the one (n, p) line of a 1D mesh, with float
-    outside states: a new field.  The neighbour products add into the
-    contiguous cell slices they reach, then the outside rows, in the order
-    of _linear_lines, so the result is bitwise its result."""
+    outside states: a new field.  Each side's neighbour product adds into
+    the contiguous cell slice it reaches, followed by its outside row, in
+    the order of _linear_lines, so the result is bitwise its result."""
     m0, m_low, m_high, b_low, b_high = mats.llf_blocks(c, alpha)
-    from_low, from_high = c + alpha != 0.0, c - alpha != 0.0
     out = u @ m0
-    if from_low:
+    if c + alpha != 0.0:
         out[1:] += u[:-1] @ m_low
-    if from_high:
-        out[:-1] += u[1:] @ m_high
-    if from_low:
         out[0] += low * b_low
-    if from_high:
+    if c - alpha != 0.0:
+        out[:-1] += u[1:] @ m_high
         out[-1] += high * b_high
     return out
 

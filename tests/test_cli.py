@@ -1,9 +1,12 @@
 """Command-line behavior: subcommands, config files, exit codes."""
 
+import re
+
 import pytest
 
 import ldgimex.cli as cli
-from ldgimex.harness import CONVERGENCE_HEADER, EFFICIENCY_HEADER
+from ldgimex.harness import (CONVERGENCE_HEADER, EFFICIENCY_HEADER,
+                             RunConfig, solve_level)
 
 _FAST = ['--cfl', '0.5', '--T', '0.5']
 
@@ -59,6 +62,26 @@ def test_single_reports_errors_and_ratio(tmp_path, capsys):
     assert 'N=8' in out and 'linf=' in out
     assert 'max/interior-median error ratio' in out
     assert path.exists()
+
+
+def test_single_prints_the_growth_of_its_run(monkeypatch, capsys):
+    # growth ends the first line, after steps=, as solve_level returns it
+    # at six significant digits, and reads none without a ratio; the
+    # l2=(\S+) field that CI parses stays whole
+    argv = ['single', '--problem', 'heat1d', '--n', '8', '--cfl', '0.5',
+            '--T', '0.2']
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    growth = solve_level(RunConfig('heat1d', [8], cfl=0.5, T=0.2),
+                         8)['growth']
+    assert first.endswith(' growth=%.6e' % growth)
+    assert re.search(r'steps=\d+ growth=', first)
+    assert float(re.search(r'l2=(\S+)', first).group(1)) > 0.0
+    real = cli.run_single
+    monkeypatch.setattr(cli, 'run_single',
+                        lambda *a, **k: dict(real(*a, **k), growth=None))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(' growth=none')
 
 
 def test_single_trace_flag(tmp_path):

@@ -126,6 +126,8 @@ def test_solve_level_returns_errors_and_counts():
     assert res['steps'] == 3
     assert res['seconds'] >= 0.0
     assert res['trace'] is None
+    # integrate()'s largest step ratio, here a decaying field's
+    assert 0.0 < res['growth'] < 1.0
 
 
 def test_solve_level_mode_override_and_trace():
@@ -433,6 +435,7 @@ def test_single_writes_profile(tmp_path):
     res = run_single(cfg, profile=str(path))
     assert res['n'] == 8
     assert len(res['errors']) == 3
+    assert res['growth'] == solve_level(cfg, 8)['growth']
     assert np.isfinite(res['ratio']) and res['ratio'] >= 1.0
     lines = path.read_text().splitlines()
     assert lines[0] == "cell,node,x,value,error"

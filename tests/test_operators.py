@@ -8,12 +8,13 @@ are held bitwise to the cell loop, which no BLAS call sums on either side;
 the explicit RHS, 1D and 2D, to the oracles run along every grid line, and
 the boundary vector to the dense product with each axis's whole Gb, both
 within a few ulps of the magnitudes of the terms summed, so on any BLAS
-core.  Two live kernels are held to each other too: the block-tridiagonal
-kernel of a linear flux to the general one run on the same flux as
-callables, and the one-line 1D kernels bitwise to the batch kernels on one
-line.  The solver holds L only in the basis of its stage solves
-(Diffusion.shifted) and never forms q, so the tests take the global L from
-the reference (global_L) and apply it (diffusion_apply,
+core; the boundary vector also bitwise to those whole columns added
+elementwise in its one order.  Two live kernels are held to each other
+too: the block-tridiagonal kernel of a linear flux to the general one run
+on the same flux as callables, and the one-line 1D kernels bitwise to the
+batch kernels on one line.  The solver holds L only in the basis of its
+stage solves (Diffusion.shifted) and never forms q, so the tests take the
+global L from the reference (global_L) and apply it (diffusion_apply,
 diffusion_gradient); they build explicit_rhs's coordinates and line
 matrices from the mesh (mesh_explicit_rhs), and keep the LLF flux formula
 (lax_friedrichs) that the convective kernel inlines.
@@ -518,14 +519,20 @@ def _float_faces(bdata):
 
 
 @pytest.mark.parametrize("name", ['heat1d', 'burgers1d', 'heat1d_o4',
-                                  'heat2d', 'burgers2d'])
+                                  'heat2d', 'burgers2d', 'two-speeds-2d'])
 def test_explicit_rhs_matches_the_reference(name):
     # every kernel, through LineMatrices and AxisOperator, on random states
     # and the exact solution, within 128 ulps of the magnitudes of the
     # terms summed: the oracles sum 20 quadrature terms an entry, the
     # solver p, and 53 ulps is the most seen, on the SkylakeX and Haswell
-    # cores alike
-    prob = _burgers_2d() if name == 'burgers2d' else builtin_problem(name)
+    # cores alike.  two-speeds-2d's speeds (0.3, -1.2) set alpha = 1.2 >
+    # 0.3 along x, where both neighbour blocks and both outside rows apply
+    if name == 'two-speeds-2d':
+        prob = _linear_and_callable(name)[0]
+    elif name == 'burgers2d':
+        prob = _burgers_2d()
+    else:
+        prob = builtin_problem(name)
     basis = build_basis(prob.degree)
     rng = np.random.default_rng(71)
     for cells in (3, 40, 160) if prob.dim == 1 else ((5, 3), (3, 6)):
@@ -603,10 +610,14 @@ def test_explicit_rhs_reads_both_layouts_into_the_flat_buffer(
 
 
 @pytest.mark.parametrize("cells", [(1,), (2,), (3,), (8,), (4, 3), (3, 5),
-                                   (2, 4), (1, 3), (40,)])
+                                   (2, 4), (1, 3), (40,), (3, 2), (4, 1)])
 def test_boundary_vector_matches_the_dense_map(cells):
     # each axis's whole Gb from the cell loop, times its face data: a new
-    # C-ordered vector
+    # C-ordered vector; the end blocks meet along x at (2, 4) and (1, 3),
+    # along y at (3, 2) and (4, 1).  Added elementwise in gb's one order,
+    # each axis's low column then its high one, x before y, the whole
+    # columns give gb's bytes: the zeros off the end blocks add as the
+    # identity, and no BLAS call sums
     rng = np.random.default_rng(41)
     mesh = build_mesh(((-1.0, 1.0),) * len(cells), cells)
     for k in (2, 3):
@@ -617,6 +628,14 @@ def test_boundary_vector_matches_the_dense_map(cells):
             bdata = _random_state(mesh, basis, diff, rng)[1]
             got, want = diff.gb(bdata), ref.boundary_vector(ops, bdata)
             assert got.shape == want.shape and got.flags.c_contiguous
+            ordered = np.zeros(diff.shape)
+            for a, (op, pair) in enumerate(zip(ops, bdata)):
+                across = diff.shape[:2 * a] + diff.shape[2 * a + 2:]
+                for column, face in zip(op['Gb'].T, pair):
+                    ordered += np.moveaxis(np.multiply.outer(
+                        column.reshape(-1, k + 1), np.reshape(face, across)),
+                        (0, 1), (2 * a, 2 * a + 1))
+            assert got.tobytes() == ordered.tobytes()
             if min(ax.n for ax in mesh.axes) >= 3:
                 assert np.array_equal(got, want)
             else:
