@@ -45,10 +45,12 @@ new step size (the shortened final step) drops the old factors before
 factoring its own.  Every factor is one SuperLU factorization of
 I - a_ii tau Diffusion.shifted, L in a basis where the stage matrix is
 banded; a stage solve maps its right-hand side into that basis and its
-solution back.  In 1D that basis is the dof basis itself and SuperLU runs
-with its defaults.  In 2D it is the eigenbasis of both axes, where the
-stage matrix is diagonal and is factored in its natural order with no
-supernodes or panels.
+solution back.  In 1D that basis is the dof basis itself, the stage
+matrix is formed as the sparse I - a_ii tau L and SuperLU runs with its
+defaults.  In 2D it is the eigenbasis of both axes, where the stage
+matrix is diagonal: it is built as a CSC matrix straight from the
+diagonal 1 - a_ii tau lam, lam that of shifted, and factored in its
+natural order with no supernodes or panels.
 """
 
 import math
@@ -198,11 +200,15 @@ def validate_tableau(tab, tol=1e-10):
     return True
 
 
-# samples per trace key in one block of a prepared schedule: 256 KiB of
-# float64, L2-resident, and a bound on the sampler's memory that does not
-# grow with the number of steps (with the schedule sampled whole, treated
-# heat2d at N = 20 peaked 50 MB higher at T = 20 than at T = 0.2)
-_BLOCK_SAMPLES = 32768
+# samples per trace key in one block of a prepared schedule, a bound on
+# the sampler's memory that does not grow with the number of steps (with
+# the schedule sampled whole, treated heat2d at N = 20 peaked 50 MB higher
+# at T = 20 than at T = 0.2).  A trace function makes several temporaries
+# of a block's size (heat2d's omega_t about eight): at 64 KiB of float64
+# each they stay in a 2 MB L2, where 256 KiB blocks made 2.1 MB of them
+# and took 1.3 times as long to sample heat2d's omega_t at N = 40.
+# A 1D run of up to 682 full steps (ARK4) still samples in one block
+_BLOCK_SAMPLES = 8192
 
 
 class BoundarySampler:
@@ -380,19 +386,29 @@ class ImexIntegrator:
         """The factor of I - coef Diffusion.shifted, made on first use."""
         lu = self._lu.get(coef)
         if lu is None:
-            # 1D takes SuperLU's defaults: another pivot order moves the 1D
-            # errors at the roundoff floor (heat1d_o4 L2 at N = 160, T = 1
-            # by -14%).  In 2D shifted is diagonal, 2 L+U entries per dof
-            # at any N, where a sparse LU of the 2D stage matrix fills over
-            # 100 per dof from N = 12 on; it is factored in its own order
-            # without supernodes or panels.  A diagonal solve is rhs / d
-            # under any option, and the default COLAMD ordering and
-            # 10-column panels only add work and workspace
-            kw = ({} if self.mesh.dim == 1 else
-                  {'permc_spec': 'NATURAL', 'relax': 1, 'panel_size': 1})
             shifted = self.diffusion.shifted
-            eye = sp.identity(shifted.shape[0], format='csc')
-            lu = spla.splu((eye - coef * shifted).tocsc(), **kw)
+            if self.mesh.dim == 1:
+                # SuperLU's defaults: another pivot order moves the 1D
+                # errors at the roundoff floor (heat1d_o4 L2 at N = 160,
+                # T = 1 by -14%)
+                eye = sp.identity(shifted.shape[0], format='csc')
+                lu = spla.splu((eye - coef * shifted).tocsc())
+            else:
+                # shifted is diagonal: the stage matrix is the CSC of
+                # d = 1 - coef lam, lam its diagonal, formed in place
+                # (-(coef lam) + 1 is bitwise 1 - coef lam), with one int32
+                # array as both indices and indptr.  Building it allocates
+                # 12 bytes a dof at N = 40, the sparse chain
+                # (I - coef shifted).tocsc() 76.  Factored in its own order
+                # without supernodes or panels, 2 L+U entries per dof at
+                # any N, it solves as rhs / d; the default COLAMD ordering
+                # and 10-column panels only add work and workspace
+                d = shifted.diagonal()
+                d *= -coef
+                d += 1.0
+                diag = np.arange(d.size + 1, dtype=np.int32)
+                lu = spla.splu(sp.csc_matrix((d, diag[:-1], diag)),
+                               permc_spec='NATURAL', relax=1, panel_size=1)
             self._lu[coef] = lu
             self.factorizations += 1
         return lu

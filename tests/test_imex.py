@@ -324,6 +324,24 @@ def test_2d_factors_are_diagonal(monkeypatch):
         assert 0.0 < max(residuals) <= 1e-12
 
 
+def test_2d_factor_allocates_little_per_dof():
+    # the diagonal 2D stage matrix is built straight from its diagonal:
+    # 12 bytes a dof at N = 40, where (I - coef shifted).tocsc() allocated
+    # 76 through its sparse temporaries
+    prob = builtin_problem('heat2d')
+    basis = build_basis(prob.degree)
+    mesh = build_mesh(prob.bounds, (40, 40))
+    integ = ImexIntegrator(prob, mesh, basis)
+    coef = prob.cfl * mesh.dx * integ.tableau.im_diag[1]
+    tracemalloc.start()
+    try:
+        integ._solver(coef)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * (40 * basis.p) ** 2, peak
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stage_solve_matches_a_direct_sparse_solve(k):
     # a factor solves in the basis of Diffusion.shifted; mapped in and
@@ -444,7 +462,8 @@ def test_prepared_boundary_schedule_matches_per_step_sampling(monkeypatch):
 def test_boundary_sampler_memory_does_not_grow_with_the_schedule():
     # a 5000-step schedule, stepped at its start, middle and end: only
     # the current block of samples is held (sampling the whole schedule
-    # at once peaked at 23 MB naive and 54 MB treated)
+    # at once peaked at 23 MB naive and 54 MB treated, in 32768-sample
+    # blocks at 1.0 and 2.1 MB, in 8192-sample ones at 0.31 and 0.53 MB)
     prob = builtin_problem('heat2d')
     basis = build_basis(prob.degree)
     mesh = build_mesh(prob.bounds, (4, 4))
@@ -460,7 +479,7 @@ def test_boundary_sampler_memory_does_not_grow_with_the_schedule():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20, (build, peak)
+        assert peak < 2 ** 20, (build, peak)
 
 
 def test_stage_data_is_one_low_high_pair_per_axis():
