@@ -32,7 +32,7 @@ def _add_common(sub):
     sub.add_argument('--bc', choices=['naive', 'treated'],
                      help='boundary handling (default treated)')
     sub.add_argument('--alg', choices=sorted(ALGORITHMS),
-                     help='treatment variant: alg1 anchors corrections at '
+                     help='treatment variant, 1D and 2D: alg1 anchors at '
                           'the step start, alg2 per stage (default)')
     sub.add_argument('--cfl', type=float,
                      help='step-size factor, tau = cfl * min cell width')

@@ -37,10 +37,10 @@ class RunConfig:
         levels: strictly increasing cell counts N (N x N cells in 2D).
         tableau: time scheme name; defaults to the problem's own.
         bc_mode: 'naive' (omega sampled at stage times) or 'treated'.
-        algorithm: treatment variant; 'alg1' (or 'anchored') anchors every
-            correction at the step start, 'alg2' (or 'stagewise', the
-            default) re-anchors per stage.  'alg3' is not implemented and
-            raises ValueError.
+        algorithm: treatment variant, in 1D and 2D; 'alg1' (or 'anchored')
+            anchors every correction at the step start, 'alg2' (or
+            'stagewise', the default) re-anchors per stage.  'alg3' is not
+            implemented and raises ValueError.
         cfl: step-size factor override, tau = cfl * min cell width;
             defaults to the problem's stated value.
         T: final-time override.

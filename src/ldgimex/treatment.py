@@ -36,7 +36,7 @@ per endpoint over its three nearest cells (EdgeDerivatives1D), in 2D a
 linear map from the flat dof vector to every face point, built from
 those rows and per-axis tangential weights (FaceDerivatives2D).
 
-Two variants are provided.  The default, 'stagewise', re-recovers the
+Two variants run on either mesh.  The default, 'stagewise', re-recovers the
 second derivatives and psi from every freshly solved stage field so Taylor
 shifts only span single stage gaps; 'anchored' expands everything from the
 step-start field.  Third-order runs (k = 2) keep a single Taylor term;
@@ -576,8 +576,9 @@ class TreatedBoundary:
     sampler's traces there and by the one recovery of the mesh, whose
     recover(field) returns one derivative tuple per point set: the two 1D
     endpoints (EdgeDerivatives1D) or all points of the four 2D faces at
-    once (FaceDerivatives2D).  The recovery refuses a degree or a mesh it
-    has no stencil for, and the correctors a problem they cannot run.
+    once (FaceDerivatives2D), its one choice per dimension: both variants
+    run on either mesh.  The recovery refuses a degree or a mesh it has
+    no stencil for, and the correctors a problem they cannot run.
     Plugs into the integrator in place of the naive omega sampler; its
     sampler samples omega and omega_tt at the step start only, the keys
     it declares as start_keys.  Set .trace to a list to collect (stage,
@@ -593,9 +594,6 @@ class TreatedBoundary:
                              % (problem.dim, mesh.dim))
         if mesh.dim == 1:
             self.recovery = EdgeDerivatives1D(mesh, basis)
-        elif variant != 'stagewise':
-            raise ValueError("2D treatment supports the stagewise variant "
-                             "only")
         else:
             self.recovery = FaceDerivatives2D(mesh, basis)
         order = basis.k + 1

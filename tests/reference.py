@@ -10,7 +10,8 @@ any summation order, so on any BLAS core.
   a time; axis_operators, global_L and boundary_vector put the axes
   together into the mesh's L and g_b.
 - gradient_oracle, diffusion_oracle, convection_oracle: the 1D weak forms
-  rebuilt per cell with a 20-point Gauss rule and explicit traces.
+  rebuilt per cell with a 20-point Gauss rule and explicit traces, the
+  last with the face flux lax_friedrichs.
   Collocation on the k+1 Gauss nodes is exact for every integrand
   involved (degree <= 2k+1), so the solver and these agree to roundoff.
 - along_lines runs a 1D oracle on every grid line of a mesh, the face
@@ -189,6 +190,14 @@ def diffusion_oracle(u, omw, ome, mesh, basis, d_coef, penalty=None):
     return out
 
 
+def lax_friedrichs(left, right, flux, alpha, part=np.asarray):
+    """The local Lax-Friedrichs flux along +x between the states left and
+    right of a face, alpha >= sup |f'| over them:
+    1/2 (f(left) + f(right)) - alpha/2 (right - left)."""
+    return sum(map(part, (0.5 * flux(left), 0.5 * flux(right),
+                          -0.5 * alpha * right, 0.5 * alpha * left)))
+
+
 def convection_oracle(u, omw, ome, flux, alpha, mesh, basis, part=np.asarray):
     """Weak -d/dx F(u) with the Lax-Friedrichs trace flux (part: see the
     module docstring)."""
@@ -204,8 +213,7 @@ def convection_oracle(u, omw, ome, flux, alpha, mesh, basis, part=np.asarray):
     for i in range(n):
         right[i] = float(phi_l @ u[i])
         left[i + 1] = float(phi_r @ u[i])
-    fhat = sum(map(part, (0.5 * flux(left), 0.5 * flux(right),
-                          -0.5 * alpha * right, 0.5 * alpha * left)))
+    fhat = lax_friedrichs(left, right, flux, alpha, part)
     out = np.zeros_like(u)
     for i in range(n):
         vol = np.einsum('q,q,mq->m', W20, part(flux(u[i] @ phi)), dphi)

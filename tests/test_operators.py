@@ -16,8 +16,8 @@ batch kernels on one line.  The solver holds L only in the basis of its
 stage solves (Diffusion.shifted) and never forms q, so the tests take the
 global L from the reference (global_L) and apply it (diffusion_apply,
 diffusion_gradient); they build explicit_rhs's coordinates and line
-matrices from the mesh (mesh_explicit_rhs), and keep the LLF flux formula
-(lax_friedrichs) that the convective kernel inlines.
+matrices from the mesh (mesh_explicit_rhs), and check the reference's LLF
+face flux (reference.lax_friedrichs), which the kernels inline.
 """
 
 import copy
@@ -44,34 +44,25 @@ EPS = np.finfo(float).eps
 
 # -- numerical flux ----------------------------------------------------------
 
-def lax_friedrichs(u_in, u_out, normal, flux, alpha):
-    """Local Lax-Friedrichs numerical flux in the direction of `normal`.
-
-    F~ . n = 1/2 [ (F(u_in) + F(u_out)) . n - alpha (u_out - u_in) ]
-    with alpha >= sup |F'(u) . n| over the relevant states.  The solver's
-    convective kernel inlines this formula.
-    """
-    return (0.5 * normal * (flux(u_in) + flux(u_out))
-            - 0.5 * alpha * (u_out - u_in))
-
-
 def test_lax_friedrichs_consistency():
+    # the reference's face flux (tests/reference.py), which the kernels are
+    # held to, is f(u) between equal states
     f = lambda u: 0.5 * u * u
     for u in (-1.3, 0.0, 0.7):
-        assert abs(lax_friedrichs(u, u, 1.0, f, 2.0) - f(u)) < 1e-15
-        assert abs(lax_friedrichs(u, u, -1.0, f, 2.0) + f(u)) < 1e-15
+        assert abs(ref.lax_friedrichs(u, u, f, 2.0) - f(u)) < 1e-15
 
 
 @given(ul=st.floats(-2, 2), ur=st.floats(-2, 2))
 @settings(max_examples=100, deadline=None)
 def test_lax_friedrichs_monotone_for_large_alpha(ul, ur):
-    # with alpha >= sup|f'| the flux rises in u_in and falls in u_out
+    # with alpha >= sup|f'| the flux rises in the left state and falls in
+    # the right one
     f = lambda u: 0.5 * u * u
     alpha = 2.0
     eps = 1e-6
-    base = lax_friedrichs(ul, ur, 1.0, f, alpha)
-    assert lax_friedrichs(ul + eps, ur, 1.0, f, alpha) >= base - 1e-12
-    assert lax_friedrichs(ul, ur + eps, 1.0, f, alpha) <= base + 1e-12
+    base = ref.lax_friedrichs(ul, ur, f, alpha)
+    assert ref.lax_friedrichs(ul + eps, ur, f, alpha) >= base - 1e-12
+    assert ref.lax_friedrichs(ul, ur + eps, f, alpha) <= base + 1e-12
 
 
 def test_llf_alpha_includes_boundary_states():
@@ -408,40 +399,6 @@ def mesh_explicit_rhs(u, t, bdata, problem, mesh, basis, axes=None):
                         axes)
 
 
-def test_explicit_rhs_linear_flux_matches_oracle():
-    prob = builtin_problem('heat1d')        # f = -0.1 u, p = D - 1 = 1
-    basis = build_basis(prob.degree)
-    mesh = build_mesh(prob.bounds, 6)
-    rng = np.random.default_rng(21)
-    u = rng.standard_normal((6, basis.p))
-    omw, ome = rng.standard_normal(2)
-    bdata = ((omw, ome),)
-    t = 0.7
-    got = mesh_explicit_rhs(u, t, bdata, prob, mesh, basis)
-    alpha = llf_alpha(prob, u, bdata)
-    want = ref.convection_oracle(u, omw, ome, prob.fluxes[0][0], alpha,
-                                 mesh, basis)
-    want += u
-    np.testing.assert_allclose(got, want, atol=1e-11, rtol=0)
-
-
-def test_explicit_rhs_nonlinear_flux_matches_oracle():
-    prob = builtin_problem('burgers1d')     # f = u^2 / 2
-    basis = build_basis(prob.degree)
-    mesh = build_mesh(prob.bounds, 5)
-    rng = np.random.default_rng(22)
-    u = rng.standard_normal((5, basis.p))
-    omw, ome = rng.standard_normal(2)
-    bdata = ((omw, ome),)
-    t = 1.2
-    got = mesh_explicit_rhs(u, t, bdata, prob, mesh, basis)
-    alpha = llf_alpha(prob, u, bdata)
-    want = ref.convection_oracle(u, omw, ome, prob.fluxes[0][0], alpha,
-                                 mesh, basis)
-    want += prob.p(*mesh.node_coords(basis), t) * u
-    np.testing.assert_allclose(got, want, atol=1e-11, rtol=0)
-
-
 def test_explicit_rhs_constant_state_is_silent():
     # constant field + matching data: fluxes telescope and the volume term
     # cancels the face term exactly, for nonlinear f too
@@ -473,22 +430,6 @@ def test_explicit_rhs_without_a_flux_is_the_source(bounds, cells):
     got = mesh_explicit_rhs(u, 0.3, bdata, prob, mesh, basis)
     assert got is not u and got.shape == u.shape and got.flags.c_contiguous
     assert np.array_equal(got, h(u, *mesh.node_coords(basis), 0.3))
-
-
-def test_explicit_rhs_2d_matches_dimension_split_oracle():
-    prob = builtin_problem('heat2d')
-    basis = build_basis(prob.degree)
-    mesh = build_mesh(prob.bounds, (4, 3))
-    rng = np.random.default_rng(23)
-    n, m, p = mesh.n, mesh.m, basis.p
-    u = rng.standard_normal((n, p, m, p))       # (cell, node) per axis
-    bdata = ((rng.standard_normal((m, p)), rng.standard_normal((m, p))),
-             (rng.standard_normal((n, p)), rng.standard_normal((n, p))))
-    got = mesh_explicit_rhs(u, 0.3, bdata, prob, mesh, basis)
-    # each x line and each y line is a 1D convection problem, and p =
-    # 2 D - 1 = 1
-    want = ref.explicit_rhs(u, 0.3, bdata, prob, mesh, basis)
-    np.testing.assert_allclose(got, want, atol=1e-11, rtol=0)
 
 
 # -- explicit RHS and boundary vector against the reference -------------------

@@ -405,30 +405,41 @@ def test_late_stage_gap_to_hand_expansion_is_cubic():
     assert min(slopes) >= 2.9, (gaps, slopes)
 
 
-@pytest.mark.parametrize("name", ["heat1d", "burgers1d", "heat1d_o4"])
+@pytest.mark.parametrize("name", ["heat1d", "burgers1d", "heat1d_o4",
+                                  "heat2d"])
 def test_anchored_is_stagewise_observing_the_step_start(name):
     # which --alg values really differ: at order 3, anchored (alg1) gives
     # bitwise the stage values of stagewise (alg2) observing the step-start
-    # derivatives at every stage; at order 4 anchored also Taylor-shifts the
+    # derivatives at every stage, at a 1D endpoint and on the 2D faces'
+    # point arrays alike; at order 4 anchored also Taylor-shifts the
     # Hessian and psi from the step start, so from stage 2 on they differ
     prob = builtin_problem(name)
     tab = builtin_tableau(prob.tableau)
     order = prob.degree + 1
     rng = np.random.default_rng(23)
     for _ in range(200):
-        x = float(rng.choice([-1.0, 1.0]))
+        x = float(rng.choice([-1.0, 1.0]))     # a 1D endpoint
         tau = 10.0 ** rng.uniform(-2.0, -1.0)    # order-4 gaps > 1e-12
-        traces = _endpoint_traces(prob, tab, x, rng.uniform(), tau,
-                                  rng.standard_normal(),
-                                  rng.standard_normal(tab.stages))
-        if order == 4:
-            traces['omega_tt'] = [rng.standard_normal()]
-        rec = tuple(rng.standard_normal(_TUPLE_SIZE[order]).tolist())
+        if prob.dim == 2:
+            # 7 face points: (grad, hess, grad_lap) stacked over the axes
+            omt = rng.standard_normal((tab.stages, 7))
+            traces = {'omega': [rng.standard_normal(7)] * tab.stages,
+                      'omega_t': list(omt)}
+            grad, grad_lap = rng.standard_normal((2, 2, 7))
+            u_xx, u_xy, u_yy = rng.standard_normal((3, 7))
+            rec = (grad, np.array([[u_xx, u_xy], [u_xy, u_yy]]), grad_lap)
+        else:
+            traces = _endpoint_traces(prob, tab, x, rng.uniform(), tau,
+                                      rng.standard_normal(),
+                                      rng.standard_normal(tab.stages))
+            if order == 4:
+                traces['omega_tt'] = [rng.standard_normal()]
+            rec = tuple(rng.standard_normal(_TUPLE_SIZE[order]).tolist())
         anchored, stagewise = (
             _stages_observing(prob, tab, order, variant, tau, traces, rec)
             for variant in ('anchored', 'stagewise'))
         if order == 3:
-            assert anchored == stagewise
+            assert np.array_equal(anchored, stagewise)
         else:
             assert anchored[0] == stagewise[0]
             assert all(a != s for a, s in zip(anchored[1:], stagewise[1:]))
@@ -654,8 +665,6 @@ def test_unsupported_configurations_raise():
     mesh2 = build_mesh(heat2.bounds, (6, 6))
     with pytest.raises(ValueError, match="k = 2 or 3"):
         treated_boundary(heat, mesh1, build_basis(1), ARK3)
-    with pytest.raises(ValueError, match="stagewise variant only"):
-        treated_boundary(heat2, mesh2, build_basis(2), ARK3, variant='alg1')
     with pytest.raises(ValueError, match="k = 2"):
         treated_boundary(heat2, mesh2, build_basis(3), ARK3)
     # fourth order needs a linear flux to close d/dt psi_x in space
